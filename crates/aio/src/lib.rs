@@ -6,7 +6,7 @@
 //! serve tier actually needs lives in-tree:
 //!
 //! * a process-wide **reactor** thread multiplexing socket readiness
-//!   and timers through one epoll instance ([`reactor`] is internal;
+//!   and timers through one epoll instance (`reactor` is internal;
 //!   futures talk to it by parking wakers);
 //! * a fixed-size **executor** ([`Runtime`] / [`Handle`]) polling
 //!   spawned `Future<Output = ()>` tasks from a shared queue;

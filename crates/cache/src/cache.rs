@@ -69,7 +69,7 @@ const TAG_EMPTY: u64 = u64::MAX;
 /// acceleration and carries no independent state.
 ///
 /// The slot array itself is *uninitialized capacity*: a slot holds a
-/// live line **iff** its mirror tag is not [`TAG_EMPTY`] (equivalently,
+/// live line **iff** its mirror tag is not `TAG_EMPTY` (equivalently,
 /// iff it lies inside its set's dense prefix). This avoids writing —
 /// and page-faulting — megabytes of empty `Line` storage every time a
 /// machine is constructed, which a campaign does once per detector per

@@ -74,7 +74,15 @@ impl FuzzConfig {
     ///
     /// Describes the first unknown flag or malformed value.
     pub fn from_args() -> Result<FuzzConfig, String> {
-        let mut cfg = FuzzConfig::default();
+        FuzzConfig::from_args_over(FuzzConfig::default())
+    }
+
+    /// [`FuzzConfig::from_args`] over a target's own defaults.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first unknown flag or malformed value.
+    pub fn from_args_over(mut cfg: FuzzConfig) -> Result<FuzzConfig, String> {
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
@@ -218,7 +226,18 @@ fn survives(target: &dyn Fn(&[u8]), input: &[u8]) -> Result<(), String> {
 /// mutations of valid data reach far deeper into a decoder than random
 /// bytes.
 pub fn fuzz_main(name: &str, seeds: Vec<Vec<u8>>, target: impl Fn(&[u8])) -> ExitCode {
-    let cfg = match FuzzConfig::from_args() {
+    fuzz_main_over(name, FuzzConfig::default(), seeds, target)
+}
+
+/// [`fuzz_main`] with the target's own flag defaults, for targets
+/// whose interesting inputs outgrow [`FuzzConfig::default`].
+pub fn fuzz_main_over(
+    name: &str,
+    defaults: FuzzConfig,
+    seeds: Vec<Vec<u8>>,
+    target: impl Fn(&[u8]),
+) -> ExitCode {
+    let cfg = match FuzzConfig::from_args_over(defaults) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");

@@ -1,13 +1,14 @@
 //! The detector registry: the four configurations of Table 2 plus the
 //! bloom-table ablation.
 
+use crate::kernel;
 use hard::{HardConfig, HardMachine, HbMachine, HbMachineConfig};
 use hard_hb::{IdealHappensBefore, IdealHbConfig};
 use hard_lockset::bloom_table::{BloomLockset, BloomLocksetConfig};
 use hard_lockset::{IdealLockset, IdealLocksetConfig};
 use hard_obs::ObsHandle;
-use hard_trace::{run_detector_observed, RaceReport, Trace};
-use hard_types::Addr;
+use hard_trace::{run_detector_observed, Detector, RaceReport, Trace, TraceEvent};
+use hard_types::{Addr, FaultStats};
 use std::fmt;
 
 /// One of the detector configurations the paper evaluates.
@@ -111,6 +112,11 @@ pub struct DetectorRun {
 /// injected race's targets) whose metadata-loss status is recorded for
 /// miss classification.
 ///
+/// This is the per-event oracle: every detector sees one
+/// [`Detector::on_event`] call per trace event, whatever the
+/// process-global kernel mode. The production runner
+/// ([`crate::runner`]) must reproduce its reports exactly.
+///
 /// The process-global observability handle
 /// ([`hard_obs::installed`]) is attached to the hardware machines, so
 /// a `--trace-out` style recorder sees every sweep without per-call
@@ -118,81 +124,127 @@ pub struct DetectorRun {
 /// bit-identical to the pre-observability behaviour.
 #[must_use]
 pub fn execute(kind: &DetectorKind, trace: &Trace, probes: &[Addr]) -> DetectorRun {
-    execute_observed(kind, trace, probes, &hard_obs::installed())
+    let obs = hard_obs::installed();
+    let mut d = AnyDetector::build(kind, trace.num_threads, &obs);
+    run_detector_observed(&mut d, trace, &obs);
+    crate::bench::account(trace.len() as u64, d.cycles());
+    d.finish(probes)
 }
 
-/// [`execute`] with an explicit observability handle: the hardware
-/// machines emit their detection-pipeline metrics into `obs`, and
-/// trace events are classified into the per-op-class counters.
-#[must_use]
-pub fn execute_observed(
-    kind: &DetectorKind,
-    trace: &Trace,
-    probes: &[Addr],
-    obs: &ObsHandle,
-) -> DetectorRun {
-    // Every plain execution credits the process-global bench
-    // accumulator; HARD (the timed detector) also credits its cycles.
-    let run = match kind {
-        DetectorKind::Hard(cfg) => {
-            let mut m = HardMachine::new(*cfg);
-            m.attach_recorder(obs.clone());
-            // HARD is the only detector with a vectorized batch kernel;
-            // route through it when the process-global mode asks for it
-            // and no recorder is watching (the batched path is
-            // bit-identical, so this only moves throughput).
-            let mode = crate::kernel::installed();
-            m.set_lane_kernel(mode.lane_kernel());
-            let reports = if mode.is_batched() && !obs.is_on() {
-                hard_trace::run_detector_batched(&mut m, trace)
-            } else {
-                run_detector_observed(&mut m, trace, obs)
-            };
-            crate::bench::account(trace.len() as u64, m.total_cycles().0);
-            return DetectorRun {
-                reports,
-                meta_lost: probes.iter().map(|&a| m.was_meta_lost(a)).collect(),
-            };
-        }
-        DetectorKind::LocksetIdeal(cfg) => {
-            let mut d = IdealLockset::new(*cfg);
-            let reports = run_detector_observed(&mut d, trace, obs);
-            DetectorRun {
-                reports,
-                meta_lost: vec![false; probes.len()],
+/// One built detector of any [`DetectorKind`], boxed so the runner's
+/// engine and the oracle above drive every kind through one type.
+pub(crate) enum AnyDetector {
+    Hard(Box<HardMachine>),
+    LocksetIdeal(Box<IdealLockset>),
+    HbHw(Box<HbMachine>),
+    HbIdeal(Box<IdealHappensBefore>),
+    BloomUnbounded(Box<BloomLockset>),
+}
+
+impl AnyDetector {
+    /// Builds `kind` for a `num_threads`-thread trace. The hardware
+    /// machines report into `obs`; HARD takes the lane kernel of the
+    /// process-global kernel mode.
+    pub(crate) fn build(kind: &DetectorKind, num_threads: usize, obs: &ObsHandle) -> AnyDetector {
+        match kind {
+            DetectorKind::Hard(cfg) => {
+                let mut m = Box::new(HardMachine::new(*cfg));
+                m.attach_recorder(obs.clone());
+                m.set_lane_kernel(kernel::installed().lane_kernel());
+                AnyDetector::Hard(m)
+            }
+            DetectorKind::LocksetIdeal(cfg) => {
+                AnyDetector::LocksetIdeal(Box::new(IdealLockset::new(*cfg)))
+            }
+            DetectorKind::HbHw(cfg) => {
+                let mut m = Box::new(HbMachine::new(*cfg));
+                m.attach_recorder(obs.clone());
+                AnyDetector::HbHw(m)
+            }
+            DetectorKind::HbIdeal { granularity } => {
+                AnyDetector::HbIdeal(Box::new(IdealHappensBefore::new(IdealHbConfig {
+                    num_threads,
+                    granularity: *granularity,
+                })))
+            }
+            DetectorKind::BloomUnbounded(cfg) => {
+                AnyDetector::BloomUnbounded(Box::new(BloomLockset::new(*cfg)))
             }
         }
-        DetectorKind::HbHw(cfg) => {
-            let mut m = HbMachine::new(*cfg);
-            m.attach_recorder(obs.clone());
-            let reports = run_detector_observed(&mut m, trace, obs);
-            DetectorRun {
-                reports,
-                meta_lost: probes.iter().map(|&a| m.was_meta_lost(a)).collect(),
-            }
+    }
+
+    /// Simulated cycles so far. HARD is the only detector with a full
+    /// timing model; the others report 0.
+    pub(crate) fn cycles(&self) -> u64 {
+        match self {
+            AnyDetector::Hard(m) => m.total_cycles().0,
+            _ => 0,
         }
-        DetectorKind::HbIdeal { granularity } => {
-            let mut d = IdealHappensBefore::new(IdealHbConfig {
-                num_threads: trace.num_threads,
-                granularity: *granularity,
-            });
-            let reports = run_detector_observed(&mut d, trace, obs);
-            DetectorRun {
-                reports,
-                meta_lost: vec![false; probes.len()],
-            }
+    }
+
+    pub(crate) fn fault_stats(&self) -> FaultStats {
+        match self {
+            AnyDetector::Hard(m) => m.fault_stats(),
+            _ => FaultStats::default(),
         }
-        DetectorKind::BloomUnbounded(cfg) => {
-            let mut d = BloomLockset::new(*cfg);
-            let reports = run_detector_observed(&mut d, trace, obs);
-            DetectorRun {
-                reports,
-                meta_lost: vec![false; probes.len()],
-            }
+    }
+
+    /// `(meta_broadcasts, l2_evictions)` for the hardware detectors;
+    /// the ideal detectors have no memory hierarchy.
+    pub(crate) fn traffic(&self) -> (u64, u64) {
+        match self {
+            AnyDetector::Hard(m) => (m.stats().meta_broadcasts, m.stats().l2_evictions),
+            AnyDetector::HbHw(m) => (m.stats().meta_broadcasts, m.stats().l2_evictions),
+            _ => (0, 0),
+        }
+    }
+
+    /// The run's reports, plus the metadata-loss status of each probe
+    /// (always `false` for the ideal detectors).
+    pub(crate) fn finish(self, probes: &[Addr]) -> DetectorRun {
+        let meta_lost = match &self {
+            AnyDetector::Hard(m) => probes.iter().map(|&a| m.was_meta_lost(a)).collect(),
+            AnyDetector::HbHw(m) => probes.iter().map(|&a| m.was_meta_lost(a)).collect(),
+            _ => vec![false; probes.len()],
+        };
+        DetectorRun {
+            reports: self.reports().to_vec(),
+            meta_lost,
+        }
+    }
+}
+
+/// Evaluates `$body` with `$d` bound to whichever detector `$any` holds.
+macro_rules! each {
+    ($any:expr, $d:ident => $body:expr) => {
+        match $any {
+            AnyDetector::Hard($d) => $body,
+            AnyDetector::LocksetIdeal($d) => $body,
+            AnyDetector::HbHw($d) => $body,
+            AnyDetector::HbIdeal($d) => $body,
+            AnyDetector::BloomUnbounded($d) => $body,
         }
     };
-    crate::bench::account(trace.len() as u64, 0);
-    run
+}
+
+// The machines override on_batch with their batched kernels; the
+// ideal detectors run the trait's default per-event loop.
+impl Detector for AnyDetector {
+    fn name(&self) -> &str {
+        each!(self, d => d.name())
+    }
+
+    fn on_event(&mut self, index: usize, e: &TraceEvent) {
+        each!(self, d => d.on_event(index, e));
+    }
+
+    fn on_batch(&mut self, index: usize, events: &[TraceEvent]) {
+        each!(self, d => d.on_batch(index, events));
+    }
+
+    fn reports(&self) -> &[RaceReport] {
+        each!(self, d => d.reports())
+    }
 }
 
 #[cfg(test)]

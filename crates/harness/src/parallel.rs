@@ -17,9 +17,6 @@
 //! is serial — no pool overhead, no thread churn).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// Applies `f` to every cell and returns the results in cell order.
 ///
@@ -73,187 +70,6 @@ where
         .collect()
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent worker pool with a **bounded** submission queue.
-///
-/// [`map_cells`] is the right shape for a batch campaign — the cell
-/// list is known up front and the pool dies with it. A long-running
-/// service needs the dual: jobs arrive one at a time from concurrent
-/// connections, the workers outlive every job, and the queue between
-/// them is *bounded* so a flood of uploads exerts backpressure on the
-/// submitters instead of growing an unbounded buffer. [`submit`]
-/// blocks while `queue_depth` jobs are already waiting; that blocking
-/// is the backpressure signal `hard-serve` propagates to its clients
-/// by simply not reading their next frame.
-///
-/// A service that would rather *shed* than block uses
-/// [`try_submit`], which fails fast when the queue is full, plus
-/// [`load`]/[`is_saturated`] to observe queue pressure before
-/// committing to expensive work (admission control).
-///
-/// Dropping the pool closes the queue, lets the workers drain what
-/// was already accepted, and joins them — the graceful-shutdown drain.
-/// The drain guarantee is unconditional: a panicking job is contained
-/// inside its worker, so every accepted job still *runs* (and can
-/// deliver its client an explicit verdict frame) before the pool
-/// exits. The async serve tier keeps the same contract in its own
-/// shutdown path: the stop signal wakes every open session task,
-/// which writes a `Bye` (idle) or shutdown `Error` (mid-upload) frame
-/// before the runtime is allowed to drop.
-///
-/// [`submit`]: WorkerPool::submit
-/// [`try_submit`]: WorkerPool::try_submit
-/// [`load`]: WorkerPool::load
-/// [`is_saturated`]: WorkerPool::is_saturated
-pub struct WorkerPool {
-    tx: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Jobs accepted but not yet finished (queued + running).
-    load: Arc<AtomicUsize>,
-    queue_depth: usize,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` threads (at least one) behind a queue of
-    /// `queue_depth` waiting jobs (at least one).
-    #[must_use]
-    pub fn new(workers: usize, queue_depth: usize) -> WorkerPool {
-        let queue_depth = queue_depth.max(1);
-        let (tx, rx) = sync_channel::<Job>(queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let load = Arc::new(AtomicUsize::new(0));
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let load = Arc::clone(&load);
-                std::thread::Builder::new()
-                    .name(format!("hard-pool-{i}"))
-                    .spawn(move || loop {
-                        // Hold the lock only for the pull, not the run.
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => return, // a sibling poisoned the pull lock
-                        };
-                        match job {
-                            Ok(job) => {
-                                // A job panic must not kill the worker:
-                                // with the old bare `job()` call, the
-                                // unwinding worker died holding nothing,
-                                // but the *next* sibling to pull found a
-                                // poisoned receiver lock and exited too,
-                                // so the drop-drain silently discarded
-                                // the queued backlog — queued serve
-                                // sessions hung with no Bye/Error frame.
-                                // Contain the panic, keep draining, and
-                                // always retire the job from the load
-                                // count so admission control recovers.
-                                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                                load.fetch_sub(1, Ordering::Release);
-                            }
-                            Err(_) => return, // queue closed: drain complete
-                        }
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            workers,
-            load,
-            queue_depth,
-        }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Queues `job`, blocking while the queue is full (backpressure).
-    ///
-    /// # Errors
-    ///
-    /// Fails only when every worker has died; job panics are contained
-    /// per-worker, so in practice this means the pool was torn down.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), String> {
-        self.load.fetch_add(1, Ordering::Acquire);
-        self.tx
-            .as_ref()
-            .expect("sender present until drop")
-            .send(Box::new(job))
-            .map_err(|_| {
-                self.load.fetch_sub(1, Ordering::Release);
-                "worker pool has shut down".to_string()
-            })
-    }
-
-    /// Queues `job` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(TrySubmit::Full)` when the queue already holds
-    /// `queue_depth` waiting jobs — the shed signal the serve tier
-    /// answers with a `Busy` frame — or `Err(TrySubmit::Closed)` when
-    /// every worker has died.
-    pub fn try_submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), TrySubmit> {
-        self.load.fetch_add(1, Ordering::Acquire);
-        self.tx
-            .as_ref()
-            .expect("sender present until drop")
-            .try_send(Box::new(job))
-            .map_err(|e| {
-                self.load.fetch_sub(1, Ordering::Release);
-                match e {
-                    std::sync::mpsc::TrySendError::Full(_) => TrySubmit::Full,
-                    std::sync::mpsc::TrySendError::Disconnected(_) => TrySubmit::Closed,
-                }
-            })
-    }
-
-    /// Jobs accepted but not yet finished (queued + running).
-    #[must_use]
-    pub fn load(&self) -> usize {
-        self.load.load(Ordering::Acquire)
-    }
-
-    /// The most jobs that can be in flight at once: one per worker
-    /// plus the queue depth.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.workers.len() + self.queue_depth
-    }
-
-    /// True when the pool cannot take another job without blocking —
-    /// the admission-control signal for shedding *before* accepting an
-    /// expensive upload.
-    #[must_use]
-    pub fn is_saturated(&self) -> bool {
-        self.load() >= self.capacity()
-    }
-}
-
-/// Why [`WorkerPool::try_submit`] declined a job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrySubmit {
-    /// The bounded queue is full; retry later (shed signal).
-    Full,
-    /// Every worker has died; the pool is unusable.
-    Closed,
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // close the queue; workers finish the backlog
-        for w in self.workers.drain(..) {
-            // A panicked worker already aborted its job; the pool's
-            // drop is not the place to re-raise during unwinding.
-            let _ = w.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,128 +117,5 @@ mod tests {
     fn jobs_beyond_cells_is_clamped() {
         let cells: Vec<u32> = (0..3).collect();
         assert_eq!(map_cells(100, &cells, |_, &c| c * 2), vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn pool_runs_every_submitted_job() {
-        let count = Arc::new(AtomicUsize::new(0));
-        let pool = WorkerPool::new(4, 2);
-        assert_eq!(pool.workers(), 4);
-        for _ in 0..50 {
-            let count = Arc::clone(&count);
-            pool.submit(move || {
-                count.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        drop(pool); // drain + join
-        assert_eq!(count.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn pool_drop_drains_the_accepted_backlog() {
-        let done = Arc::new(AtomicUsize::new(0));
-        let pool = WorkerPool::new(1, 8);
-        for _ in 0..8 {
-            let done = Arc::clone(&done);
-            pool.submit(move || {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                done.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        drop(pool);
-        assert_eq!(done.load(Ordering::Relaxed), 8, "backlog ran before join");
-    }
-
-    #[test]
-    fn try_submit_sheds_when_full_and_load_drains_to_zero() {
-        use std::sync::mpsc::channel;
-        // One worker, depth-1 queue, capacity 2. Park the worker on a
-        // gate so the queue state is under test control.
-        let pool = WorkerPool::new(1, 1);
-        assert_eq!(pool.capacity(), 2);
-        assert_eq!(pool.load(), 0);
-        assert!(!pool.is_saturated());
-
-        let (started_tx, started_rx) = channel::<()>();
-        let (gate_tx, gate_rx) = channel::<()>();
-        let gate_rx = Mutex::new(gate_rx);
-        pool.try_submit(move || {
-            started_tx.send(()).expect("test is listening");
-            gate_rx.lock().unwrap().recv().unwrap();
-        })
-        .unwrap();
-        // `load()` counts from submit time, so it cannot tell queued
-        // from running: wait for the job's own signal that the worker
-        // dequeued it, freeing the queue slot.
-        started_rx.recv().expect("worker starts the gated job");
-        pool.try_submit(|| {}).unwrap(); // fills the queue slot
-        assert!(pool.is_saturated());
-        assert_eq!(pool.try_submit(|| {}), Err(TrySubmit::Full));
-        assert_eq!(pool.load(), 2, "the shed attempt must not leak load");
-
-        gate_tx.send(()).unwrap(); // release the worker
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while pool.load() != 0 {
-            assert!(std::time::Instant::now() < deadline, "load never drained");
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
-        assert!(!pool.is_saturated());
-    }
-
-    #[test]
-    fn panicking_job_does_not_strand_the_queued_backlog() {
-        // Regression: one worker, a job that panics, and a backlog
-        // queued behind it. Before the catch_unwind fix the panic
-        // killed the worker and poisoned the pull lock, so the drop-
-        // drain silently discarded the backlog — in serve terms,
-        // queued clients hung with no Bye/Error verdict. Now every
-        // accepted job must still run and load must drain to zero.
-        let pool = WorkerPool::new(1, 8);
-        let ran = Arc::new(AtomicUsize::new(0));
-        pool.submit(|| panic!("session blew up mid-detection"))
-            .unwrap();
-        for _ in 0..5 {
-            let ran = Arc::clone(&ran);
-            pool.submit(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while pool.load() != 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "load never drained after a job panic"
-            );
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
-        // The pool stays usable: the worker survived the panic.
-        let ran2 = Arc::clone(&ran);
-        pool.submit(move || {
-            ran2.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        drop(pool); // drain + join must not re-raise
-        assert_eq!(ran.load(Ordering::Relaxed), 6, "backlog ran past the panic");
-    }
-
-    #[test]
-    fn pool_submit_blocks_for_backpressure_not_failure() {
-        // One slow worker and a depth-1 queue: 10 submits must all
-        // succeed (by blocking), never error.
-        let pool = WorkerPool::new(1, 1);
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
-            let ran = Arc::clone(&ran);
-            pool.submit(move || {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        drop(pool);
-        assert_eq!(ran.load(Ordering::Relaxed), 10);
     }
 }

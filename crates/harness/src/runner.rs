@@ -10,16 +10,12 @@
 //! [`RunOutcome`] instead of tearing down the sweep.
 
 use crate::campaign::CellTrace;
-use crate::detectors::{DetectorKind, DetectorRun};
+use crate::detectors::{AnyDetector, DetectorKind, DetectorRun};
 use crate::kernel;
-use hard::{HardMachine, HbMachine};
-use hard_hb::{IdealHappensBefore, IdealHbConfig};
-use hard_lockset::bloom_table::BloomLockset;
-use hard_lockset::IdealLockset;
 use hard_obs::ObsHandle;
 use hard_trace::codec;
-use hard_trace::packed_event::{ChunkedReader, PackedEvent, PackedTrace, RECORD_BYTES};
-use hard_trace::{observe_event, Detector, Trace, TraceEvent, BATCH_EVENTS};
+use hard_trace::packed_event::{ChunkedReader, PackedEvent, RECORD_BYTES};
+use hard_trace::{observe_window, Detector, Op, TraceEvent, BATCH_EVENTS};
 use hard_types::{Addr, FaultStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -106,311 +102,143 @@ impl RunOutcome {
     }
 }
 
-/// How often the deadline is checked, in events. Checking per event
-/// would double the dispatch cost for nothing; any overshoot is
-/// bounded by this constant.
-const DEADLINE_STRIDE: u64 = 256;
+/// How often the deadline is checked, in events: once per window, so
+/// any overshoot is bounded by the window size.
+const DEADLINE_STRIDE: u64 = BATCH_EVENTS as u64;
 
-// The batched loop checks deadlines after each full batch; the stride
-// must equal the batch size so batched and per-event runs time out at
-// the same event counts (identical overshoot included).
-const _: () = assert!(DEADLINE_STRIDE == BATCH_EVENTS as u64);
-
-enum AnyDetector {
-    Hard(Box<HardMachine>),
-    LocksetIdeal(Box<IdealLockset>),
-    HbHw(Box<HbMachine>),
-    HbIdeal(Box<IdealHappensBefore>),
-    BloomUnbounded(Box<BloomLockset>),
-}
-
-impl AnyDetector {
-    fn build(kind: &DetectorKind, num_threads: usize, obs: &ObsHandle) -> AnyDetector {
-        match kind {
-            DetectorKind::Hard(cfg) => {
-                let mut m = Box::new(HardMachine::new(*cfg));
-                m.attach_recorder(obs.clone());
-                m.set_lane_kernel(kernel::installed().lane_kernel());
-                AnyDetector::Hard(m)
-            }
-            DetectorKind::LocksetIdeal(cfg) => {
-                AnyDetector::LocksetIdeal(Box::new(IdealLockset::new(*cfg)))
-            }
-            DetectorKind::HbHw(cfg) => {
-                let mut m = Box::new(HbMachine::new(*cfg));
-                m.attach_recorder(obs.clone());
-                AnyDetector::HbHw(m)
-            }
-            DetectorKind::HbIdeal { granularity } => {
-                AnyDetector::HbIdeal(Box::new(IdealHappensBefore::new(IdealHbConfig {
-                    num_threads,
-                    granularity: *granularity,
-                })))
-            }
-            DetectorKind::BloomUnbounded(cfg) => {
-                AnyDetector::BloomUnbounded(Box::new(BloomLockset::new(*cfg)))
-            }
-        }
-    }
-
-    fn on_event(&mut self, index: usize, e: &hard_trace::TraceEvent) {
-        match self {
-            AnyDetector::Hard(m) => m.on_event(index, e),
-            AnyDetector::LocksetIdeal(d) => d.on_event(index, e),
-            AnyDetector::HbHw(m) => m.on_event(index, e),
-            AnyDetector::HbIdeal(d) => d.on_event(index, e),
-            AnyDetector::BloomUnbounded(d) => d.on_event(index, e),
-        }
-    }
-
-    fn on_batch(&mut self, index: usize, events: &[TraceEvent]) {
-        match self {
-            // HARD overrides on_batch with its vectorized span kernel;
-            // the rest run the trait's default per-event loop.
-            AnyDetector::Hard(m) => m.on_batch(index, events),
-            AnyDetector::LocksetIdeal(d) => d.on_batch(index, events),
-            AnyDetector::HbHw(m) => m.on_batch(index, events),
-            AnyDetector::HbIdeal(d) => d.on_batch(index, events),
-            AnyDetector::BloomUnbounded(d) => d.on_batch(index, events),
-        }
-    }
-
-    fn cycles(&self) -> u64 {
-        match self {
-            // HARD is the only detector with a full timing model; the
-            // others fall back to the event deadline.
-            AnyDetector::Hard(m) => m.total_cycles().0,
-            _ => 0,
-        }
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        match self {
-            AnyDetector::Hard(m) => m.fault_stats(),
-            _ => FaultStats::default(),
-        }
-    }
-
-    /// `(meta_broadcasts, l2_evictions)` for the hardware detectors;
-    /// the ideal detectors have no memory hierarchy.
-    fn traffic(&self) -> (u64, u64) {
-        match self {
-            AnyDetector::Hard(m) => (m.stats().meta_broadcasts, m.stats().l2_evictions),
-            AnyDetector::HbHw(m) => (m.stats().meta_broadcasts, m.stats().l2_evictions),
-            _ => (0, 0),
-        }
-    }
-
-    fn finish(self, probes: &[Addr]) -> DetectorRun {
-        match self {
-            AnyDetector::Hard(m) => DetectorRun {
-                reports: m.reports().to_vec(),
-                meta_lost: probes.iter().map(|&a| m.was_meta_lost(a)).collect(),
-            },
-            AnyDetector::LocksetIdeal(d) => DetectorRun {
-                reports: d.reports().to_vec(),
-                meta_lost: vec![false; probes.len()],
-            },
-            AnyDetector::HbHw(m) => DetectorRun {
-                reports: m.reports().to_vec(),
-                meta_lost: probes.iter().map(|&a| m.was_meta_lost(a)).collect(),
-            },
-            AnyDetector::HbIdeal(d) => DetectorRun {
-                reports: d.reports().to_vec(),
-                meta_lost: vec![false; probes.len()],
-            },
-            AnyDetector::BloomUnbounded(d) => DetectorRun {
-                reports: d.reports().to_vec(),
-                meta_lost: vec![false; probes.len()],
-            },
-        }
-    }
-}
-
-/// The shared bounded dispatch loop, generic over the event source so
-/// the materialized (`&Trace`) and packed/streamed paths run the exact
-/// same code — a detector cannot tell them apart.
-fn run_bounded_events<I: Iterator<Item = TraceEvent>>(
-    kind: &DetectorKind,
-    num_threads: usize,
-    events: I,
-    probes: &[Addr],
-    limits: RunLimits,
-    obs: &ObsHandle,
-) -> RunOutcome {
-    let mut d = AnyDetector::build(kind, num_threads, obs);
-    // The observed path stays per-event so trace-level counters and
-    // detector work interleave exactly as they always have; the batch
-    // kernel is a throughput lever for the unobserved hot path.
-    if kernel::installed().is_batched() && !obs.is_on() {
-        return run_bounded_batched(d, events, probes, limits);
-    }
-    let observing = obs.is_on();
-    let mut events_done = 0u64;
-    for (index, e) in events.enumerate() {
-        if observing {
-            observe_event(obs, &e);
-        }
-        d.on_event(index, &e);
-        events_done += 1;
-        if events_done.is_multiple_of(DEADLINE_STRIDE) {
-            if let Some(timed_out) = deadline_check(&d, limits, events_done) {
-                return timed_out;
-            }
-        }
-    }
-    finish_run(d, probes, events_done)
-}
-
-/// The batched bounded loop: events are decoded/copied into one
-/// recycled [`BATCH_EVENTS`]-sized buffer and dispatched through
-/// [`Detector::on_batch`]. Deadlines are checked after each full batch
-/// — the same `events_done` multiples as the per-event loop, so both
-/// paths time out with identical `(events_done, cycles)`.
-fn run_bounded_batched<I: Iterator<Item = TraceEvent>>(
-    mut d: AnyDetector,
-    mut events: I,
-    probes: &[Addr],
-    limits: RunLimits,
-) -> RunOutcome {
-    let mut buf: Vec<TraceEvent> = Vec::with_capacity(BATCH_EVENTS);
-    let mut events_done = 0u64;
-    let mut index = 0usize;
-    loop {
-        buf.clear();
-        buf.extend(events.by_ref().take(BATCH_EVENTS));
-        if buf.is_empty() {
-            break;
-        }
-        d.on_batch(index, &buf);
-        index += buf.len();
-        events_done += buf.len() as u64;
-        if events_done.is_multiple_of(DEADLINE_STRIDE) {
-            if let Some(timed_out) = deadline_check(&d, limits, events_done) {
-                return timed_out;
-            }
-        }
-    }
-    finish_run(d, probes, events_done)
-}
-
-/// One deadline probe, shared by both dispatch loops.
-fn deadline_check(d: &AnyDetector, limits: RunLimits, events_done: u64) -> Option<RunOutcome> {
-    if let Some(max) = limits.max_events {
-        if events_done >= max {
-            return Some(RunOutcome::TimedOut {
-                events_done,
-                cycles: d.cycles(),
-            });
-        }
-    }
-    if let Some(max) = limits.max_cycles {
-        let c = d.cycles();
-        if c >= max {
-            return Some(RunOutcome::TimedOut {
-                events_done,
-                cycles: c,
-            });
-        }
-    }
-    None
-}
-
-/// Wraps up a completed run with its resource metrics.
-fn finish_run(d: AnyDetector, probes: &[Addr], events_done: u64) -> RunOutcome {
-    let (meta_broadcasts, l2_evictions) = d.traffic();
-    let metrics = RunMetrics {
-        faults: d.fault_stats(),
-        cycles: d.cycles(),
-        events: events_done,
-        meta_broadcasts,
-        l2_evictions,
-    };
-    RunOutcome::Ok(d.finish(probes), metrics)
-}
-
-fn run_bounded(
-    kind: &DetectorKind,
-    trace: &Trace,
-    probes: &[Addr],
-    limits: RunLimits,
-    obs: &ObsHandle,
-) -> RunOutcome {
-    run_bounded_events(
-        kind,
-        trace.num_threads,
-        trace.events.iter().copied(),
-        probes,
-        limits,
-        obs,
-    )
-}
-
-/// Runs `kind` over `trace` with panic isolation and deadlines, using
-/// the process-global observability handle ([`hard_obs::installed`]).
+/// The one detection engine every trace source feeds.
 ///
-/// Unlimited, with a detector that completes and no recorder
-/// installed, this produces exactly the reports of
-/// [`execute`](crate::detectors::execute) on the same inputs — the
-/// hardened path adds containment, not behaviour.
-#[must_use]
-pub fn execute_hardened(
-    kind: &DetectorKind,
-    trace: &Trace,
-    probes: &[Addr],
+/// Sources hand it windows of up to [`BATCH_EVENTS`] events: a
+/// materialized trace as slices of its event vector, a packed trace
+/// decoded into the engine's reused window, and a byte stream
+/// ([`StreamFeeder`]) one validated record at a time through
+/// [`Engine::push`]. Per window the engine folds the per-op-class
+/// observability counters, dispatches the window through
+/// [`Detector::on_batch`] (or, under [`KernelMode::Scalar`](crate::kernel::KernelMode::Scalar), loops
+/// [`Detector::on_event`] over the same window), and probes the
+/// [`RunLimits`] deadlines. Observation never changes which of the two
+/// dispatch calls runs.
+struct Engine {
+    d: AnyDetector,
+    obs: ObsHandle,
+    scalar: bool,
     limits: RunLimits,
-) -> RunOutcome {
-    execute_hardened_observed(kind, trace, probes, limits, &hard_obs::installed())
+    /// Events dispatched; also the global index of the next window.
+    events: u64,
+    /// Set once a deadline probe finds a limit reached.
+    expired: bool,
+    /// The window that decoding sources fill.
+    window: Vec<TraceEvent>,
 }
 
-/// [`execute_hardened`] with an explicit observability handle: the
-/// whole run is wrapped in a `run:<detector>` span carrying
-/// cycle/event attribution, trace events are classified into
-/// per-op-class counters, and the hardware machines emit their
-/// detection-pipeline metrics.
-#[must_use]
-pub fn execute_hardened_observed(
-    kind: &DetectorKind,
-    trace: &Trace,
-    probes: &[Addr],
-    limits: RunLimits,
-    obs: &ObsHandle,
-) -> RunOutcome {
-    hardened(kind, obs, || run_bounded(kind, trace, probes, limits, obs))
+impl Engine {
+    fn new(kind: &DetectorKind, num_threads: usize, limits: RunLimits, obs: &ObsHandle) -> Engine {
+        Engine {
+            d: AnyDetector::build(kind, num_threads, obs),
+            obs: obs.clone(),
+            scalar: !kernel::installed().is_batched(),
+            limits,
+            events: 0,
+            expired: false,
+            window: Vec::with_capacity(BATCH_EVENTS),
+        }
+    }
+
+    /// Dispatches one window of at most [`BATCH_EVENTS`] events.
+    /// Returns false once a deadline has expired.
+    fn dispatch(&mut self, window: &[TraceEvent]) -> bool {
+        observe_window(&self.obs, window);
+        let index = self.events as usize;
+        if self.scalar {
+            for (i, e) in window.iter().enumerate() {
+                self.d.on_event(index + i, e);
+            }
+        } else {
+            self.d.on_batch(index, window);
+        }
+        self.events += window.len() as u64;
+        if self.events.is_multiple_of(DEADLINE_STRIDE) {
+            let RunLimits {
+                max_events,
+                max_cycles,
+            } = self.limits;
+            self.expired = max_events.is_some_and(|max| self.events >= max)
+                || max_cycles.is_some_and(|max| self.d.cycles() >= max);
+        }
+        !self.expired
+    }
+
+    /// Runs a whole in-memory trace, stopping at an expired deadline.
+    fn run(&mut self, trace: &CellTrace) {
+        match trace {
+            CellTrace::Materialized(t) => {
+                for window in t.events.chunks(BATCH_EVENTS) {
+                    if !self.dispatch(window) {
+                        break;
+                    }
+                }
+            }
+            CellTrace::Packed(p) => {
+                let mut window = std::mem::take(&mut self.window);
+                while p.decode_batch(self.events as usize, &mut window) > 0
+                    && self.dispatch(&window)
+                {}
+                window.clear();
+                self.window = window;
+            }
+        }
+    }
+
+    /// Buffers one decoded event, dispatching the window once full.
+    fn push(&mut self, e: TraceEvent) {
+        self.window.push(e);
+        if self.window.len() == BATCH_EVENTS {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if !self.window.is_empty() {
+            let window = std::mem::take(&mut self.window);
+            self.dispatch(&window);
+            self.window = window;
+            self.window.clear();
+        }
+    }
+
+    /// Events taken in so far, dispatched or still in the window.
+    fn taken(&self) -> u64 {
+        self.events + self.window.len() as u64
+    }
+
+    /// Dispatches the partial window and wraps up the run.
+    fn finish(mut self, probes: &[Addr]) -> RunOutcome {
+        self.flush();
+        if self.expired {
+            return RunOutcome::TimedOut {
+                events_done: self.events,
+                cycles: self.d.cycles(),
+            };
+        }
+        let (meta_broadcasts, l2_evictions) = self.d.traffic();
+        let metrics = RunMetrics {
+            faults: self.d.fault_stats(),
+            cycles: self.d.cycles(),
+            events: self.events,
+            meta_broadcasts,
+            l2_evictions,
+        };
+        RunOutcome::Ok(self.d.finish(probes), metrics)
+    }
 }
 
-/// [`execute_hardened`] over a packed trace: the detector consumes the
-/// record buffer directly through the streaming iterator — no
-/// `Vec<TraceEvent>` is materialized — and observes the identical
-/// event sequence, so reports and metrics match the materialized path
-/// bit for bit.
-#[must_use]
-pub fn execute_hardened_packed(
-    kind: &DetectorKind,
-    trace: &PackedTrace,
-    probes: &[Addr],
-    limits: RunLimits,
-) -> RunOutcome {
-    execute_hardened_packed_observed(kind, trace, probes, limits, &hard_obs::installed())
-}
-
-/// [`execute_hardened_packed`] with an explicit observability handle.
-#[must_use]
-pub fn execute_hardened_packed_observed(
-    kind: &DetectorKind,
-    trace: &PackedTrace,
-    probes: &[Addr],
-    limits: RunLimits,
-    obs: &ObsHandle,
-) -> RunOutcome {
-    hardened(kind, obs, || {
-        run_bounded_events(kind, trace.num_threads(), trace.iter(), probes, limits, obs)
-    })
-}
-
-/// [`execute_hardened`] over whichever representation the campaign
-/// produced ([`CellTrace`]): materialized traces take the classic
-/// path, corpus-served traces replay streamed.
+/// Runs `kind` over whichever representation the campaign produced
+/// ([`CellTrace`]) with panic isolation and deadlines, using the
+/// process-global observability handle ([`hard_obs::installed`]).
+///
+/// Unlimited, with a detector that completes, this produces exactly
+/// the reports of [`execute`](crate::detectors::execute) on the same
+/// inputs — the hardened path adds containment, not behaviour.
 #[must_use]
 pub fn execute_hardened_cell(
     kind: &DetectorKind,
@@ -421,7 +249,11 @@ pub fn execute_hardened_cell(
     execute_hardened_cell_observed(kind, trace, probes, limits, &hard_obs::installed())
 }
 
-/// [`execute_hardened_cell`] with an explicit observability handle.
+/// [`execute_hardened_cell`] with an explicit observability handle:
+/// the whole run is wrapped in a `run:<detector>` span carrying
+/// cycle/event attribution, trace events are classified into
+/// per-op-class counters, and the hardware machines emit their
+/// detection-pipeline metrics.
 #[must_use]
 pub fn execute_hardened_cell_observed(
     kind: &DetectorKind,
@@ -430,28 +262,20 @@ pub fn execute_hardened_cell_observed(
     limits: RunLimits,
     obs: &ObsHandle,
 ) -> RunOutcome {
-    match trace {
-        CellTrace::Materialized(t) => execute_hardened_observed(kind, t, probes, limits, obs),
-        CellTrace::Packed(p) => execute_hardened_packed_observed(kind, p, probes, limits, obs),
-    }
-}
-
-/// The shared containment wrapper: `run:<detector>` span, panic
-/// isolation, and bench accounting around whichever dispatch loop
-/// `run` drives.
-fn hardened(kind: &DetectorKind, obs: &ObsHandle, run: impl FnOnce() -> RunOutcome) -> RunOutcome {
     let timer = obs.span(|| format!("run:{}", kind.label()));
-    let outcome = match catch_unwind(AssertUnwindSafe(run)) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            RunOutcome::Faulted { message }
-        }
-    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut engine = Engine::new(kind, trace.num_threads(), limits, obs);
+        engine.run(trace);
+        engine.finish(probes)
+    }))
+    .unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        RunOutcome::Faulted { message }
+    });
     let (cycles, events) = match &outcome {
         RunOutcome::Ok(_, m) => (m.cycles, m.events),
         RunOutcome::TimedOut {
@@ -467,145 +291,100 @@ fn hardened(kind: &DetectorKind, obs: &ObsHandle, run: impl FnOnce() -> RunOutco
 
 /// Replays a file-backed packed record stream through `kind` without
 /// ever holding the payload in memory: the double-buffered
-/// [`ChunkedReader`] overlaps disk reads with detection, each record
-/// decodes on the stack, and the payload FNV-1a accumulates chunk by
-/// chunk for the caller to compare against the file header.
+/// [`ChunkedReader`] overlaps disk reads with detection, and each
+/// chunk goes to a [`StreamFeeder`].
 ///
 /// Returns the completed run, the number of events dispatched and the
-/// accumulated payload hash.
+/// payload FNV-1a hash, for the caller to compare against the file
+/// header.
 ///
 /// # Errors
 ///
-/// Returns a description of any I/O error or undecodable record. The
-/// stream has no ground-truth probes, so `meta_lost` is empty.
+/// Returns a description of any I/O error or record the
+/// [`StreamFeeder`] rejects. The stream has no ground-truth probes, so
+/// `meta_lost` is empty.
 pub fn execute_streamed(
     kind: &DetectorKind,
     num_threads: usize,
     reader: &mut ChunkedReader,
 ) -> Result<(DetectorRun, u64, u64), String> {
-    let obs = hard_obs::installed();
-    let observing = obs.is_on();
-    let batched = kernel::installed().is_batched() && !observing;
-    let mut d = AnyDetector::build(kind, num_threads, &obs);
-    let mut buf: Vec<TraceEvent> = Vec::with_capacity(if batched { BATCH_EVENTS } else { 0 });
-    // `index` counts decoded records (error messages, final total);
-    // `base` is the global index of the first event buffered but not
-    // yet dispatched.
-    let mut index = 0usize;
-    let mut base = 0usize;
-    let mut fnv = codec::FNV1A_INIT;
+    let mut feeder = StreamFeeder::new(kind, num_threads);
     while let Some(chunk) = reader.next_chunk() {
-        let chunk = chunk.map_err(|e| format!("stream read failed: {e}"))?;
-        fnv = codec::fnv1a_update(fnv, &chunk);
-        if !chunk.len().is_multiple_of(RECORD_BYTES) {
-            return Err(format!(
-                "stream ends mid-record ({} bytes over)",
-                chunk.len() % RECORD_BYTES
-            ));
-        }
-        for rec in chunk.chunks_exact(RECORD_BYTES) {
-            let e = PackedEvent::from_bytes(rec.try_into().expect("16-byte record"))
-                .unpack()
-                .map_err(|e| format!("record {index}: {e}"))?;
-            if observing {
-                observe_event(&obs, &e);
-            }
-            if batched {
-                buf.push(e);
-                if buf.len() == BATCH_EVENTS {
-                    d.on_batch(base, &buf);
-                    base += buf.len();
-                    buf.clear();
-                }
-            } else {
-                d.on_event(index, &e);
-            }
-            index += 1;
-        }
+        feeder.feed(&chunk.map_err(|e| format!("stream read failed: {e}"))?)?;
     }
-    if batched && !buf.is_empty() {
-        d.on_batch(base, &buf);
-    }
-    let events = index as u64;
-    crate::bench::account(events, d.cycles());
-    Ok((d.finish(&[]), events, fnv))
+    feeder.finish()
 }
 
-/// [`execute_streamed`], inverted into a push-style feeder for the
-/// async serve tier: the caller hands over packed-record bytes *as
-/// they arrive off the wire* — any chunking, record-aligned or not —
-/// and the detector consumes them incrementally, so a session's
-/// memory footprint is one wire chunk plus detector state, never the
-/// whole trace.
+/// The push-style front end of the engine, for byte streams: the
+/// caller hands over packed-record bytes as they arrive — off the
+/// wire, or chunk by chunk from a file — with any chunking,
+/// record-aligned or not, and the detector consumes them
+/// incrementally, so a session's memory footprint is one chunk plus
+/// detector state, never the whole trace.
 ///
-/// Equivalence contract: for the same byte sequence,
-/// [`StreamFeeder::finish`] returns exactly what [`execute_streamed`]
-/// returns — same reports, same event count, same payload FNV, same
-/// error strings at the same record indices — regardless of how the
-/// bytes were split across [`StreamFeeder::feed`] calls. The batched
-/// kernel's 256-event windows are buffered across chunk boundaries
-/// internally, which is what makes the result chunking-invariant.
+/// The result is chunking-invariant: for the same byte sequence,
+/// [`StreamFeeder::finish`] returns the same reports, event count,
+/// payload FNV and error string at the same record index however the
+/// bytes were split across [`StreamFeeder::feed`] calls, because
+/// partial records are carried here and the engine cuts its windows
+/// by event count alone.
 pub struct StreamFeeder {
-    d: AnyDetector,
-    obs: ObsHandle,
-    observing: bool,
-    batched: bool,
-    buf: Vec<TraceEvent>,
+    engine: Engine,
+    num_threads: usize,
     /// Partial record carried across a feed boundary.
     carry: [u8; RECORD_BYTES],
     carry_len: usize,
-    index: usize,
-    base: usize,
     fnv: u64,
 }
 
 impl StreamFeeder {
     /// Builds the detector for `kind` and an empty feed state. Kernel
-    /// mode is latched here, exactly as [`execute_streamed`] latches
-    /// it at entry.
+    /// mode and the process-global observability handle are latched
+    /// here.
     #[must_use]
     pub fn new(kind: &DetectorKind, num_threads: usize) -> StreamFeeder {
-        let obs = hard_obs::installed();
-        let observing = obs.is_on();
-        let batched = kernel::installed().is_batched() && !observing;
+        StreamFeeder::observed(kind, num_threads, &hard_obs::installed())
+    }
+
+    fn observed(kind: &DetectorKind, num_threads: usize, obs: &ObsHandle) -> StreamFeeder {
         StreamFeeder {
-            d: AnyDetector::build(kind, num_threads, &obs),
-            obs,
-            observing,
-            batched,
-            buf: Vec::with_capacity(if batched { BATCH_EVENTS } else { 0 }),
+            engine: Engine::new(kind, num_threads, RunLimits::unlimited(), obs),
+            num_threads,
             carry: [0u8; RECORD_BYTES],
             carry_len: 0,
-            index: 0,
-            base: 0,
             fnv: codec::FNV1A_INIT,
         }
     }
 
-    /// Events dispatched so far.
+    /// Events decoded so far.
     #[must_use]
     pub fn events(&self) -> u64 {
-        self.index as u64
+        self.engine.taken()
     }
 
-    fn dispatch(&mut self, rec: &[u8; RECORD_BYTES]) -> Result<(), String> {
+    /// Decodes and validates one record, then hands it to the engine.
+    /// A record naming a thread outside the stream's `num_threads` is
+    /// rejected here: the detectors index per-thread state by it.
+    fn push(&mut self, rec: &[u8; RECORD_BYTES]) -> Result<(), String> {
+        let index = self.engine.taken();
         let e = PackedEvent::from_bytes(rec)
             .unpack()
-            .map_err(|e| format!("record {}: {e}", self.index))?;
-        if self.observing {
-            observe_event(&self.obs, &e);
-        }
-        if self.batched {
-            self.buf.push(e);
-            if self.buf.len() == BATCH_EVENTS {
-                self.d.on_batch(self.base, &self.buf);
-                self.base += self.buf.len();
-                self.buf.clear();
+            .map_err(|e| format!("record {index}: {e}"))?;
+        if let TraceEvent::Op { thread, op } = &e {
+            let child = match op {
+                Op::Fork { child, .. } | Op::Join { child, .. } => Some(*child),
+                _ => None,
+            };
+            for t in std::iter::once(*thread).chain(child) {
+                if t.index() >= self.num_threads {
+                    return Err(format!(
+                        "record {index}: {t} out of range for {} threads",
+                        self.num_threads
+                    ));
+                }
             }
-        } else {
-            self.d.on_event(self.index, &e);
         }
-        self.index += 1;
+        self.engine.push(e);
         Ok(())
     }
 
@@ -613,56 +392,59 @@ impl StreamFeeder {
     ///
     /// # Errors
     ///
-    /// Returns `record {index}: {cause}` for an undecodable record,
-    /// matching [`execute_streamed`]. After an error the feeder state
-    /// is spent; callers drop it.
+    /// Returns `record {index}: {cause}` for an undecodable record or
+    /// one naming an out-of-range thread. After an error the feeder
+    /// state is spent; callers drop it.
     pub fn feed(&mut self, mut bytes: &[u8]) -> Result<(), String> {
         self.fnv = codec::fnv1a_update(self.fnv, bytes);
         if self.carry_len > 0 {
-            let need = RECORD_BYTES - self.carry_len;
-            let take = need.min(bytes.len());
+            let take = (RECORD_BYTES - self.carry_len).min(bytes.len());
             self.carry[self.carry_len..self.carry_len + take].copy_from_slice(&bytes[..take]);
             self.carry_len += take;
             bytes = &bytes[take..];
             if self.carry_len < RECORD_BYTES {
                 return Ok(());
             }
-            let rec = self.carry;
             self.carry_len = 0;
-            self.dispatch(&rec)?;
+            let rec = self.carry;
+            self.push(&rec)?;
         }
-        let whole = bytes.len() - bytes.len() % RECORD_BYTES;
-        for rec in bytes[..whole].chunks_exact(RECORD_BYTES) {
-            self.dispatch(rec.try_into().expect("16-byte record"))?;
+        let mut records = bytes.chunks_exact(RECORD_BYTES);
+        for rec in records.by_ref() {
+            self.push(rec.try_into().expect("16-byte record"))?;
         }
-        let tail = &bytes[whole..];
+        let tail = records.remainder();
         self.carry[..tail.len()].copy_from_slice(tail);
         self.carry_len = tail.len();
         Ok(())
     }
 
-    /// Completes the stream: flushes the partial batch, accounts the
-    /// run, and returns `(run, events, payload_fnv)` exactly as
-    /// [`execute_streamed`] would.
+    /// Completes the stream: dispatches the partial window, accounts
+    /// the run, and returns `(run, events, payload_fnv)`.
     ///
     /// # Errors
     ///
     /// `stream ends mid-record (N bytes over)` when the byte total is
-    /// not a whole number of records — the same message the pull path
-    /// produces for a truncated stream.
-    pub fn finish(mut self) -> Result<(DetectorRun, u64, u64), String> {
+    /// not a whole number of records.
+    pub fn finish(self) -> Result<(DetectorRun, u64, u64), String> {
+        let fnv = self.fnv;
+        let (run, m) = self.finish_run()?;
+        Ok((run, m.events, fnv))
+    }
+
+    /// [`StreamFeeder::finish`] with the run's full metrics.
+    fn finish_run(self) -> Result<(DetectorRun, RunMetrics), String> {
         if self.carry_len != 0 {
             return Err(format!(
                 "stream ends mid-record ({} bytes over)",
                 self.carry_len
             ));
         }
-        if self.batched && !self.buf.is_empty() {
-            self.d.on_batch(self.base, &self.buf);
-        }
-        let events = self.index as u64;
-        crate::bench::account(events, self.d.cycles());
-        Ok((self.d.finish(&[]), events, self.fnv))
+        let RunOutcome::Ok(run, m) = self.engine.finish(&[]) else {
+            unreachable!("an unlimited engine cannot time out");
+        };
+        crate::bench::account(m.events, m.cycles);
+        Ok((run, m))
     }
 }
 
@@ -670,33 +452,63 @@ impl StreamFeeder {
 mod tests {
     use super::*;
     use crate::detectors::execute;
+    use crate::kernel::KernelMode;
     use hard::HardConfig;
-    use hard_trace::{ProgramBuilder, SchedConfig, Scheduler};
-    use hard_types::{FaultPlan, SiteId};
+    use hard_trace::{PackedTrace, ProgramBuilder, SchedConfig, Scheduler, Trace, TraceStats};
+    use hard_types::{BarrierId, FaultPlan, LockId, SiteId};
+    use std::sync::Arc;
 
+    /// Two threads racing on four lines, with a locked read and a
+    /// barrier mixed in so every op class shows up.
     fn racy_trace() -> Trace {
         let mut b = ProgramBuilder::new(2);
         for t in 0..2u32 {
             let tp = b.thread(t);
             for i in 0..400u64 {
-                tp.write(Addr(0x1000 + (i % 4) * 32), 4, SiteId(t * 1000 + i as u32))
-                    .compute(50);
+                let site = SiteId(t * 1000 + i as u32);
+                tp.write(Addr(0x1000 + (i % 4) * 32), 4, site).compute(50);
+                if i % 8 == 0 {
+                    tp.lock(LockId(0x9000), site)
+                        .read(Addr(0x3000), 4, site)
+                        .unlock(LockId(0x9000), site);
+                }
             }
+            tp.barrier(BarrierId(0), SiteId(9999));
         }
         Scheduler::new(SchedConfig::default()).run(&b.build())
+    }
+
+    /// [`execute_hardened_cell`] over a materialized copy of `trace`.
+    fn hardened(
+        kind: &DetectorKind,
+        trace: &Trace,
+        probes: &[Addr],
+        limits: RunLimits,
+    ) -> RunOutcome {
+        execute_hardened_cell(
+            kind,
+            &CellTrace::Materialized(trace.clone()),
+            probes,
+            limits,
+        )
+    }
+
+    fn all_kinds() -> [DetectorKind; 5] {
+        [
+            DetectorKind::hard_default(),
+            DetectorKind::lockset_ideal(),
+            DetectorKind::hb_default(),
+            DetectorKind::hb_ideal(),
+            DetectorKind::BloomUnbounded(Default::default()),
+        ]
     }
 
     #[test]
     fn unlimited_hardened_run_matches_plain_execute() {
         let trace = racy_trace();
-        for kind in [
-            DetectorKind::hard_default(),
-            DetectorKind::lockset_ideal(),
-            DetectorKind::hb_default(),
-            DetectorKind::hb_ideal(),
-        ] {
+        for kind in all_kinds() {
             let plain = execute(&kind, &trace, &[Addr(0x1000)]);
-            let hardened = execute_hardened(&kind, &trace, &[Addr(0x1000)], RunLimits::unlimited());
+            let hardened = hardened(&kind, &trace, &[Addr(0x1000)], RunLimits::unlimited());
             let RunOutcome::Ok(run, _) = hardened else {
                 panic!("{kind}: hardened run must complete");
             };
@@ -712,7 +524,7 @@ mod tests {
             max_cycles: Some(100),
             max_events: None,
         };
-        let out = execute_hardened(&DetectorKind::hard_default(), &trace, &[], limits);
+        let out = hardened(&DetectorKind::hard_default(), &trace, &[], limits);
         let RunOutcome::TimedOut {
             events_done,
             cycles,
@@ -731,7 +543,7 @@ mod tests {
             max_cycles: None,
             max_events: Some(DEADLINE_STRIDE),
         };
-        let out = execute_hardened(&DetectorKind::lockset_ideal(), &trace, &[], limits);
+        let out = hardened(&DetectorKind::lockset_ideal(), &trace, &[], limits);
         assert!(out.is_timed_out(), "got {out:?}");
     }
 
@@ -742,7 +554,7 @@ mod tests {
         // never a propagated panic.
         let trace = racy_trace();
         let cfg = HardConfig::default().with_faults(FaultPlan::uniform(1, 300_000));
-        let out = execute_hardened(
+        let out = hardened(
             &DetectorKind::Hard(cfg),
             &trace,
             &[Addr(0x1000)],
@@ -757,7 +569,7 @@ mod tests {
     #[test]
     fn completed_runs_carry_resource_metrics() {
         let trace = racy_trace();
-        let out = execute_hardened(
+        let out = hardened(
             &DetectorKind::hard_default(),
             &trace,
             &[],
@@ -770,7 +582,7 @@ mod tests {
         assert!(m.cycles > 0, "HARD is the timed detector");
         assert_eq!(m.faults, hard_types::FaultStats::default());
         // The untimed ideal detector reports zero cycles and traffic.
-        let out = execute_hardened(
+        let out = hardened(
             &DetectorKind::lockset_ideal(),
             &trace,
             &[],
@@ -783,68 +595,121 @@ mod tests {
         assert_eq!(m.events, trace.len() as u64);
     }
 
-    #[test]
-    fn observed_run_matches_and_records_a_span() {
-        use hard_obs::{CounterId, MemoryRecorder, ObsHandle};
-        use std::sync::Arc;
-        let trace = racy_trace();
-        let kind = DetectorKind::hard_default();
-        let plain = execute_hardened(&kind, &trace, &[Addr(0x1000)], RunLimits::unlimited());
-        let rec = Arc::new(MemoryRecorder::new());
-        let obs = ObsHandle::new(rec.clone());
-        let observed =
-            execute_hardened_observed(&kind, &trace, &[Addr(0x1000)], RunLimits::unlimited(), &obs);
-        let (RunOutcome::Ok(a, ma), RunOutcome::Ok(b, mb)) = (&plain, &observed) else {
-            panic!("both must complete");
-        };
-        assert_eq!(a.reports, b.reports, "observability must not perturb");
-        assert_eq!(ma, mb);
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter(CounterId::TraceEvents), trace.len() as u64);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].name, "run:HARD");
-        assert_eq!(snap.spans[0].cycles, ma.cycles);
-        assert_eq!(snap.spans[0].events, ma.events);
-        assert_eq!(snap.counter(CounterId::BroadcastsSent), ma.meta_broadcasts);
-    }
-
     /// Runs `f` under `mode`, then restores whatever mode was
     /// installed. Safe under parallel tests precisely because every
     /// mode is bit-identical — a test racing this one cannot observe a
     /// different outcome, only a different (equally correct) speed.
-    fn with_kernel_mode<T>(mode: crate::kernel::KernelMode, f: impl FnOnce() -> T) -> T {
-        let before = crate::kernel::installed();
-        crate::kernel::install(mode);
+    fn with_kernel_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
+        let before = kernel::installed();
+        kernel::install(mode);
         let out = f();
-        crate::kernel::install(before);
+        kernel::install(before);
         out
     }
 
     #[test]
-    fn batch_kernel_mode_is_bit_identical_to_scalar() {
-        use crate::kernel::KernelMode;
+    fn observed_run_matches_and_records_a_span() {
+        use hard_obs::{CounterId, MemoryRecorder, ObsHandle};
         let trace = racy_trace();
+        let stats = TraceStats::from_trace(&trace);
+        let sync = trace.len() - stats.reads - stats.writes - stats.computes;
+        let want = [trace.len(), stats.reads, stats.writes, stats.computes, sync].map(|n| n as u64);
+        let counted = |rec: &MemoryRecorder| {
+            let snap = rec.snapshot();
+            let ids = [
+                CounterId::TraceEvents,
+                CounterId::OpsRead,
+                CounterId::OpsWrite,
+                CounterId::OpsCompute,
+                CounterId::OpsSync,
+            ];
+            (ids.map(|id| snap.counter(id)), snap)
+        };
         let packed = PackedTrace::from_trace(&trace).unwrap();
+        let cells = [
+            CellTrace::Materialized(trace.clone()),
+            CellTrace::Packed(Arc::new(packed.clone())),
+        ];
         let probes = [Addr(0x1000)];
-        for kind in [
-            DetectorKind::hard_default(),
-            DetectorKind::lockset_ideal(),
-            DetectorKind::hb_default(),
-            DetectorKind::hb_ideal(),
-        ] {
+        // Observation must perturb no front end of the engine under
+        // either kernel mode, and the per-window counter folding must
+        // account for every event exactly once.
+        for mode in [KernelMode::Scalar, KernelMode::Batch] {
+            for kind in all_kinds() {
+                let cell_run = |cell: &CellTrace, obs: &ObsHandle| {
+                    let out = with_kernel_mode(mode, || {
+                        execute_hardened_cell_observed(
+                            &kind,
+                            cell,
+                            &probes,
+                            RunLimits::unlimited(),
+                            obs,
+                        )
+                    });
+                    let RunOutcome::Ok(run, m) = out else {
+                        panic!("{kind}/{mode:?}: must complete");
+                    };
+                    ((run.reports, run.meta_lost), m)
+                };
+                let fed_run = |obs: &ObsHandle| {
+                    with_kernel_mode(mode, || {
+                        let mut feeder = StreamFeeder::observed(&kind, trace.num_threads, obs);
+                        for piece in packed.bytes().chunks(97) {
+                            feeder.feed(piece).unwrap();
+                        }
+                        let (run, m) = feeder.finish_run().unwrap();
+                        ((run.reports, run.meta_lost), m)
+                    })
+                };
+                for (front, cell) in ["materialized", "packed", "fed"].into_iter().zip([
+                    Some(&cells[0]),
+                    Some(&cells[1]),
+                    None,
+                ]) {
+                    let run = |obs: &ObsHandle| match cell {
+                        Some(cell) => cell_run(cell, obs),
+                        None => fed_run(obs),
+                    };
+                    let rec = Arc::new(MemoryRecorder::new());
+                    let observed = run(&ObsHandle::new(rec.clone()));
+                    let m = observed.1;
+                    assert_eq!(run(&ObsHandle::off()), observed, "{kind}/{mode:?}/{front}");
+                    assert_eq!(m.events, trace.len() as u64);
+                    let (got, snap) = counted(&rec);
+                    assert_eq!(got, want, "{kind}/{mode:?}/{front}: op-class counters");
+                    if matches!(kind, DetectorKind::Hard(_) | DetectorKind::HbHw(_)) {
+                        assert_eq!(snap.counter(CounterId::BroadcastsSent), m.meta_broadcasts);
+                    }
+                    if cell.is_some() {
+                        assert_eq!(snap.spans.len(), 1);
+                        assert_eq!(snap.spans[0].name, format!("run:{}", kind.label()));
+                        assert_eq!(
+                            (snap.spans[0].cycles, snap.spans[0].events),
+                            (m.cycles, m.events)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_kernel_mode_is_bit_identical_to_scalar() {
+        let trace = racy_trace();
+        let packed = CellTrace::Packed(Arc::new(PackedTrace::from_trace(&trace).unwrap()));
+        let trace = CellTrace::Materialized(trace);
+        let probes = [Addr(0x1000)];
+        for kind in all_kinds() {
             let run = |mode| {
                 with_kernel_mode(mode, || {
-                    (
-                        execute_hardened(&kind, &trace, &probes, RunLimits::unlimited()),
-                        execute_hardened_packed(&kind, &packed, &probes, RunLimits::unlimited()),
-                    )
+                    [&trace, &packed]
+                        .map(|t| execute_hardened_cell(&kind, t, &probes, RunLimits::unlimited()))
                 })
             };
-            let (s, sp) = run(KernelMode::Scalar);
+            let scalar = run(KernelMode::Scalar);
             for mode in [KernelMode::Batch, KernelMode::Auto] {
-                let (b, bp) = run(mode);
-                for (scalar, batch) in [(&s, &b), (&sp, &bp)] {
-                    let (RunOutcome::Ok(sr, sm), RunOutcome::Ok(br, bm)) = (scalar, batch) else {
+                for (s, b) in scalar.iter().zip(&run(mode)) {
+                    let (RunOutcome::Ok(sr, sm), RunOutcome::Ok(br, bm)) = (s, b) else {
                         panic!("{kind}: both kernels must complete");
                     };
                     assert_eq!(sr.reports, br.reports, "{kind}/{mode:?}");
@@ -857,7 +722,6 @@ mod tests {
 
     #[test]
     fn batch_kernel_times_out_at_the_same_event_counts() {
-        use crate::kernel::KernelMode;
         let trace = racy_trace();
         for limits in [
             RunLimits {
@@ -870,8 +734,7 @@ mod tests {
             },
         ] {
             let kind = DetectorKind::hard_default();
-            let run =
-                |mode| with_kernel_mode(mode, || execute_hardened(&kind, &trace, &[], limits));
+            let run = |mode| with_kernel_mode(mode, || hardened(&kind, &trace, &[], limits));
             let (s, b) = (run(KernelMode::Scalar), run(KernelMode::Batch));
             let (
                 RunOutcome::TimedOut {
@@ -892,8 +755,6 @@ mod tests {
 
     #[test]
     fn streamed_replay_is_kernel_mode_invariant() {
-        use crate::kernel::KernelMode;
-        use hard_trace::codec;
         let trace = racy_trace();
         let packed = PackedTrace::from_trace(&trace).unwrap();
         let kind = DetectorKind::hard_default();
@@ -915,7 +776,6 @@ mod tests {
 
     #[test]
     fn stream_feeder_matches_execute_streamed_for_any_chunking() {
-        use crate::kernel::KernelMode;
         let trace = racy_trace();
         let packed = PackedTrace::from_trace(&trace).unwrap();
         for kind in [DetectorKind::hard_default(), DetectorKind::lockset_ideal()] {
@@ -964,11 +824,32 @@ mod tests {
     }
 
     #[test]
+    fn stream_feeder_rejects_threads_outside_the_stream() {
+        // Thread 1 of a two-thread trace, replayed as a one-thread
+        // stream: an error naming the record, never a detector panic.
+        let trace = racy_trace();
+        let packed = PackedTrace::from_trace(&trace).unwrap();
+        let first = trace
+            .events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::Op { thread, .. } if thread.0 == 1))
+            .unwrap();
+        for kind in all_kinds() {
+            let mut feeder = StreamFeeder::new(&kind, 1);
+            let err = feeder.feed(packed.bytes()).expect_err("thread 1 of 1");
+            assert_eq!(
+                err,
+                format!("record {first}: t1 out of range for 1 threads")
+            );
+        }
+    }
+
+    #[test]
     fn panics_are_contained_and_reported() {
         let caught = catch_unwind(|| panic!("boom")).is_err();
         assert!(caught);
         // Simulate a faulting detector through the public surface: the
-        // closure-level containment is what execute_hardened wraps.
+        // closure-level containment is what execute_hardened_cell wraps.
         let out: RunOutcome = match catch_unwind(AssertUnwindSafe(|| -> RunOutcome {
             panic!("injected crash")
         })) {

@@ -5,8 +5,8 @@
 //! pool slots results by cell index, never completion order.
 
 use hard_harness::experiments::{faults, obs, table2};
-use hard_harness::runner::{execute_hardened, RunLimits, RunOutcome};
-use hard_harness::{injected_trace, probes, CampaignConfig, Checkpoint, DetectorKind};
+use hard_harness::runner::{execute_hardened_cell, RunLimits, RunOutcome};
+use hard_harness::{injected_trace, probes, CampaignConfig, CellTrace, Checkpoint, DetectorKind};
 use hard_workloads::App;
 
 /// A small campaign: every app at reduced scale, two injected runs.
@@ -51,6 +51,7 @@ fn race_reports_are_bit_identical_across_job_counts() {
     // two widths and compare every report of every detector.
     for app in [App::WaterNsquared, App::Barnes] {
         let (trace, injection) = injected_trace(app, &reduced(1), 0);
+        let trace = CellTrace::Materialized(trace);
         let pr = probes(&injection);
         let cells: Vec<DetectorKind> = vec![
             DetectorKind::hard_default(),
@@ -60,7 +61,7 @@ fn race_reports_are_bit_identical_across_job_counts() {
         ];
         let run_all = |jobs: usize| {
             hard_harness::map_cells(jobs, &cells, |_, kind| {
-                match execute_hardened(kind, &trace, &pr, RunLimits::unlimited()) {
+                match execute_hardened_cell(kind, &trace, &pr, RunLimits::unlimited()) {
                     RunOutcome::Ok(run, _) => run,
                     other => panic!("{app}: unlimited run must complete, got {other:?}"),
                 }
@@ -128,23 +129,25 @@ fn packed_replay_matches_materialized_for_every_detector() {
     // The streamed/packed path must be indistinguishable from the
     // materialized path: same reports, same meta_lost, for all four
     // Table 2 detectors — this is what makes the corpus cache safe.
-    use hard_harness::runner::execute_hardened_packed;
     use hard_trace::PackedTrace;
+    use std::sync::Arc;
     for app in [App::WaterNsquared, App::Barnes] {
         let (trace, injection) = injected_trace(app, &reduced(1), 0);
         let pr = probes(&injection);
         let packed = PackedTrace::from_trace(&trace).expect("generated traces always pack");
+        let packed = CellTrace::Packed(Arc::new(packed));
+        let trace = CellTrace::Materialized(trace);
         for kind in [
             DetectorKind::hard_default(),
             DetectorKind::lockset_ideal(),
             DetectorKind::hb_default(),
             DetectorKind::hb_ideal(),
         ] {
-            let a = match execute_hardened(&kind, &trace, &pr, RunLimits::unlimited()) {
+            let a = match execute_hardened_cell(&kind, &trace, &pr, RunLimits::unlimited()) {
                 RunOutcome::Ok(run, _) => run,
                 other => panic!("{app}: materialized run must complete, got {other:?}"),
             };
-            let b = match execute_hardened_packed(&kind, &packed, &pr, RunLimits::unlimited()) {
+            let b = match execute_hardened_cell(&kind, &packed, &pr, RunLimits::unlimited()) {
                 RunOutcome::Ok(run, _) => run,
                 other => panic!("{app}: packed run must complete, got {other:?}"),
             };

@@ -6,13 +6,12 @@
 //! [`Server`] accepts framed `HARDCRP1` corpus streams (the exact
 //! format `hard-exp record --packed` writes and `hard-exp replay`
 //! consumes) from concurrent clients and answers each session with a
-//! structured JSON [`hard_harness::ReportBody`]. Because the server
-//! and the offline replay drive the same detector entry points
-//! ([`hard_harness::StreamFeeder`] replicates
-//! [`hard_harness::execute_streamed`] chunk by chunk, with equivalence
-//! pinned by tests), a served report is byte-identical to
-//! `hard-exp replay` on the same file — CI diffs the two outputs
-//! directly.
+//! structured JSON [`hard_harness::ReportBody`]. The server and the
+//! offline replay run the same code: [`hard_harness::execute_streamed`]
+//! is a [`hard_harness::StreamFeeder`] fed file chunks, and the server
+//! feeds the same feeder wire chunks, whose split points cannot change
+//! the result. So a served report is byte-identical to `hard-exp
+//! replay` on the same file — CI diffs the two outputs directly.
 //!
 //! # Async, incremental architecture
 //!
@@ -1021,7 +1020,7 @@ enum IngestState {
     /// Header validated; payload bytes stream through the feeder.
     Streaming {
         header: StreamHeader,
-        feeder: StreamFeeder,
+        feeder: Box<StreamFeeder>,
     },
     /// The upload already failed; remaining frames are drained (and
     /// still metered) so the error is delivered at `End`, preserving
@@ -1109,7 +1108,7 @@ impl Ingest {
                     ));
                     return;
                 }
-                let feeder = StreamFeeder::new(&sess.kind, header.num_threads as usize);
+                let feeder = Box::new(StreamFeeder::new(&sess.kind, header.num_threads as usize));
                 self.state = IngestState::Streaming { header, feeder };
                 if head.len() > payload_at {
                     let rest = head[payload_at..].to_vec();

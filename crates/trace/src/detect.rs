@@ -3,7 +3,7 @@
 
 use crate::event::{Trace, TraceEvent};
 use crate::op::Op;
-use crate::packed_event::{PackedTrace, BATCH_EVENTS};
+use crate::packed_event::BATCH_EVENTS;
 use hard_obs::{CounterId, ObsHandle};
 use hard_types::{AccessKind, Addr, SiteId, ThreadId};
 use std::fmt;
@@ -109,19 +109,6 @@ pub fn run_detector<D: Detector + ?Sized>(detector: &mut D, trace: &Trace) -> Ve
     detector.reports().to_vec()
 }
 
-/// [`run_detector`] over a packed trace: events are decoded one at a
-/// time on the stack as the buffer is walked — the `Vec<TraceEvent>`
-/// of wide enum records is never materialized.
-pub fn run_detector_streamed<D: Detector + ?Sized>(
-    detector: &mut D,
-    trace: &PackedTrace,
-) -> Vec<RaceReport> {
-    for (i, e) in trace.iter().enumerate() {
-        detector.on_event(i, &e);
-    }
-    detector.reports().to_vec()
-}
-
 /// [`run_detector`] through the batch kernel: events are handed to
 /// [`Detector::on_batch`] in [`BATCH_EVENTS`]-sized runs. Produces the
 /// same reports as `run_detector` for any conforming detector.
@@ -137,47 +124,46 @@ pub fn run_detector_batched<D: Detector + ?Sized>(
     detector.reports().to_vec()
 }
 
-/// [`run_detector_streamed`] through the batch kernel: records are
-/// decoded [`BATCH_EVENTS`] at a time into one recycled buffer
-/// ([`PackedTrace::decode_batch`]) and dispatched via
-/// [`Detector::on_batch`].
-pub fn run_detector_streamed_batched<D: Detector + ?Sized>(
-    detector: &mut D,
-    trace: &PackedTrace,
-) -> Vec<RaceReport> {
-    let mut buf = Vec::with_capacity(BATCH_EVENTS);
-    let mut index = 0;
-    while trace.decode_batch(index, &mut buf) > 0 {
-        detector.on_batch(index, &buf);
-        index += buf.len();
+/// Folds one window of trace events into the observability layer's
+/// per-op-class counters: one counter update per class per window,
+/// not per event. Does nothing on an off handle.
+pub fn observe_window(obs: &ObsHandle, events: &[TraceEvent]) {
+    if !obs.is_on() {
+        return;
     }
-    detector.reports().to_vec()
+    let mut by_class = [0u64; 4];
+    for event in events {
+        let class = match event {
+            TraceEvent::Op { op, .. } => match op {
+                Op::Read { .. } => 0,
+                Op::Write { .. } => 1,
+                Op::Compute { .. } => 2,
+                Op::Lock { .. }
+                | Op::Unlock { .. }
+                | Op::Fork { .. }
+                | Op::Join { .. }
+                | Op::Barrier { .. } => 3,
+            },
+            TraceEvent::BarrierComplete { .. } => 3,
+        };
+        by_class[class] += 1;
+    }
+    obs.counter(CounterId::TraceEvents, events.len() as u64);
+    let ids = [
+        CounterId::OpsRead,
+        CounterId::OpsWrite,
+        CounterId::OpsCompute,
+        CounterId::OpsSync,
+    ];
+    for (id, n) in ids.into_iter().zip(by_class) {
+        obs.counter(id, n);
+    }
 }
 
-/// Classifies one trace event into the observability layer's
-/// per-op-class counters. One call per dispatched event; does nothing
-/// on an off handle.
-pub fn observe_event(obs: &ObsHandle, event: &TraceEvent) {
-    obs.counter(CounterId::TraceEvents, 1);
-    let class = match event {
-        TraceEvent::Op { op, .. } => match op {
-            Op::Read { .. } => CounterId::OpsRead,
-            Op::Write { .. } => CounterId::OpsWrite,
-            Op::Compute { .. } => CounterId::OpsCompute,
-            Op::Lock { .. }
-            | Op::Unlock { .. }
-            | Op::Fork { .. }
-            | Op::Join { .. }
-            | Op::Barrier { .. } => CounterId::OpsSync,
-        },
-        TraceEvent::BarrierComplete { .. } => CounterId::OpsSync,
-    };
-    obs.counter(class, 1);
-}
-
-/// [`run_detector`] with trace-level observability: each event is
-/// classified into `obs` before dispatch. With an off handle this is
-/// exactly `run_detector`.
+/// [`run_detector`] with trace-level observability: each
+/// [`BATCH_EVENTS`]-sized window is classified into `obs`
+/// ([`observe_window`]) before its events are dispatched one at a
+/// time. With an off handle this is exactly `run_detector`.
 pub fn run_detector_observed<D: Detector + ?Sized>(
     detector: &mut D,
     trace: &Trace,
@@ -186,9 +172,11 @@ pub fn run_detector_observed<D: Detector + ?Sized>(
     if !obs.is_on() {
         return run_detector(detector, trace);
     }
-    for (i, e) in trace.events.iter().enumerate() {
-        observe_event(obs, e);
-        detector.on_event(i, e);
+    for (w, window) in trace.events.chunks(BATCH_EVENTS).enumerate() {
+        observe_window(obs, window);
+        for (i, e) in window.iter().enumerate() {
+            detector.on_event(w * BATCH_EVENTS + i, e);
+        }
     }
     detector.reports().to_vec()
 }
@@ -196,6 +184,7 @@ pub fn run_detector_observed<D: Detector + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed_event::PackedTrace;
     use crate::program::ProgramBuilder;
     use crate::sched::{SchedConfig, Scheduler};
 
@@ -229,15 +218,11 @@ mod tests {
     fn batched_runs_see_the_same_indexed_events() {
         // Cross the batch boundary: > BATCH_EVENTS events.
         let trace = sample_trace(BATCH_EVENTS + 37);
-        let packed = PackedTrace::from_trace(&trace).unwrap();
         let mut scalar = Recorder::default();
         run_detector(&mut scalar, &trace);
         let mut batched = Recorder::default();
         run_detector_batched(&mut batched, &trace);
         assert_eq!(scalar.0, batched.0);
-        let mut streamed = Recorder::default();
-        run_detector_streamed_batched(&mut streamed, &packed);
-        assert_eq!(scalar.0, streamed.0);
     }
 
     #[test]
