@@ -235,22 +235,6 @@ impl<F: MetaFactory> Hierarchy<F> {
         self.l1[core.index()].probe(addr).map(|l| &mut l.meta)
     }
 
-    /// [`Hierarchy::meta_mut`] with the L1 line address and set index
-    /// already computed by the batch kernel's line pre-pass
-    /// ([`CacheGeometry::line_and_set`]). Performs the same single LRU
-    /// probe as `meta_mut`, so substituting one for the other leaves
-    /// every replacement decision bit-identical.
-    pub fn meta_mut_prepared(
-        &mut self,
-        core: CoreId,
-        line_addr: Addr,
-        set: usize,
-    ) -> Option<&mut F::Meta> {
-        self.l1[core.index()]
-            .probe_prepared(line_addr, set)
-            .map(|l| &mut l.meta)
-    }
-
     /// Read access to `core`'s copy of the metadata for `addr`'s line.
     #[must_use]
     pub fn meta(&self, core: CoreId, addr: Addr) -> Option<&F::Meta> {

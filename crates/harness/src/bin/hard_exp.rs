@@ -7,7 +7,7 @@
 //!          [--kernel scalar|batch|auto]
 //! hard-exp faults [--rates PPM,...] [--checkpoint PATH] [--max-cycles N] [--max-events N]
 //! hard-exp obs [--smoke] [--out DIR] [--serve ADDR] [--serve-requests N]
-//! hard-exp record --app <name> --file <path> [--inject SEED] [--scale F] [--packed]
+//! hard-exp record --app <name> --file <path> [--inject SEED] [--scale F]
 //! hard-exp replay --file <path> [--detector hard|lockset-ideal|hb|hb-ideal]
 //! hard-exp submit --addr HOST:PORT --file <path> [--detector NAME] [--clients N] [--repeat N]
 //! hard-exp serve-load [--clients N] [--repeat N] [--serve-cmd PATH] [--scale F]
@@ -47,9 +47,10 @@
 //! schedule config, injection) and replay packed corpus files instead
 //! of regenerating; outputs are bit-identical for any cache state.
 //! Cache statistics print to stderr only (and not at all under
-//! `--quiet`). `record --packed` writes
-//! the corpus format; `replay` auto-detects it by magic and streams
-//! the payload through the detector without materialising it.
+//! `--quiet`). `record` writes the corpus format (`HARDCRP1`);
+//! `replay` streams it through the detector without materialising the
+//! payload, and still imports codec (`HARDTRC1`/`HARDTRC2`) traces,
+//! told apart by magic.
 
 use hard_harness::experiments::{
     ablation, bloom_analysis, chaos, claims, cord, faults, fig8, load, obs, obs_serve, robustness,
@@ -89,7 +90,6 @@ struct Args {
     serve: Option<String>,
     serve_requests: Option<usize>,
     trace_cache: Option<String>,
-    packed: bool,
     addr: Option<String>,
     repeat: usize,
     clients: usize,
@@ -126,7 +126,6 @@ impl Args {
             serve: None,
             serve_requests: None,
             trace_cache: self.trace_cache.clone(),
-            packed: false,
             addr: None,
             repeat: 1,
             clients: 1,
@@ -163,7 +162,6 @@ fn parse_args() -> Result<Args, String> {
         serve: None,
         serve_requests: None,
         trace_cache: None,
-        packed: false,
         addr: None,
         repeat: 1,
         clients: 1,
@@ -286,7 +284,6 @@ fn parse_args() -> Result<Args, String> {
             "--trace-cache" => {
                 args.trace_cache = Some(it.next().ok_or("--trace-cache needs <dir> or 'off'")?);
             }
-            "--packed" => args.packed = true,
             "--addr" => args.addr = Some(it.next().ok_or("--addr needs HOST:PORT")?),
             "--repeat" => {
                 args.repeat = it
@@ -723,27 +720,19 @@ fn run_command(args: &Args, rep: &Reporter) -> Result<(), String> {
                     (t, Some(i))
                 }
             };
-            if args.packed {
-                let packed = hard_trace::PackedTrace::from_trace(&trace)
-                    .map_err(|e| format!("pack failed: {e}"))?;
-                hard_harness::corpus::write_file(
-                    std::path::Path::new(path),
-                    &packed,
-                    injection.as_ref(),
-                )
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            } else {
-                let f = std::fs::File::create(path)
-                    .map_err(|e| format!("cannot create {path}: {e}"))?;
-                codec::encode(&trace, std::io::BufWriter::new(f))
-                    .map_err(|e| format!("encode failed: {e}"))?;
-            }
+            let packed = hard_trace::PackedTrace::from_trace(&trace)
+                .map_err(|e| format!("pack failed: {e}"))?;
+            hard_harness::corpus::write_file(
+                std::path::Path::new(path),
+                &packed,
+                injection.as_ref(),
+            )
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
             rep.note(&format!(
-                "recorded {} ({} events, {} threads{}) to {path}",
+                "recorded {} ({} events, {} threads) to {path}",
                 app,
                 trace.len(),
-                trace.num_threads,
-                if args.packed { ", packed" } else { "" }
+                trace.num_threads
             ));
         }
         "replay" => {
@@ -808,17 +797,19 @@ fn run_command(args: &Args, rep: &Reporter) -> Result<(), String> {
             // Validate the detector name locally so a typo fails fast
             // instead of after the upload.
             DetectorKind::parse(&args.detector)?;
+            let corpus = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let repeat = args.repeat.max(1);
             let clients = args.clients.max(1);
             let cells: Vec<usize> = (0..clients).collect();
             let outcomes = hard_harness::map_cells(clients, &cells, |_, _| {
                 let mut last = None;
                 for _ in 0..repeat {
-                    last = Some(hard_harness::service::submit_file(
+                    last = Some(hard_harness::service::submit_bytes(
                         addr,
-                        std::path::Path::new(path),
+                        &corpus,
                         &args.detector,
                         64 << 10,
+                        None,
                     ));
                 }
                 last.expect("repeat >= 1")
@@ -912,7 +903,7 @@ fn main() -> ExitCode {
                  [--trace-out PATH] [--bench-out PATH] [--trace-cache DIR|off] [--kernel scalar|batch|auto]\n       \
                  hard-exp faults [--rates PPM,PPM,...] [--checkpoint PATH] [--max-cycles N] [--max-events N]\n       \
                  hard-exp obs [--smoke] [--out DIR] [--serve ADDR] [--serve-requests N]\n       \
-                 hard-exp record --app <name> --file <path> [--inject SEED] [--packed]\n       \
+                 hard-exp record --app <name> --file <path> [--inject SEED]\n       \
                  hard-exp replay --file <path> [--detector hard|lockset-ideal|hb|hb-ideal]\n       \
                  hard-exp submit --addr HOST:PORT --file <path> [--detector NAME] [--clients N] [--repeat N]\n       \
                  hard-exp serve-load [--clients N] [--repeat N] [--serve-cmd PATH] [--scale F]\n       \

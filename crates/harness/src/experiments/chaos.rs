@@ -26,17 +26,12 @@
 //! sibling binary, or an external `--addr`) so the faults cross a real
 //! TCP stack, not a loopback mock.
 
-use crate::campaign::{injected_trace, CampaignConfig};
+use crate::campaign::CampaignConfig;
 use crate::chaos::{ChaosProxy, ChaosSnapshot, NetFaultPlan};
-use crate::corpus::encode_bytes;
-use crate::detectors::DetectorKind;
-use crate::runner::execute_streamed;
-use crate::service::{probe_health, submit_bytes_retrying, RetryPolicy, Submission};
+use crate::experiments::fleet::{await_drain, fixtures, Fleet, ServeChild, Tally};
+use crate::service::RetryPolicy;
 use crate::table::TextTable;
-use hard_trace::{ChunkedReader, PackedTrace};
-use hard_workloads::App;
-use std::io::BufRead;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Parameters of the chaos campaign.
 #[derive(Clone, Debug)]
@@ -52,8 +47,6 @@ pub struct ChaosConfig {
     pub sessions_per_client: usize,
     /// Seeds the fault schedules and the clients' backoff jitter.
     pub seed: u64,
-    /// Data-frame chunk size for uploads.
-    pub chunk: usize,
     /// The retry discipline every client runs under.
     pub retry: RetryPolicy,
     /// An already-running `hard-serve` to target; `None` spawns a
@@ -72,7 +65,6 @@ impl Default for ChaosConfig {
             clients: 8,
             sessions_per_client: 4,
             seed: 0xC4A0_5157,
-            chunk: 1 << 10,
             retry: RetryPolicy {
                 // Generous budget: eventual success is the invariant
                 // under test, so the budget must dominate the fault
@@ -97,18 +89,10 @@ pub struct ChaosRow {
     pub rate_ppm: u32,
     /// Sessions attempted (clients × sessions each).
     pub sessions: usize,
-    /// Sessions that ended in a report byte-identical to offline
-    /// replay.
-    pub ok: usize,
-    /// Sessions whose report **differed** from offline replay — the
-    /// invariant violation; must be zero.
-    pub divergent: usize,
-    /// Sessions that exhausted their retry budget without a report.
-    pub failed: usize,
-    /// Re-attempts across all sessions (0 = every first try landed).
-    pub retries: u64,
-    /// Attempts answered with a `Busy` shed.
-    pub busy: u64,
+    /// The fleet's session verdicts. An echo mismatch is tallied but
+    /// not enforced here: a bit flip in a `Begin` frame can
+    /// legitimately change the trace ID the server adopts.
+    pub tally: Tally,
     /// Injected faults, from the proxy's own accounting.
     pub chaos: ChaosSnapshot,
     /// Sessions still holding a server slot after the drain deadline.
@@ -146,11 +130,11 @@ impl ChaosStudy {
             t.row(vec![
                 r.rate_ppm.to_string(),
                 r.sessions.to_string(),
-                r.ok.to_string(),
-                r.divergent.to_string(),
-                r.failed.to_string(),
-                r.retries.to_string(),
-                r.busy.to_string(),
+                r.tally.ok.to_string(),
+                r.tally.divergent.to_string(),
+                r.tally.failed.to_string(),
+                r.tally.retries.to_string(),
+                r.tally.busy.to_string(),
                 r.chaos.resets.to_string(),
                 r.chaos.flips.to_string(),
                 r.chaos.stalls.to_string(),
@@ -171,16 +155,16 @@ impl ChaosStudy {
     pub fn check(&self) -> Result<(), String> {
         let mut violations = Vec::new();
         for r in &self.rows {
-            if r.divergent > 0 {
+            if r.tally.divergent > 0 {
                 violations.push(format!(
                     "rate {}: {} divergent report(s) — the no-wrong-report invariant is broken",
-                    r.rate_ppm, r.divergent
+                    r.rate_ppm, r.tally.divergent
                 ));
             }
-            if r.failed > 0 {
+            if r.tally.failed > 0 {
                 violations.push(format!(
                     "rate {}: {} session(s) exhausted their retry budget",
-                    r.rate_ppm, r.failed
+                    r.rate_ppm, r.tally.failed
                 ));
             }
             if r.leaked_sessions > 0 || r.leaked_bytes > 0 {
@@ -197,10 +181,10 @@ impl ChaosStudy {
                     r.chaos
                 ));
             }
-            if r.rate_ppm == 0 && r.retries > 0 {
+            if r.rate_ppm == 0 && r.tally.retries > 0 {
                 violations.push(format!(
                     "rate 0 needed {} retries — the fault-free path is not clean",
-                    r.retries
+                    r.tally.retries
                 ));
             }
         }
@@ -212,217 +196,6 @@ impl ChaosStudy {
     }
 }
 
-/// One fixture: corpus bytes plus the offline-replay report encoding
-/// every served report must match byte for byte. Shared with the
-/// `obs-serve` campaign, which drives the same fixtures through the
-/// telemetry path.
-pub(crate) struct Fixture {
-    pub(crate) detector: String,
-    pub(crate) corpus: Vec<u8>,
-    pub(crate) expected: String,
-}
-
-/// Builds the corpus fixtures: two applications × two detectors, each
-/// replayed offline through the same [`execute_streamed`] entry point
-/// the server uses, so "expected" is the ground truth by construction.
-pub(crate) fn build_fixtures(cfg: &CampaignConfig) -> Result<Vec<Fixture>, String> {
-    let specs = [
-        (App::WaterNsquared, 0usize, "hard"),
-        (App::Barnes, 1usize, "lockset-ideal"),
-    ];
-    let mut fixtures = Vec::with_capacity(specs.len());
-    for (app, run_idx, detector) in specs {
-        let (trace, injection) = injected_trace(app, cfg, run_idx);
-        let packed = PackedTrace::from_trace(&trace).map_err(|e| format!("pack failed: {e}"))?;
-        let corpus = encode_bytes(&packed, Some(&injection));
-        let kind = DetectorKind::parse(detector)?;
-        let (header, payload_at) = crate::corpus::parse_header(&corpus)?;
-        let mut reader = ChunkedReader::spawn(
-            std::io::Cursor::new(corpus[payload_at..].to_vec()),
-            hard_trace::packed_event::DEFAULT_CHUNK_RECORDS,
-        );
-        let (run, events, fnv) = execute_streamed(&kind, header.num_threads as usize, &mut reader)?;
-        if events != header.events || fnv != header.payload_fnv {
-            return Err("fixture replay disagrees with its own header".into());
-        }
-        let expected = crate::ReportBody {
-            label: kind.label().to_string(),
-            events,
-            reports: run.reports,
-        }
-        .encode();
-        fixtures.push(Fixture {
-            detector: detector.to_string(),
-            corpus,
-            expected,
-        });
-    }
-    Ok(fixtures)
-}
-
-/// A `hard-serve` child process managed by a campaign: killed (after
-/// a polite `Shutdown`) when dropped, so a panicking campaign never
-/// leaves a stray server behind.
-pub(crate) struct ServeChild {
-    child: std::process::Child,
-    pub(crate) addr: String,
-    /// The `--serve-metrics` scrape address, when the child was
-    /// spawned with that flag (parsed from its banner).
-    pub(crate) metrics_addr: Option<String>,
-}
-
-impl ServeChild {
-    /// Spawns `hard-serve` on an ephemeral port (with `extra_args`
-    /// appended, e.g. `--serve-metrics`) and parses the bound
-    /// address(es) from its stderr banner.
-    pub(crate) fn spawn(
-        serve_cmd: Option<&str>,
-        extra_args: &[&str],
-    ) -> Result<ServeChild, String> {
-        let path = match serve_cmd {
-            Some(cmd) => std::path::PathBuf::from(cmd),
-            None => {
-                let me = std::env::current_exe()
-                    .map_err(|e| format!("cannot locate current executable: {e}"))?;
-                let dir = me
-                    .parent()
-                    .ok_or("current executable has no parent directory")?;
-                // Integration tests live one level down in deps/.
-                let sibling = dir.join("hard-serve");
-                if sibling.exists() {
-                    sibling
-                } else {
-                    dir.parent()
-                        .map(|d| d.join("hard-serve"))
-                        .filter(|p| p.exists())
-                        .ok_or_else(|| {
-                            format!(
-                                "hard-serve binary not found next to {} — build it \
-                                 (`cargo build --bin hard-serve`) or pass --serve-cmd/--addr",
-                                me.display()
-                            )
-                        })?
-                }
-            }
-        };
-        let mut child = std::process::Command::new(&path)
-            .args([
-                "--addr",
-                "127.0.0.1:0",
-                // A short idle timeout reclaims sessions whose client
-                // connection a fault tore mid-upload.
-                "--idle-timeout-ms",
-                "1500",
-                "--workers",
-                "2",
-                // Capacity (workers + queue) at least the default
-                // fleet size, so rate 0 is retry-free; the shed path
-                // itself is pinned by the serve chaos integration
-                // test, not this campaign.
-                "--queue-depth",
-                "8",
-                "--busy-retry-after-ms",
-                "50",
-            ])
-            .args(extra_args)
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("cannot spawn {}: {e}", path.display()))?;
-        let stderr = child.stderr.take().ok_or("child stderr not captured")?;
-        let mut lines = std::io::BufReader::new(stderr);
-        // The metrics banner (if any) prints before the listening one.
-        let mut metrics_addr = None;
-        let addr = loop {
-            let mut line = String::new();
-            match lines.read_line(&mut line) {
-                Ok(0) => {
-                    let _ = child.kill();
-                    return Err("hard-serve exited before announcing its address".into());
-                }
-                Ok(_) => {
-                    let line = line.trim();
-                    if let Some(rest) = line.strip_prefix("metrics on http://") {
-                        if let Some(addr) = rest.split("/metrics").next() {
-                            metrics_addr = Some(addr.to_string());
-                        }
-                    }
-                    if let Some(rest) = line.strip_prefix("hard-serve listening on ") {
-                        break rest.to_string();
-                    }
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    return Err(format!("reading hard-serve banner: {e}"));
-                }
-            }
-        };
-        // Keep draining stderr so the child never blocks on a full pipe.
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            loop {
-                sink.clear();
-                match lines.read_line(&mut sink) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-            }
-        });
-        Ok(ServeChild {
-            child,
-            addr,
-            metrics_addr,
-        })
-    }
-}
-
-impl ServeChild {
-    /// OS pid of the child — lets campaigns read its procfs entries
-    /// (e.g. `VmHWM` for the serve-load RSS claim).
-    pub(crate) fn pid(&self) -> u32 {
-        self.child.id()
-    }
-}
-
-impl Drop for ServeChild {
-    fn drop(&mut self) {
-        let _ = crate::service::request_shutdown(&self.addr);
-        // The polite path drains; the kill is the backstop for a
-        // wedged child (and a no-op once it has exited).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                _ => break,
-            }
-        }
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Polls the server's health probe until sessions and in-flight bytes
-/// drain to zero or the deadline passes; returns the final (leaked)
-/// counts.
-pub(crate) fn await_drain(addr: &str, deadline: Duration) -> (u64, u64) {
-    let until = Instant::now() + deadline;
-    let mut last = (u64::MAX, u64::MAX);
-    while Instant::now() < until {
-        if let Ok(h) = probe_health(addr, Duration::from_secs(2)) {
-            last = (h.active_sessions, h.inflight_bytes);
-            if last == (0, 0) {
-                return last;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    last
-}
-
 /// Runs the sweep.
 ///
 /// # Errors
@@ -431,7 +204,7 @@ pub(crate) fn await_drain(addr: &str, deadline: Duration) -> (u64, u64) {
 /// violations are **not** errors here — they are rows in the study;
 /// call [`ChaosStudy::check`] to enforce them.
 pub fn run(cfg: &ChaosConfig) -> Result<ChaosStudy, String> {
-    let fixtures = build_fixtures(&cfg.campaign)?;
+    let fixtures = fixtures(&cfg.campaign)?;
     // One server outlives the whole sweep; each rate gets a fresh
     // proxy so its fault schedule is deterministic in isolation.
     let child = match cfg.addr.as_deref() {
@@ -456,81 +229,27 @@ pub fn run(cfg: &ChaosConfig) -> Result<ChaosStudy, String> {
         };
         let proxy = ChaosProxy::spawn("127.0.0.1:0", &server_addr, plan)
             .map_err(|e| format!("cannot start chaos proxy: {e}"))?;
-        let proxy_addr = proxy.local_addr().to_string();
-
-        let clients = cfg.clients.max(1);
-        let sessions_each = cfg.sessions_per_client.max(1);
-        let results: Vec<(usize, usize, usize, u64, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|client_idx| {
-                    let fixtures = &fixtures;
-                    let proxy_addr = proxy_addr.clone();
-                    let mut policy = cfg.retry;
-                    policy.jitter_seed = cfg
-                        .seed
-                        .wrapping_add(client_idx as u64)
-                        .wrapping_mul(0x2545_F491_4F6C_DD1D)
-                        ^ u64::from(rate_ppm);
-                    s.spawn(move || {
-                        let (mut ok, mut divergent, mut failed) = (0usize, 0usize, 0usize);
-                        let (mut retries, mut busy) = (0u64, 0u64);
-                        for sess in 0..sessions_each {
-                            let fixture = &fixtures[(client_idx + sess) % fixtures.len()];
-                            let (outcome, stats) = submit_bytes_retrying(
-                                &proxy_addr,
-                                &fixture.corpus,
-                                &fixture.detector,
-                                cfg.chunk,
-                                &policy,
-                            );
-                            retries += u64::from(stats.attempts.saturating_sub(1));
-                            busy += u64::from(stats.busy);
-                            match outcome {
-                                Ok(Submission::Report { body, .. }) => {
-                                    if body.encode() == fixture.expected {
-                                        ok += 1;
-                                    } else {
-                                        divergent += 1;
-                                    }
-                                }
-                                Ok(_) | Err(_) => failed += 1,
-                            }
-                        }
-                        (ok, divergent, failed, retries, busy)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("chaos client panicked"))
-                .collect()
-        });
+        let fleet = Fleet {
+            fixtures: &fixtures,
+            clients: cfg.clients,
+            sessions_per_client: cfg.sessions_per_client,
+            retry: cfg.retry,
+            seed: cfg.seed ^ u64::from(rate_ppm),
+            trace_base: 0xC4A0_0000_0000_0000 | ((rate_idx as u64) << 32),
+        };
+        let tally = fleet.run(&proxy.local_addr().to_string());
 
         // Leak check against the server directly (no faults in the
         // way): slots and bytes must drain once the fleet is gone.
         let (leaked_sessions, leaked_bytes) = await_drain(&server_addr, Duration::from_secs(10));
-        let chaos = proxy.shutdown();
-
-        let mut row = ChaosRow {
+        rows.push(ChaosRow {
             rate_ppm,
-            sessions: clients * sessions_each,
-            ok: 0,
-            divergent: 0,
-            failed: 0,
-            retries: 0,
-            busy: 0,
-            chaos,
+            sessions: fleet.sessions(),
+            tally,
+            chaos: proxy.shutdown(),
             leaked_sessions,
             leaked_bytes,
-        };
-        for (ok, divergent, failed, retries, busy) in results {
-            row.ok += ok;
-            row.divergent += divergent;
-            row.failed += failed;
-            row.retries += retries;
-            row.busy += busy;
-        }
-        rows.push(row);
+        });
     }
     drop(child); // polite shutdown before returning
     Ok(ChaosStudy { rows })

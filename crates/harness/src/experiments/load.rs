@@ -36,24 +36,28 @@
 //! is the point.
 
 use crate::bench;
-use crate::campaign::{injected_trace, CampaignConfig};
-use crate::corpus::encode_bytes;
-use crate::detectors::DetectorKind;
-use crate::experiments::chaos::{await_drain, ServeChild};
-use crate::runner::execute_streamed;
-use crate::service::{decode_response, probe_health, Submission};
+use crate::campaign::CampaignConfig;
+use crate::experiments::fleet::{await_drain, ServeChild, Tally};
+use crate::service::{decode_response, probe_health, Fixture};
 use crate::table::TextTable;
+use crate::ReportBody;
 use hard_trace::wire::{
     encode_begin, read_frame, read_handshake, write_frame, write_handshake, FrameKind,
     MAX_FRAME_BYTES,
 };
-use hard_trace::{ChunkedReader, PackedTrace};
 use hard_workloads::App;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+/// Client driver threads each wave is split across.
+const DRIVERS: usize = 8;
+
+/// `Data` frame payload size; also the unit of per-session server
+/// buffering the RSS claim is about.
+const CHUNK: usize = 4 << 10;
 
 /// Parameters of the load study.
 #[derive(Clone, Debug)]
@@ -64,19 +68,8 @@ pub struct LoadConfig {
     /// total sessions = `sessions * repeat` at peak concurrency
     /// `sessions`.
     pub repeat: usize,
-    /// Client driver threads the fleet is split across.
-    pub drivers: usize,
-    /// `Data` frame payload size; also the unit of per-session server
-    /// buffering the RSS claim is about.
-    pub chunk: usize,
-    /// Detector every session requests.
-    pub detector: String,
     /// Fixture shape (scale, injection mode) for the shared corpus.
     pub campaign: CampaignConfig,
-    /// Serve-side report cache. Off by default so *every* session pays
-    /// for detection — the honest load; on, later sessions are cache
-    /// hits and the study measures admission throughput instead.
-    pub report_cache: bool,
     /// Path of the `hard-serve` binary to spawn (default: a sibling of
     /// the current executable).
     pub serve_cmd: Option<String>,
@@ -87,11 +80,7 @@ impl Default for LoadConfig {
         LoadConfig {
             sessions: 256,
             repeat: 1,
-            drivers: 8,
-            chunk: 4 << 10,
-            detector: "hard".into(),
             campaign: CampaignConfig::reduced(0.05, 2),
-            report_cache: false,
             serve_cmd: None,
         }
     }
@@ -104,13 +93,9 @@ pub struct LoadStudy {
     pub sessions: usize,
     /// Waves run.
     pub repeat: usize,
-    /// Sessions that returned a report byte-identical to offline
-    /// replay.
-    pub ok: usize,
-    /// Sessions whose report differed — must be zero.
-    pub divergent: usize,
-    /// Sessions that ended in an error or shed instead of a report.
-    pub failed: usize,
+    /// Session verdicts against the offline replay (no retries and no
+    /// trace IDs here, so only `ok`/`divergent`/`failed` move).
+    pub tally: Tally,
     /// Peak concurrent sessions observed through the `Health` probe.
     pub peak_active: usize,
     /// Trace events in the shared corpus (per session).
@@ -168,7 +153,7 @@ impl LoadStudy {
             "server_rss_kb",
             "rss_per_session_kb",
         ]);
-        let total = self.ok + self.divergent + self.failed;
+        let total = self.tally.ok + self.tally.divergent + self.tally.failed;
         let per_s = if self.wall.as_millis() > 0 {
             (total as u128 * 1000 / self.wall.as_millis()) as u64
         } else {
@@ -177,9 +162,9 @@ impl LoadStudy {
         t.row(vec![
             self.sessions.to_string(),
             self.repeat.to_string(),
-            self.ok.to_string(),
-            self.divergent.to_string(),
-            self.failed.to_string(),
+            self.tally.ok.to_string(),
+            self.tally.divergent.to_string(),
+            self.tally.failed.to_string(),
             self.peak_active.to_string(),
             format!("{:.1}", self.percentile(0.50) as f64 / 1000.0),
             format!("{:.1}", self.percentile(0.90) as f64 / 1000.0),
@@ -202,16 +187,16 @@ impl LoadStudy {
     /// Describes every violated invariant.
     pub fn check(&self) -> Result<(), String> {
         let mut violations = Vec::new();
-        if self.divergent > 0 {
+        if self.tally.divergent > 0 {
             violations.push(format!(
                 "{} divergent report(s) — served output differs from offline replay",
-                self.divergent
+                self.tally.divergent
             ));
         }
-        if self.failed > 0 {
+        if self.tally.failed > 0 {
             violations.push(format!(
                 "{} session(s) failed to produce a report",
-                self.failed
+                self.tally.failed
             ));
         }
         if self.peak_active < self.sessions {
@@ -235,54 +220,6 @@ impl LoadStudy {
     }
 }
 
-/// Builds the shared corpus fixture and its offline-replay report.
-fn fixture(cfg: &LoadConfig) -> Result<(Vec<u8>, String, u64), String> {
-    let (trace, injection) = injected_trace(App::WaterNsquared, &cfg.campaign, 0);
-    let packed = PackedTrace::from_trace(&trace).map_err(|e| format!("pack failed: {e}"))?;
-    let corpus = encode_bytes(&packed, Some(&injection));
-    let kind = DetectorKind::parse(&cfg.detector)?;
-    let (header, payload_at) = crate::corpus::parse_header(&corpus)?;
-    let mut reader = ChunkedReader::spawn(
-        std::io::Cursor::new(corpus[payload_at..].to_vec()),
-        hard_trace::packed_event::DEFAULT_CHUNK_RECORDS,
-    );
-    let (run, events, fnv) = execute_streamed(&kind, header.num_threads as usize, &mut reader)?;
-    if events != header.events || fnv != header.payload_fnv {
-        return Err("fixture replay disagrees with its own header".into());
-    }
-    let expected = crate::ReportBody {
-        label: kind.label().to_string(),
-        events,
-        reports: run.reports,
-    }
-    .encode();
-    Ok((corpus, expected, events))
-}
-
-/// `VmHWM` of an arbitrary process, in bytes (the self-probe in
-/// [`bench::peak_rss_bytes`] cannot see a child).
-fn child_vm_hwm(pid: u32) -> Option<u64> {
-    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))?
-        .trim()
-        .trim_end_matches("kB")
-        .trim()
-        .parse::<u64>()
-        .ok()
-        .map(|kb| kb * 1024)
-}
-
-/// One driver's verdict tallies for its slice of a wave.
-#[derive(Default)]
-struct WaveOut {
-    ok: usize,
-    divergent: usize,
-    failed: usize,
-    latencies_us: Vec<u64>,
-}
-
 /// The upload every session replays, shared read-only by all
 /// drivers: pre-encoded wire bytes plus the verdict oracle and the
 /// fleet-scaled response deadline.
@@ -290,7 +227,7 @@ struct WaveScript<'a> {
     frames: &'a [Vec<u8>],
     begin: &'a [u8],
     end_frame: &'a [u8],
-    expected: &'a str,
+    expected: &'a ReportBody,
     read_timeout: Duration,
 }
 
@@ -301,8 +238,9 @@ fn drive_wave(
     count: usize,
     script: &WaveScript<'_>,
     gate: &Barrier,
-) -> Result<WaveOut, String> {
-    let mut out = WaveOut::default();
+) -> Result<(Tally, Vec<u64>), String> {
+    let mut tally = Tally::default();
+    let mut latencies_us = Vec::with_capacity(count);
     let mut sessions: Vec<(TcpStream, Instant)> = Vec::with_capacity(count);
     for _ in 0..count {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
@@ -332,20 +270,10 @@ fn drive_wave(
         let mut r = std::io::BufReader::new(s);
         read_handshake(&mut r).map_err(|e| format!("handshake echo: {e}"))?;
         let frame = read_frame(&mut r, MAX_FRAME_BYTES).map_err(|e| format!("response: {e}"))?;
-        match decode_response(&frame)? {
-            Submission::Report { body, .. } => {
-                if body.encode() == script.expected {
-                    out.ok += 1;
-                } else {
-                    out.divergent += 1;
-                }
-            }
-            Submission::ServerError { .. } | Submission::Busy { .. } => out.failed += 1,
-        }
-        out.latencies_us
-            .push(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
+        tally.score(script.expected, None, &decode_response(&frame));
+        latencies_us.push(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
-    Ok(out)
+    Ok((tally, latencies_us))
 }
 
 /// Runs the study.
@@ -358,13 +286,14 @@ fn drive_wave(
 pub fn run(cfg: &LoadConfig) -> Result<LoadStudy, String> {
     let sessions = cfg.sessions.max(1);
     let repeat = cfg.repeat.max(1);
-    let drivers = cfg.drivers.clamp(1, sessions);
-    let (corpus, expected, events_per_session) = fixture(cfg)?;
+    let drivers = DRIVERS.min(sessions);
+    let fixture = Fixture::build(App::WaterNsquared, &cfg.campaign, 0, "hard")?;
+    let corpus = &fixture.corpus;
     // Pre-encode every frame once; every session writes the same
     // bytes, so the client side adds no per-session buffering beyond
     // the sockets themselves.
     let frames: Vec<Vec<u8>> = corpus
-        .chunks(cfg.chunk.max(1))
+        .chunks(CHUNK)
         .map(|piece| {
             let mut f = Vec::with_capacity(piece.len() + 5);
             write_frame(&mut f, FrameKind::Data, piece).expect("vec write");
@@ -373,8 +302,12 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadStudy, String> {
         .collect();
     let begin = {
         let mut f = Vec::new();
-        write_frame(&mut f, FrameKind::Begin, &encode_begin(&cfg.detector, None))
-            .expect("vec write");
+        write_frame(
+            &mut f,
+            FrameKind::Begin,
+            &encode_begin(&fixture.detector, None),
+        )
+        .expect("vec write");
         f
     };
     let end_frame = {
@@ -388,7 +321,7 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadStudy, String> {
     let max_sessions = (sessions + 8).to_string();
     let queue_depth = sessions.to_string();
     let max_inflight = (((sessions + 8) as u64) * (corpus.len() as u64).max(1)).to_string();
-    let mut extra: Vec<&str> = vec![
+    let extra = [
         "--max-sessions",
         &max_sessions,
         "--queue-depth",
@@ -400,13 +333,14 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadStudy, String> {
         // whole wave, not one read.
         "--idle-timeout-ms",
         "600000",
+        // Every session pays for detection — the honest load. With
+        // the report cache on, later sessions would be cache hits and
+        // the study would measure admission throughput instead.
+        "--no-report-cache",
     ];
-    if !cfg.report_cache {
-        extra.push("--no-report-cache");
-    }
     let child = ServeChild::spawn(cfg.serve_cmd.as_deref(), &extra)?;
     let addr = child.addr.clone();
-    let server_baseline_rss = child_vm_hwm(child.pid());
+    let server_baseline_rss = child.vm_hwm();
 
     // Sample concurrency through the wire-level health probe — the
     // same vantage point an operator's dashboard has.
@@ -430,11 +364,9 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadStudy, String> {
     let mut study = LoadStudy {
         sessions,
         repeat,
-        ok: 0,
-        divergent: 0,
-        failed: 0,
+        tally: Tally::default(),
         peak_active: 0,
-        events_per_session,
+        events_per_session: fixture.expected.events,
         wall: Duration::ZERO,
         server_baseline_rss,
         server_peak_rss: None,
@@ -446,17 +378,12 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadStudy, String> {
     // last session's verdict lands roughly a whole fleet-detection
     // wall after its `End` — the response-read deadline must scale
     // with the fleet, not sit at a per-read constant (a 10k run on
-    // the single-core reference host takes ~13 minutes end to end).
-    // The fleet drains through `workers` detection permits, so the
-    // last session's verdict lands roughly a whole fleet-detection
-    // wall after its `End` — the response-read deadline must scale
-    // with the fleet, not sit at a per-read constant (a 10k run on
     // the single-core reference host takes ~28 minutes end to end).
     let script = WaveScript {
         frames: &frames,
         begin: &begin,
         end_frame: &end_frame,
-        expected: &expected,
+        expected: &fixture.expected,
         read_timeout: Duration::from_secs(600).max(Duration::from_millis(250 * sessions as u64)),
     };
     for _ in 0..repeat {
@@ -464,7 +391,7 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadStudy, String> {
         let slices: Vec<usize> = (0..drivers)
             .map(|d| sessions / drivers + usize::from(d < sessions % drivers))
             .collect();
-        let waves: Vec<Result<WaveOut, String>> = std::thread::scope(|s| {
+        let waves: Vec<Result<(Tally, Vec<u64>), String>> = std::thread::scope(|s| {
             let handles: Vec<_> = slices
                 .iter()
                 .map(|&count| {
@@ -478,25 +405,23 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadStudy, String> {
                 .collect()
         });
         for wave in waves {
-            let wave = wave?;
-            study.ok += wave.ok;
-            study.divergent += wave.divergent;
-            study.failed += wave.failed;
-            study.latencies_us.extend(wave.latencies_us);
+            let (tally, latencies_us) = wave?;
+            study.tally.merge(tally);
+            study.latencies_us.extend(latencies_us);
         }
     }
     study.wall = started.elapsed();
     // The detection ran in the child; credit each verified session's
     // events to this process's bench accumulator so a `--bench-out`
     // row reflects the throughput the service sustained.
-    for _ in 0..study.ok {
-        bench::account(events_per_session, 0);
+    for _ in 0..study.tally.ok {
+        bench::account(study.events_per_session, 0);
     }
 
     let (leaked_sessions, leaked_bytes) = await_drain(&addr, Duration::from_secs(30));
     study.leaked_sessions = leaked_sessions;
     study.leaked_bytes = leaked_bytes;
-    study.server_peak_rss = child_vm_hwm(child.pid());
+    study.server_peak_rss = child.vm_hwm();
     sampling.store(false, Ordering::Relaxed);
     monitor.join().expect("monitor");
     study.peak_active = usize::try_from(peak.load(Ordering::Relaxed)).unwrap_or(usize::MAX);

@@ -9,6 +9,7 @@ pub mod claims;
 pub mod cord;
 pub mod faults;
 pub mod fig8;
+pub mod fleet;
 pub mod load;
 pub mod obs;
 pub mod obs_serve;

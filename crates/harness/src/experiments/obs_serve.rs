@@ -26,13 +26,13 @@
 //! diagnosis.
 
 use crate::campaign::CampaignConfig;
-use crate::experiments::chaos::{await_drain, build_fixtures, ServeChild};
-use crate::service::{submit_bytes_retrying_traced, RetryPolicy, Submission};
+use crate::experiments::fleet::{await_drain, fixtures, Fleet, ServeChild, Tally};
+use crate::service::RetryPolicy;
 use crate::table::TextTable;
 use hard_obs::jsonl;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Parameters of the obs-serve campaign.
 #[derive(Clone, Debug)]
@@ -46,17 +46,11 @@ pub struct ObsServeConfig {
     pub sessions_per_client: usize,
     /// Seeds the clients' backoff jitter.
     pub seed: u64,
-    /// Data-frame chunk size for uploads.
-    pub chunk: usize,
     /// The retry discipline every client runs under.
     pub retry: RetryPolicy,
     /// Path of the `hard-serve` binary to spawn (default: a sibling of
     /// the current executable).
     pub serve_cmd: Option<String>,
-    /// The child's `--slow-session-ms` threshold. The default of 1 ms
-    /// is deliberately aggressive so the slow-session log path is
-    /// exercised, not just compiled.
-    pub slow_session_ms: u64,
     /// Where the child's JSONL event stream lands
     /// (default `results/obs-serve`).
     pub out_dir: Option<PathBuf>,
@@ -69,7 +63,6 @@ impl Default for ObsServeConfig {
             clients: 4,
             sessions_per_client: 3,
             seed: 0x0B5E_57A6,
-            chunk: 1 << 10,
             retry: RetryPolicy {
                 max_attempts: 6,
                 base_delay: Duration::from_millis(20),
@@ -79,7 +72,6 @@ impl Default for ObsServeConfig {
                 io_timeout: Duration::from_secs(20),
             },
             serve_cmd: None,
-            slow_session_ms: 1,
             out_dir: None,
         }
     }
@@ -107,16 +99,8 @@ pub struct StageRow {
 pub struct ObsServeStudy {
     /// Sessions attempted (clients × sessions each).
     pub sessions: usize,
-    /// Sessions whose report matched the offline replay byte for byte.
-    pub ok: usize,
-    /// Sessions whose report **differed** — must be zero.
-    pub divergent: usize,
-    /// Sessions that exhausted their retry budget.
-    pub failed: usize,
-    /// Re-attempts across all sessions.
-    pub retries: u64,
-    /// Attempts answered with a `Busy` shed.
-    pub busy: u64,
+    /// The fleet's session verdicts, trace-ID echoes included.
+    pub tally: Tally,
     /// Per-stage latency summaries, pipeline order.
     pub stages: Vec<StageRow>,
     /// The trace ID every client stamped, in spawn order.
@@ -139,6 +123,10 @@ pub struct ObsServeStudy {
     /// `hard_serve_slow_sessions_total` from the scrape.
     pub slow_sessions: u64,
 }
+
+/// The child's `--slow-session-ms` threshold: deliberately aggressive,
+/// so the slow-session log path is exercised, not just compiled.
+const SLOW_SESSION_MS: &str = "1";
 
 /// Pipeline order for the stage table; unknown span names sort after.
 const STAGE_ORDER: [&str; 8] = [
@@ -208,6 +196,26 @@ fn sample_value(scrape: &str, name: &str) -> Option<f64> {
     })
 }
 
+/// Scrapes `/metrics` until every [`DRAIN_GAUGES`] sample reads zero
+/// or the deadline passes, and returns the last body. The gauges trail
+/// the health probe by one connection: when [`await_drain`] returns,
+/// the server is still tearing down that last probe's own connection,
+/// whose slot the probe excluded from its snapshot. A real leak never
+/// settles, so the check still sees it.
+fn drained_scrape(addr: &str, deadline: Duration) -> Result<String, String> {
+    let until = Instant::now() + deadline;
+    loop {
+        let (_, scrape) = http_get(addr, "/metrics")?;
+        let drained = DRAIN_GAUGES
+            .iter()
+            .all(|g| sample_value(&scrape, g) == Some(0.0));
+        if drained || Instant::now() >= until {
+            return Ok(scrape);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// Runs the campaign.
 ///
 /// # Errors
@@ -216,7 +224,7 @@ fn sample_value(scrape: &str, name: &str) -> Option<f64> {
 /// errors. Invariant violations are **not** errors here — call
 /// [`ObsServeStudy::check`] to enforce them.
 pub fn run(cfg: &ObsServeConfig) -> Result<ObsServeStudy, String> {
-    let fixtures = build_fixtures(&cfg.campaign)?;
+    let fixtures = fixtures(&cfg.campaign)?;
     let out_dir = cfg
         .out_dir
         .clone()
@@ -225,7 +233,6 @@ pub fn run(cfg: &ObsServeConfig) -> Result<ObsServeStudy, String> {
         .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
     let jsonl_path = out_dir.join("serve-events.jsonl");
     let jsonl_arg = jsonl_path.display().to_string();
-    let slow_arg = cfg.slow_session_ms.to_string();
     let child = ServeChild::spawn(
         cfg.serve_cmd.as_deref(),
         &[
@@ -234,7 +241,7 @@ pub fn run(cfg: &ObsServeConfig) -> Result<ObsServeStudy, String> {
             "--obs-jsonl",
             &jsonl_arg,
             "--slow-session-ms",
-            &slow_arg,
+            SLOW_SESSION_MS,
         ],
     )?;
     let metrics_addr = child
@@ -242,69 +249,23 @@ pub fn run(cfg: &ObsServeConfig) -> Result<ObsServeStudy, String> {
         .clone()
         .ok_or("hard-serve did not announce a metrics address")?;
 
-    let clients = cfg.clients.max(1);
-    let sessions_each = cfg.sessions_per_client.max(1);
-    // Client-chosen trace IDs: recognizable prefix, client and session
-    // in the low bits, so a timeline in the JSONL names its origin.
-    let trace_id = |client: usize, sess: usize| {
-        0x0B5E_C0DE_0000_0000u64 | ((client as u64) << 16) | sess as u64
+    // Client-chosen trace IDs under a recognizable prefix, so a
+    // timeline in the JSONL names its origin.
+    let fleet = Fleet {
+        fixtures: &fixtures,
+        clients: cfg.clients,
+        sessions_per_client: cfg.sessions_per_client,
+        retry: cfg.retry,
+        seed: cfg.seed,
+        trace_base: 0x0B5E_C0DE_0000_0000,
     };
-
-    let results: Vec<(usize, usize, usize, u64, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client_idx| {
-                let fixtures = &fixtures;
-                let addr = child.addr.clone();
-                let mut policy = cfg.retry;
-                policy.jitter_seed = cfg
-                    .seed
-                    .wrapping_add(client_idx as u64)
-                    .wrapping_mul(0x2545_F491_4F6C_DD1D);
-                s.spawn(move || {
-                    let (mut ok, mut divergent, mut failed) = (0usize, 0usize, 0usize);
-                    let (mut retries, mut busy) = (0u64, 0u64);
-                    for sess in 0..sessions_each {
-                        let fixture = &fixtures[(client_idx + sess) % fixtures.len()];
-                        let trace = trace_id(client_idx, sess);
-                        let (outcome, stats) = submit_bytes_retrying_traced(
-                            &addr,
-                            &fixture.corpus,
-                            &fixture.detector,
-                            cfg.chunk,
-                            &policy,
-                            trace,
-                        );
-                        retries += u64::from(stats.attempts.saturating_sub(1));
-                        busy += u64::from(stats.busy);
-                        match outcome {
-                            Ok(Submission::Report {
-                                body,
-                                trace: echoed,
-                            }) => {
-                                if body.encode() == fixture.expected && echoed == Some(trace) {
-                                    ok += 1;
-                                } else {
-                                    divergent += 1;
-                                }
-                            }
-                            Ok(_) | Err(_) => failed += 1,
-                        }
-                    }
-                    (ok, divergent, failed, retries, busy)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("obs-serve client panicked"))
-            .collect()
-    });
+    let tally = fleet.run(&child.addr);
 
     let (leaked_sessions, leaked_bytes) = await_drain(&child.addr, Duration::from_secs(10));
 
     // Read the live surfaces while the child is still up, then shut it
     // down politely — the JSONL sink flushes on exit.
-    let (_, scrape) = http_get(&metrics_addr, "/metrics")?;
+    let scrape = drained_scrape(&metrics_addr, Duration::from_secs(5))?;
     let (healthz_status, healthz_body) = http_get(&metrics_addr, "/healthz")?;
     drop(child);
 
@@ -367,17 +328,11 @@ pub fn run(cfg: &ObsServeConfig) -> Result<ObsServeStudy, String> {
         });
     }
 
-    let mut study = ObsServeStudy {
-        sessions: clients * sessions_each,
-        ok: 0,
-        divergent: 0,
-        failed: 0,
-        retries: 0,
-        busy: 0,
+    Ok(ObsServeStudy {
+        sessions: fleet.sessions(),
+        tally,
         stages,
-        traces: (0..clients)
-            .flat_map(|c| (0..sessions_each).map(move |s| trace_id(c, s)))
-            .collect(),
+        traces: fleet.trace_ids(),
         timelines,
         jsonl_events,
         slow_sessions: sample_value(&scrape, "hard_serve_slow_sessions_total").unwrap_or(0.0)
@@ -387,15 +342,7 @@ pub fn run(cfg: &ObsServeConfig) -> Result<ObsServeStudy, String> {
         healthz_body,
         leaked_sessions,
         leaked_bytes,
-    };
-    for (ok, divergent, failed, retries, busy) in results {
-        study.ok += ok;
-        study.divergent += divergent;
-        study.failed += failed;
-        study.retries += retries;
-        study.busy += busy;
-    }
-    Ok(study)
+    })
 }
 
 /// The event-driven gauges that must read zero once the fleet drains.
@@ -437,8 +384,15 @@ impl ObsServeStudy {
     pub fn summary_notes(&self) -> Vec<String> {
         vec![
             format!(
-                "fleet: {} session(s), {} ok, {} divergent, {} failed, {} retries, {} busy",
-                self.sessions, self.ok, self.divergent, self.failed, self.retries, self.busy
+                "fleet: {} session(s), {} ok, {} divergent, {} failed, {} echo mismatch(es), \
+                 {} retries, {} busy",
+                self.sessions,
+                self.tally.ok,
+                self.tally.divergent,
+                self.tally.failed,
+                self.tally.echo_mismatch,
+                self.tally.retries,
+                self.tally.busy
             ),
             format!(
                 "jsonl: {} event line(s), {} session timeline(s) reconstructed by trace ID",
@@ -468,10 +422,17 @@ impl ObsServeStudy {
     /// Describes every violated invariant.
     pub fn check(&self) -> Result<(), String> {
         let mut violations = Vec::new();
-        if self.divergent > 0 || self.failed > 0 || self.ok != self.sessions {
+        let t = &self.tally;
+        if t.divergent > 0 || t.failed > 0 || t.ok != self.sessions {
             violations.push(format!(
                 "{} of {} session(s) ok ({} divergent, {} failed)",
-                self.ok, self.sessions, self.divergent, self.failed
+                t.ok, self.sessions, t.divergent, t.failed
+            ));
+        }
+        if t.echo_mismatch > 0 {
+            violations.push(format!(
+                "{} report(s) echoed a trace ID other than the one the client stamped",
+                t.echo_mismatch
             ));
         }
         if self.leaked_sessions > 0 || self.leaked_bytes > 0 {
@@ -573,11 +534,10 @@ mod tests {
         let trace = 0x0B5E_C0DE_0000_0000u64;
         let base = ObsServeStudy {
             sessions: 1,
-            ok: 1,
-            divergent: 0,
-            failed: 0,
-            retries: 0,
-            busy: 0,
+            tally: Tally {
+                ok: 1,
+                ..Tally::default()
+            },
             stages: Vec::new(),
             traces: vec![trace],
             timelines: BTreeMap::from([(
@@ -624,6 +584,10 @@ mod tests {
             .check()
             .unwrap_err()
             .contains("missing from the Prometheus scrape"));
+
+        let mut misechoed = base.clone();
+        misechoed.tally.echo_mismatch = 1;
+        assert!(misechoed.check().unwrap_err().contains("echoed a trace ID"));
 
         let mut unready = base;
         unready.healthz_status = "HTTP/1.1 503 Service Unavailable".into();

@@ -51,5 +51,5 @@ pub use runner::{
     execute_hardened_cell, execute_hardened_cell_observed, execute_streamed, RunLimits, RunMetrics,
     RunOutcome, StreamFeeder,
 };
-pub use service::{HealthSnapshot, ReportBody, RetryPolicy, RetryStats, Submission};
+pub use service::{Fixture, HealthSnapshot, ReportBody, RetryPolicy, RetryStats, Submission};
 pub use table::TextTable;

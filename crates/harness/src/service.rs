@@ -11,7 +11,10 @@
 //!
 //! Byte-identity contract: [`ReportBody::notes`] renders exactly the
 //! lines `hard-exp replay` prints for the same trace, so CI can `cmp`
-//! a served session against an offline replay.
+//! a served session against an offline replay. [`Fixture`] is the one
+//! in-process form of that oracle: corpus bytes plus the offline
+//! replay's body, for campaigns and tests to diff served reports
+//! against.
 //!
 //! # Resilience
 //!
@@ -24,14 +27,20 @@
 //! hash: a retried upload of the same bytes is answered from cache,
 //! not re-detected, so retries cannot change the answer (idempotence).
 
+use crate::campaign::{injected_trace, CampaignConfig};
+use crate::corpus::{encode_bytes, parse_header};
+use crate::detectors::DetectorKind;
+use crate::runner::execute_streamed;
 use hard_obs::jsonl::{self, Json};
 use hard_obs::CounterId;
+use hard_trace::packed_event::DEFAULT_CHUNK_RECORDS;
 use hard_trace::wire::{
     decode_busy, encode_begin, read_frame, read_handshake, split_traced, write_frame,
     write_handshake, Frame, FrameKind, WireError, MAX_FRAME_BYTES,
 };
-use hard_trace::RaceReport;
+use hard_trace::{ChunkedReader, PackedTrace, RaceReport};
 use hard_types::{AccessKind, Addr, SiteId, ThreadId, Xoshiro256};
+use hard_workloads::App;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -157,6 +166,61 @@ impl ReportBody {
     }
 }
 
+/// One served-vs-replayed oracle: a `HARDCRP1` corpus upload plus the
+/// report every server must answer it with. The expected body comes
+/// from replaying the same bytes offline through [`execute_streamed`],
+/// the entry point `hard-exp replay` uses, so "expected" is the ground
+/// truth by construction. Every serve campaign and serve test checks
+/// its served reports against a fixture built here.
+#[derive(Clone, Debug)]
+pub struct Fixture {
+    /// Detector name the session requests.
+    pub detector: String,
+    /// The corpus bytes to upload.
+    pub corpus: Vec<u8>,
+    /// The offline-replay report.
+    pub expected: ReportBody,
+}
+
+impl Fixture {
+    /// Builds the fixture for run `run_idx` of `app`'s injected-race
+    /// campaign under `cfg`, replayed through `detector`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown detector name, a trace the packed format cannot
+    /// carry, or a replay that disagrees with the corpus header.
+    pub fn build(
+        app: App,
+        cfg: &CampaignConfig,
+        run_idx: usize,
+        detector: &str,
+    ) -> Result<Fixture, String> {
+        let kind = DetectorKind::parse(detector)?;
+        let (trace, injection) = injected_trace(app, cfg, run_idx);
+        let packed = PackedTrace::from_trace(&trace).map_err(|e| format!("pack failed: {e}"))?;
+        let corpus = encode_bytes(&packed, Some(&injection));
+        let (header, payload_at) = parse_header(&corpus)?;
+        let mut reader = ChunkedReader::spawn(
+            std::io::Cursor::new(corpus[payload_at..].to_vec()),
+            DEFAULT_CHUNK_RECORDS,
+        );
+        let (run, events, fnv) = execute_streamed(&kind, header.num_threads as usize, &mut reader)?;
+        if events != header.events || fnv != header.payload_fnv {
+            return Err("fixture replay disagrees with its own header".into());
+        }
+        Ok(Fixture {
+            detector: detector.to_string(),
+            corpus,
+            expected: ReportBody {
+                label: kind.label().to_string(),
+                events,
+                reports: run.reports,
+            },
+        })
+    }
+}
+
 /// What the server answered a submission with. Every variant carries
 /// the session trace ID the server echoed (`None` when talking to a
 /// pre-tracing server or when the response predates the session).
@@ -200,61 +264,34 @@ impl Submission {
     }
 }
 
-/// Submits the `HARDCRP1` corpus file at `path` to a `hard-serve`
-/// instance at `addr` and returns its answer. `detector` is a name
-/// accepted by [`crate::DetectorKind::parse`]; `chunk` bounds the Data
-/// frame size (the server reassembles, so any chunking is valid — the
-/// load tester uses small chunks to exercise reassembly).
+/// Submits in-memory `HARDCRP1` corpus bytes to a `hard-serve`
+/// instance at `addr` and returns its answer, with no deadlines and no
+/// retries: any failure is returned to the caller on the first
+/// occurrence. See [`submit_bytes_retrying`] for the resilient client.
+///
+/// `detector` is a name accepted by [`crate::DetectorKind::parse`];
+/// `chunk` bounds the Data frame size (the server reassembles, so any
+/// chunking is valid — tests use small chunks to exercise
+/// reassembly). `trace` is an optional client-generated session trace
+/// ID carried in the `Begin` frame: the server adopts it, tags every
+/// span and log line for the session with it, and echoes it on the
+/// response — the handle a campaign uses to join client-side and
+/// server-side views of one session. Without one the server assigns
+/// its own.
 ///
 /// # Errors
 ///
 /// Connection, wire, and malformed-response errors, each naming the
 /// failing stage.
-pub fn submit_file(
-    addr: &str,
-    path: &std::path::Path,
-    detector: &str,
-    chunk: usize,
-) -> Result<Submission, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    submit_bytes(addr, &bytes, detector, chunk)
-}
-
-/// [`submit_file`] over in-memory corpus bytes, with no deadlines and
-/// no retries — any failure is returned to the caller on the first
-/// occurrence. See [`submit_bytes_retrying`] for the resilient client.
-///
-/// # Errors
-///
-/// Connection, wire, and malformed-response errors.
 pub fn submit_bytes(
     addr: &str,
     corpus: &[u8],
     detector: &str,
     chunk: usize,
+    trace: Option<u64>,
 ) -> Result<Submission, String> {
     let stream = connect(addr, None)?;
-    submit_on(stream, corpus, detector, chunk, None)
-}
-
-/// [`submit_bytes`] carrying a client-generated session trace ID in
-/// the `Begin` frame. The server adopts it, tags every span and log
-/// line for the session with it, and echoes it on the response — the
-/// handle a campaign uses to join client-side and server-side views of
-/// one session.
-///
-/// # Errors
-///
-/// Connection, wire, and malformed-response errors.
-pub fn submit_bytes_traced(
-    addr: &str,
-    corpus: &[u8],
-    detector: &str,
-    chunk: usize,
-    trace: u64,
-) -> Result<Submission, String> {
-    let stream = connect(addr, None)?;
-    submit_on(stream, corpus, detector, chunk, Some(trace))
+    submit_on(stream, corpus, detector, chunk, trace)
 }
 
 /// One submission attempt over an already-connected stream.
@@ -399,7 +436,7 @@ pub struct RetryStats {
     pub server_errors: u32,
 }
 
-/// Submits `corpus` with retries per `policy` and returns the final
+/// [`submit_bytes`] with retries per `policy`; returns the final
 /// answer plus the attempt log.
 ///
 /// Every failure class is retried — `Busy` sheds (honoring the
@@ -408,7 +445,9 @@ pub struct RetryStats {
 /// injection are usually the server correctly refusing a corrupted
 /// upload. Re-submission is idempotent: the server's report cache is
 /// keyed on the corpus content hash, so a duplicate of an
-/// already-answered upload returns the cached bytes.
+/// already-answered upload returns the cached bytes. Every attempt
+/// carries the same `trace`, so the server-side timeline shows the
+/// retries as one session told several times.
 ///
 /// Each attempt after the first bumps the
 /// `hard_serve_retry_attempts_total` counter; exhausting the budget
@@ -419,31 +458,6 @@ pub struct RetryStats {
 /// The final attempt's error, annotated with the attempt count, when
 /// the budget is exhausted without a `Report` or terminal answer.
 pub fn submit_bytes_retrying(
-    addr: &str,
-    corpus: &[u8],
-    detector: &str,
-    chunk: usize,
-    policy: &RetryPolicy,
-) -> (Result<Submission, String>, RetryStats) {
-    submit_retrying_inner(addr, corpus, detector, chunk, policy, None)
-}
-
-/// [`submit_bytes_retrying`] carrying a client-generated session trace
-/// ID on every attempt (see [`submit_bytes_traced`]). All attempts of
-/// one logical submission share the ID, so the server-side timeline
-/// shows the retries as one session told several times.
-pub fn submit_bytes_retrying_traced(
-    addr: &str,
-    corpus: &[u8],
-    detector: &str,
-    chunk: usize,
-    policy: &RetryPolicy,
-    trace: u64,
-) -> (Result<Submission, String>, RetryStats) {
-    submit_retrying_inner(addr, corpus, detector, chunk, policy, Some(trace))
-}
-
-fn submit_retrying_inner(
     addr: &str,
     corpus: &[u8],
     detector: &str,
@@ -767,7 +781,7 @@ mod tests {
             io_timeout: Duration::from_millis(200),
             ..RetryPolicy::default()
         };
-        let (result, stats) = submit_bytes_retrying("127.0.0.1:1", b"x", "hard", 64, &policy);
+        let (result, stats) = submit_bytes_retrying("127.0.0.1:1", b"x", "hard", 64, &policy, None);
         let err = result.unwrap_err();
         assert!(err.contains("after 3 attempts"), "{err}");
         assert_eq!(stats.attempts, 3);

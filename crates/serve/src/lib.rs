@@ -4,7 +4,7 @@
 //! this crate answers the production question the ROADMAP and the
 //! HardRace line of work pose — race detection *as a service*. A
 //! [`Server`] accepts framed `HARDCRP1` corpus streams (the exact
-//! format `hard-exp record --packed` writes and `hard-exp replay`
+//! format `hard-exp record` writes and `hard-exp replay`
 //! consumes) from concurrent clients and answers each session with a
 //! structured JSON [`hard_harness::ReportBody`]. The server and the
 //! offline replay run the same code: [`hard_harness::execute_streamed`]

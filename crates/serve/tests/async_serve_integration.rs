@@ -20,47 +20,24 @@
 //! Scenarios run sequentially inside one `#[test]` because the kernel
 //! mode (scenario 4) is process-global state.
 
-use hard_harness::corpus::{self, write_file};
 use hard_harness::service::{probe_health, request_shutdown, submit_bytes};
-use hard_harness::{
-    execute_streamed, injected_trace, CampaignConfig, DetectorKind, KernelMode, ReportBody,
-    Submission,
-};
+use hard_harness::{CampaignConfig, Fixture, KernelMode, Submission};
 use hard_serve::{ServeConfig, Server};
 use hard_trace::wire::{
     read_frame, read_handshake, write_frame, write_handshake, FrameKind, MAX_FRAME_BYTES,
 };
-use hard_trace::PackedTrace;
 use hard_workloads::App;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// A corpus plus the offline-replay report every served report must
-/// match byte for byte. The replay runs under whatever kernel mode is
-/// currently installed.
-fn fixture(app: App, run_idx: usize, detector: &str, name: &str) -> (Vec<u8>, String) {
+/// A corpus plus the encoded offline-replay report every served
+/// report must match byte for byte. The replay runs under whatever
+/// kernel mode is currently installed.
+fn fixture(app: App, run_idx: usize) -> (Vec<u8>, String) {
     let cfg = CampaignConfig::reduced(0.05, 2);
-    let (trace, injection) = injected_trace(app, &cfg, run_idx);
-    let packed = PackedTrace::from_trace(&trace).expect("packable");
-    let mut path = std::env::temp_dir();
-    path.push(format!("hard-async-it-{}-{name}", std::process::id()));
-    write_file(&path, &packed, Some(&injection)).expect("write corpus");
-    let bytes = std::fs::read(&path).expect("read corpus back");
-    let kind = DetectorKind::parse(detector).expect("known detector");
-    let (header, mut reader) = corpus::open_streamed(&path).expect("open streamed");
-    let (run, events, fnv) =
-        execute_streamed(&kind, header.num_threads as usize, &mut reader).expect("offline replay");
-    assert_eq!(events, header.events);
-    assert_eq!(fnv, header.payload_fnv);
-    let _ = std::fs::remove_file(&path);
-    let expected = ReportBody {
-        label: kind.label().to_string(),
-        events,
-        reports: run.reports,
-    }
-    .encode();
-    (bytes, expected)
+    let f = Fixture::build(app, &cfg, run_idx, "hard").expect("fixture");
+    (f.corpus, f.expected.encode())
 }
 
 fn raw_client(addr: &str) -> (std::io::BufReader<TcpStream>, TcpStream) {
@@ -86,7 +63,7 @@ fn await_cond(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
 
 #[test]
 fn async_serve_behaviors() {
-    let (bytes, expected) = fixture(App::WaterNsquared, 0, "hard", "main");
+    let (bytes, expected) = fixture(App::WaterNsquared, 0);
 
     // --- 1. Slow-loris concurrent with fast sessions, ONE detection
     // permit. The loris dribbles a promised Data payload one byte at a
@@ -139,7 +116,8 @@ fn async_serve_behaviors() {
                 let expected = expected.clone();
                 std::thread::spawn(move || {
                     let started = Instant::now();
-                    match submit_bytes(&addr, &bytes, "hard", 32 << 10).expect("fast submit") {
+                    match submit_bytes(&addr, &bytes, "hard", 32 << 10, None).expect("fast submit")
+                    {
                         Submission::Report { body, .. } => {
                             assert_eq!(body.encode(), expected, "fast client {i} diverged");
                         }
@@ -247,7 +225,7 @@ fn async_serve_behaviors() {
     {
         let prior = hard_harness::kernel::installed();
         hard_harness::kernel::install(KernelMode::Scalar);
-        let (bytes, scalar_expected) = fixture(App::WaterNsquared, 1, "hard", "batch");
+        let (bytes, scalar_expected) = fixture(App::WaterNsquared, 1);
         hard_harness::kernel::install(KernelMode::Batch);
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -256,7 +234,7 @@ fn async_serve_behaviors() {
         .expect("bind");
         let addr = server.local_addr().expect("addr").to_string();
         let thread = std::thread::spawn(move || server.run());
-        match submit_bytes(&addr, &bytes, "hard", 16 << 10).expect("batched submit") {
+        match submit_bytes(&addr, &bytes, "hard", 16 << 10, None).expect("batched submit") {
             Submission::Report { body, .. } => assert_eq!(
                 body.encode(),
                 scalar_expected,

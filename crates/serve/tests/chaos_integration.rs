@@ -22,49 +22,28 @@
 //!    sessions and zero in-flight bytes.
 
 use hard_harness::chaos::{ChaosProxy, NetFaultPlan};
-use hard_harness::corpus::{self, write_file};
 use hard_harness::service::{
     probe_health, request_shutdown, submit_bytes, submit_bytes_retrying, RetryPolicy,
 };
-use hard_harness::{
-    execute_streamed, injected_trace, CampaignConfig, DetectorKind, ReportBody, Submission,
-};
+use hard_harness::{CampaignConfig, Fixture, Submission};
 use hard_obs::{CounterId, MemoryRecorder, ObsHandle};
 use hard_serve::{ServeConfig, Server};
 use hard_trace::wire::{
     read_frame, read_handshake, write_frame, write_handshake, FrameKind, MAX_FRAME_BYTES,
 };
-use hard_trace::PackedTrace;
 use hard_workloads::App;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A corpus plus the offline-replay report every served report must
-/// match byte for byte.
-fn fixture(app: App, run_idx: usize, detector: &str, name: &str) -> (Vec<u8>, String) {
+/// A corpus plus the encoded offline-replay report every served
+/// report must match byte for byte. The replay runs under whatever
+/// kernel mode is currently installed.
+fn fixture(app: App, run_idx: usize) -> (Vec<u8>, String) {
     let cfg = CampaignConfig::reduced(0.05, 2);
-    let (trace, injection) = injected_trace(app, &cfg, run_idx);
-    let packed = PackedTrace::from_trace(&trace).expect("packable");
-    let mut path = std::env::temp_dir();
-    path.push(format!("hard-chaos-it-{}-{name}", std::process::id()));
-    write_file(&path, &packed, Some(&injection)).expect("write corpus");
-    let bytes = std::fs::read(&path).expect("read corpus back");
-    let kind = DetectorKind::parse(detector).expect("known detector");
-    let (header, mut reader) = corpus::open_streamed(&path).expect("open streamed");
-    let (run, events, fnv) =
-        execute_streamed(&kind, header.num_threads as usize, &mut reader).expect("offline replay");
-    assert_eq!(events, header.events);
-    assert_eq!(fnv, header.payload_fnv);
-    let _ = std::fs::remove_file(&path);
-    let expected = ReportBody {
-        label: kind.label().to_string(),
-        events,
-        reports: run.reports,
-    }
-    .encode();
-    (bytes, expected)
+    let f = Fixture::build(app, &cfg, run_idx, "hard").expect("fixture");
+    (f.corpus, f.expected.encode())
 }
 
 fn raw_client(addr: &str) -> (std::io::BufReader<TcpStream>, TcpStream) {
@@ -95,7 +74,7 @@ fn chaos_hardening() {
         hard_obs::install(ObsHandle::new(recorder.clone())),
         "this test must own the global recorder"
     );
-    let (bytes, expected) = fixture(App::WaterNsquared, 0, "hard", "main");
+    let (bytes, expected) = fixture(App::WaterNsquared, 0);
 
     // --- 1. Flush regression: long idle timeout, tiny chunks. If the
     // client fails to flush its End frame, both sides block until the
@@ -110,7 +89,7 @@ fn chaos_hardening() {
         let addr = server.local_addr().expect("addr").to_string();
         let thread = std::thread::spawn(move || server.run());
         let started = Instant::now();
-        match submit_bytes(&addr, &bytes, "hard", 1 << 10).expect("submit") {
+        match submit_bytes(&addr, &bytes, "hard", 1 << 10, None).expect("submit") {
             Submission::Report { body, .. } => assert_eq!(body.encode(), expected),
             other => panic!("flush-regression submit got {other:?}"),
         }
@@ -219,7 +198,7 @@ fn chaos_hardening() {
             stats.active_sessions() == 1
         });
 
-        match submit_bytes(&addr, &bytes, "hard", 64 << 10).expect("submit while full") {
+        match submit_bytes(&addr, &bytes, "hard", 64 << 10, None).expect("submit while full") {
             Submission::Busy {
                 retry_after,
                 message,
@@ -257,7 +236,7 @@ fn chaos_hardening() {
             ..RetryPolicy::default()
         };
         let (outcome, retry_stats) =
-            submit_bytes_retrying(&addr, &bytes, "hard", 64 << 10, &policy);
+            submit_bytes_retrying(&addr, &bytes, "hard", 64 << 10, &policy, None);
         match outcome.expect("eventual success") {
             Submission::Report { body, .. } => assert_eq!(body.encode(), expected),
             other => panic!("retrying client got {other:?}"),
@@ -308,8 +287,14 @@ fn chaos_hardening() {
                         io_timeout: Duration::from_secs(20),
                     };
                     for _ in 0..2 {
-                        let (outcome, _) =
-                            submit_bytes_retrying(proxy_addr, bytes, "hard", 1 << 10, &policy);
+                        let (outcome, _) = submit_bytes_retrying(
+                            proxy_addr,
+                            bytes,
+                            "hard",
+                            1 << 10,
+                            &policy,
+                            None,
+                        );
                         match outcome.expect("eventual success under chaos") {
                             Submission::Report { body, .. } => assert_eq!(
                                 body.encode(),

@@ -7,55 +7,18 @@
 //! process-global observability recorder (first install wins), so a
 //! single test must own the whole scenario.
 
-use hard_harness::corpus::{self, write_file};
-use hard_harness::service::{request_shutdown, submit_bytes, submit_bytes_traced};
-use hard_harness::{
-    execute_streamed, injected_trace, CampaignConfig, DetectorKind, ReportBody, Submission,
-};
+use hard_harness::service::{request_shutdown, submit_bytes};
+use hard_harness::{CampaignConfig, Fixture, Submission};
 use hard_obs::{CounterId, GaugeId, HistId, MemoryRecorder, ObsHandle};
 use hard_serve::{ServeConfig, Server};
 use hard_trace::wire::{
     read_frame, read_handshake, write_frame, write_handshake, FrameKind, MAX_FRAME_BYTES,
 };
-use hard_trace::PackedTrace;
 use hard_workloads::App;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn temp_path(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("hard-serve-it-{}-{name}", std::process::id()));
-    p
-}
-
-/// Records an injected trace to a packed corpus file and returns
-/// `(file bytes, offline replay notes)` — the notes being exactly what
-/// `hard-exp replay` would print for this file and detector.
-fn corpus_fixture(app: App, run_idx: usize, detector: &str, name: &str) -> (Vec<u8>, Vec<String>) {
-    let cfg = CampaignConfig::reduced(0.05, 2);
-    let (trace, injection) = injected_trace(app, &cfg, run_idx);
-    let packed = PackedTrace::from_trace(&trace).expect("packable");
-    let path = temp_path(name);
-    write_file(&path, &packed, Some(&injection)).expect("write corpus");
-    let bytes = std::fs::read(&path).expect("read corpus back");
-
-    let kind = DetectorKind::parse(detector).expect("known detector");
-    let (header, mut reader) = corpus::open_streamed(&path).expect("open streamed");
-    let (run, events, fnv) =
-        execute_streamed(&kind, header.num_threads as usize, &mut reader).expect("offline replay");
-    assert_eq!(events, header.events);
-    assert_eq!(fnv, header.payload_fnv);
-    let _ = std::fs::remove_file(&path);
-    let body = ReportBody {
-        label: kind.label().to_string(),
-        events,
-        reports: run.reports,
-    };
-    (bytes, body.notes())
-}
 
 /// A raw protocol client for the hostile cases.
 fn raw_client(addr: &str) -> (std::io::BufReader<TcpStream>, TcpStream) {
@@ -91,8 +54,13 @@ fn serve_end_to_end() {
     let addr = server.local_addr().expect("addr").to_string();
     let server_thread = std::thread::spawn(move || server.run());
 
-    let (bytes_a, notes_a) = corpus_fixture(App::WaterNsquared, 0, "hard", "a");
-    let (bytes_b, notes_b) = corpus_fixture(App::Barnes, 1, "lockset-ideal", "b");
+    // Two traces, two detectors; the expected notes are exactly what
+    // `hard-exp replay` prints for each corpus.
+    let cfg = CampaignConfig::reduced(0.05, 2);
+    let a = Fixture::build(App::WaterNsquared, &cfg, 0, "hard").expect("fixture a");
+    let b = Fixture::build(App::Barnes, &cfg, 1, "lockset-ideal").expect("fixture b");
+    let (bytes_a, notes_a) = (a.corpus, a.expected.notes());
+    let (bytes_b, notes_b) = (b.corpus, b.expected.notes());
 
     // --- 8 concurrent well-behaved sessions (two traces, two
     // detectors), interleaved with the hostile clients below.
@@ -109,11 +77,8 @@ fn serve_end_to_end() {
             let client_trace = (i % 2 == 0).then_some(0xc11e_0000_0000_0000 | i as u64);
             std::thread::spawn(move || {
                 // Small chunks exercise Data-frame reassembly.
-                let outcome = match client_trace {
-                    Some(t) => submit_bytes_traced(&addr, &bytes, det, 1 << 10, t),
-                    None => submit_bytes(&addr, &bytes, det, 1 << 10),
-                }
-                .expect("submit");
+                let outcome =
+                    submit_bytes(&addr, &bytes, det, 1 << 10, client_trace).expect("submit");
                 match client_trace {
                     Some(t) => assert_eq!(outcome.trace(), Some(t), "client {i} echo"),
                     None => assert!(
@@ -188,7 +153,7 @@ fn serve_end_to_end() {
         std::thread::spawn(move || {
             let last = bytes.len() - 1;
             bytes[last] ^= 0x01;
-            match submit_bytes(&addr, &bytes, "hard", 64 << 10).expect("submit") {
+            match submit_bytes(&addr, &bytes, "hard", 64 << 10, None).expect("submit") {
                 Submission::ServerError { message: e, trace } => {
                     assert!(e.contains("checksum") || e.contains("mid-record"), "{e}");
                     // Session errors carry the session's trace too.
@@ -230,8 +195,8 @@ fn serve_end_to_end() {
 
     // --- After all the abuse the server still serves, and a repeated
     // upload is answered from the report cache with identical bytes.
-    let first = submit_bytes(&addr, &bytes_a, "hard", 64 << 10).expect("post-abuse submit");
-    let second = submit_bytes(&addr, &bytes_a, "hard", 64 << 10).expect("cache submit");
+    let first = submit_bytes(&addr, &bytes_a, "hard", 64 << 10, None).expect("post-abuse submit");
+    let second = submit_bytes(&addr, &bytes_a, "hard", 64 << 10, None).expect("cache submit");
     match (&first, &second) {
         (Submission::Report { body: a, trace: ta }, Submission::Report { body: b, trace: tb }) => {
             assert_eq!(a, b, "cache hit must be byte-identical");
