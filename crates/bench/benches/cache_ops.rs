@@ -117,13 +117,15 @@ fn access_window(n: usize) -> Vec<(CoreId, Addr, AccessKind)> {
 }
 
 /// The batched-timing-model ladder: the scalar hierarchy hot path
-/// (per-access `ensure` + metadata probe — two cache scans) against
-/// `access_batch` (fused single-scan probe + hot-slot memo + deferred
-/// stats) at growing window sizes. The batched path must win from 64
-/// events up; both paths are pinned bit-identical by the hard-cache
+/// (per-access `ensure` + metadata probe — two cache scans) against the
+/// machines' batched recipe (`access_prepared` per access — fused
+/// single-scan probe + hot-slot memo — and one `flush_deferred_stats`
+/// per window) at growing window sizes. The batched path must win from
+/// 64 events up; both paths are pinned bit-identical by the hard-cache
 /// property tests.
 fn bench_hierarchy_access_ladder(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache/hierarchy-access");
+    let geom = HierarchyConfig::default().l1;
     for n in [16usize, 64, 256] {
         let window = access_window(n);
         let mut scalar = Hierarchy::new(HierarchyConfig::default(), NullFactory).unwrap();
@@ -136,11 +138,13 @@ fn bench_hierarchy_access_ladder(c: &mut Criterion) {
             })
         });
         let mut batched = Hierarchy::new(HierarchyConfig::default(), NullFactory).unwrap();
-        let mut out = Vec::with_capacity(n);
         g.bench_function(format!("batched-{n}"), |b| {
             b.iter(|| {
-                batched.access_batch(black_box(&window), &mut out).unwrap();
-                black_box(out.len())
+                for &(core, addr, kind) in black_box(&window) {
+                    let (line, set) = geom.line_and_set(addr);
+                    black_box(batched.access_prepared(core, line, set, kind).unwrap());
+                }
+                batched.flush_deferred_stats();
             })
         });
     }

@@ -284,17 +284,6 @@ impl<F: MetaFactory> Hierarchy<F> {
         Ok(())
     }
 
-    /// Pushes `core`'s metadata for `addr`'s line down to the L2 copy
-    /// without a broadcast (used by the directory variant and tests).
-    pub fn writeback_meta(&mut self, core: CoreId, addr: Addr) {
-        if let Some(meta) = self.l1[core.index()].peek(addr).map(|l| l.meta.clone()) {
-            let l1_line = self.cfg.l1.line_of(addr);
-            if let Some(slot) = self.l2_slot_mut(l1_line) {
-                *slot = Some(meta);
-            }
-        }
-    }
-
     /// Applies `f` to the metadata of every valid L1 and L2 line
     /// (HARD's barrier flash-reset, §3.5).
     pub fn flash_meta(&mut self, mut f: impl FnMut(&mut F::Meta)) {
@@ -467,9 +456,9 @@ impl<F: MetaFactory> Hierarchy<F> {
     }
 
     /// The L1-miss half of [`Hierarchy::ensure`]: snoop, fill, insert.
-    /// Shared verbatim by the scalar, prepared, and batched entry
-    /// points so the coherence actions (and their stat/LRU charges)
-    /// cannot diverge between them.
+    /// Shared verbatim by `ensure`, `ensure_prepared` and
+    /// `access_prepared` so the coherence actions (and their stat/LRU
+    /// charges) cannot diverge between them.
     fn miss_path(
         &mut self,
         core: CoreId,
@@ -742,37 +731,6 @@ impl<F: MetaFactory> Hierarchy<F> {
     pub fn flush_deferred_stats(&mut self) {
         self.stats.l1_hits += self.deferred_l1_hits;
         self.deferred_l1_hits = 0;
-    }
-
-    /// Runs a whole event window through the batched access path,
-    /// pushing one [`EnsureResult`] per access into `out` (cleared
-    /// first), and flushes the deferred stats — even on error, so the
-    /// counters never go missing. This is the hierarchy-level batch
-    /// API the machines' `on_batch` hot loops are built from; it is
-    /// pinned against a fold of per-access [`Hierarchy::ensure`] +
-    /// [`Hierarchy::meta_mut`] calls by the property tests.
-    ///
-    /// # Errors
-    ///
-    /// As [`Hierarchy::access_prepared`], at the first failing access.
-    pub fn access_batch(
-        &mut self,
-        window: &[(CoreId, Addr, AccessKind)],
-        out: &mut Vec<EnsureResult>,
-    ) -> Result<(), HardError> {
-        out.clear();
-        for &(core, addr, kind) in window {
-            let (line_addr, set) = self.cfg.l1.line_and_set(addr);
-            match self.access_prepared(core, line_addr, set, kind) {
-                Ok((r, _)) => out.push(r),
-                Err(e) => {
-                    self.flush_deferred_stats();
-                    return Err(e);
-                }
-            }
-        }
-        self.flush_deferred_stats();
-        Ok(())
     }
 
     /// `core`'s L1 LRU tick — exposed so parity tests can pin the
@@ -1151,9 +1109,12 @@ mod tests {
     }
 
     #[test]
-    fn access_batch_matches_the_scalar_fold() {
-        let window: Vec<(CoreId, Addr, AccessKind)> = [
-            (0u32, 0x100u64, AccessKind::Write),
+    fn prepared_window_matches_the_scalar_fold() {
+        // A window through the machines' batched recipe
+        // (`access_prepared` per access, one `flush_deferred_stats` at
+        // the end) against the scalar fold (`ensure` + `meta_mut`).
+        let window: &[(u32, u64, AccessKind)] = &[
+            (0, 0x100, AccessKind::Write),
             (0, 0x104, AccessKind::Write),
             (1, 0x100, AccessKind::Read),
             (1, 0x120, AccessKind::Read),
@@ -1161,21 +1122,27 @@ mod tests {
             (0, 0x000, AccessKind::Read),
             (0, 0x080, AccessKind::Read),
             (0, 0x100, AccessKind::Read),
-        ]
-        .iter()
-        .map(|&(c, a, k)| (CoreId(c), Addr(a), k))
-        .collect();
+        ];
         let mut scalar = Hierarchy::new(tiny_cfg(), StampFactory).unwrap();
-        let mut want = Vec::new();
-        for &(core, addr, kind) in &window {
-            want.push(scalar.ensure(core, addr, kind).unwrap());
-            scalar.meta_mut(core, addr).unwrap();
-        }
         let mut batched = Hierarchy::new(tiny_cfg(), StampFactory).unwrap();
-        let mut got = Vec::new();
-        batched.access_batch(&window, &mut got).unwrap();
-        assert_eq!(got, want);
+        for &(core, addr, kind) in window {
+            let (core, addr) = (CoreId(core), Addr(addr));
+            let want = scalar.ensure(core, addr, kind).unwrap();
+            scalar.meta_mut(core, addr).unwrap();
+            let (line, set) = batched.config().l1.line_and_set(addr);
+            let (got, _) = batched.access_prepared(core, line, set, kind).unwrap();
+            assert_eq!(got, want, "EnsureResult diverged at {addr:?}");
+        }
+        batched.flush_deferred_stats();
         assert_eq!(scalar.stats(), batched.stats());
+        for c in [C0, C1] {
+            assert_eq!(scalar.l1_lru_tick(c), batched.l1_lru_tick(c));
+            for &(_, addr, _) in window {
+                let addr = Addr(addr);
+                assert_eq!(scalar.l1_lru_of(c, addr), batched.l1_lru_of(c, addr));
+            }
+        }
+        assert_eq!(scalar.l2_lru_tick(), batched.l2_lru_tick());
     }
 
     #[test]

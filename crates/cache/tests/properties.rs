@@ -124,13 +124,14 @@ proptest! {
     }
 
     /// The batched access path is the scalar path: on arbitrary event
-    /// windows (cross-line, cross-core, byte-offset addresses),
-    /// `access_batch` must reproduce a fold of per-access `ensure` +
-    /// `meta_mut` calls exactly — `EnsureResult` sequence, `MemStats`,
-    /// per-copy MESI states and LRU stamps, every cache's LRU tick,
-    /// and the L2 eviction order.
+    /// windows (cross-line, cross-core, byte-offset addresses), the
+    /// machines' batched recipe — `access_prepared` per access, one
+    /// `flush_deferred_stats` per window — must reproduce a fold of
+    /// per-access `ensure` + `meta_mut` calls exactly: `EnsureResult`
+    /// sequence, `MemStats`, per-copy MESI states and LRU stamps, every
+    /// cache's LRU tick, and the L2 eviction order.
     #[test]
-    fn access_batch_is_the_scalar_fold(
+    fn prepared_window_is_the_scalar_fold(
         accs in prop::collection::vec(
             (0u32..3, 0u64..1536, any::<bool>()), 1..200),
     ) {
@@ -151,7 +152,11 @@ proptest! {
 
         let mut batched = Hierarchy::new(tiny(), SeqFactory).unwrap();
         let mut got = Vec::new();
-        batched.access_batch(&window, &mut got).unwrap();
+        for &(core, addr, kind) in &window {
+            let (line, set) = tiny().l1.line_and_set(addr);
+            got.push(batched.access_prepared(core, line, set, kind).unwrap().0);
+        }
+        batched.flush_deferred_stats();
 
         prop_assert_eq!(&got, &want, "EnsureResult sequences diverged");
         prop_assert_eq!(scalar.stats(), batched.stats());

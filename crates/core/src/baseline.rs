@@ -7,19 +7,18 @@
 //! machines consume the same deterministic trace, so the cycle delta is
 //! attributable purely to HARD.
 
+use crate::cmp::Cmp;
 use crate::config::HardConfig;
 use hard_cache::{BusTimeline, Hierarchy, MemStats};
 use hard_trace::{Op, TraceEvent};
-use hard_types::{AccessKind, Addr, CoreId, Cycles, ThreadId};
+use hard_types::{AccessKind, Addr, CoreId, Cycles};
 
 /// The baseline (no-detection) machine.
 #[derive(Debug)]
 pub struct BaselineMachine {
     cfg: HardConfig,
     hierarchy: Hierarchy<hard_cache::policy::NullFactory>,
-    running: Vec<Option<ThreadId>>,
-    core_time: Vec<u64>,
-    bus: BusTimeline,
+    cmp: Cmp,
 }
 
 impl BaselineMachine {
@@ -43,12 +42,9 @@ impl BaselineMachine {
     /// Returns [`hard_types::HardError::InvalidConfig`] for invalid
     /// cache shapes.
     pub fn try_new(cfg: HardConfig) -> Result<BaselineMachine, hard_types::HardError> {
-        let n = cfg.hierarchy.num_cores;
         Ok(BaselineMachine {
             hierarchy: Hierarchy::new(cfg.hierarchy, hard_cache::policy::NullFactory)?,
-            running: vec![None; n],
-            core_time: vec![0; n],
-            bus: BusTimeline::new(),
+            cmp: Cmp::new(cfg.hierarchy.num_cores, cfg.latency),
             cfg,
         })
     }
@@ -62,25 +58,13 @@ impl BaselineMachine {
     /// Execution time so far: the maximum core clock.
     #[must_use]
     pub fn total_cycles(&self) -> Cycles {
-        Cycles(self.core_time.iter().copied().max().unwrap_or(0))
+        self.cmp.total_cycles()
     }
 
     /// The shared-bus timeline.
     #[must_use]
     pub fn bus(&self) -> &BusTimeline {
-        &self.bus
-    }
-
-    fn core_of(&mut self, thread: ThreadId) -> CoreId {
-        let core = CoreId(thread.0 % self.cfg.hierarchy.num_cores as u32);
-        let slot = &mut self.running[core.index()];
-        if *slot != Some(thread) {
-            if slot.is_some() {
-                self.core_time[core.index()] += self.cfg.latency.context_switch;
-            }
-            *slot = Some(thread);
-        }
-        core
+        self.cmp.bus()
     }
 
     fn timed_ensure(&mut self, core: CoreId, addr: Addr, kind: AccessKind) {
@@ -90,58 +74,37 @@ impl BaselineMachine {
             debug_assert!(false, "coherence invariant broken on a fault-free machine");
             return;
         };
-        let lat = &self.cfg.latency;
-        let c = core.index();
-        let occ = lat.bus_occupancy(&r);
-        let start = if occ > 0 {
-            self.bus.acquire(self.core_time[c], occ)
-        } else {
-            self.core_time[c]
-        };
-        self.core_time[c] = start + lat.service_latency(&r);
+        self.cmp.charge(core, &r, false);
     }
 
     /// Consumes one trace event, advancing the clocks.
     pub fn on_event(&mut self, event: &TraceEvent) {
         match *event {
-            TraceEvent::Op { thread, op } => match op {
-                Op::Read { addr, size, .. } | Op::Write { addr, size, .. } => {
-                    let kind = if matches!(op, Op::Write { .. }) {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    let core = self.core_of(thread);
-                    let lines: Vec<Addr> = self
-                        .cfg
-                        .hierarchy
-                        .l1
-                        .lines_in(addr, u64::from(size))
-                        .collect();
-                    for line in lines {
-                        self.timed_ensure(core, line, kind);
+            TraceEvent::Op { thread, op } => {
+                let core = self.cmp.core_of(thread);
+                match op {
+                    Op::Read { addr, size, .. } | Op::Write { addr, size, .. } => {
+                        let kind = if matches!(op, Op::Write { .. }) {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        };
+                        let geom = self.cfg.hierarchy.l1;
+                        for line in geom.lines_in(addr, u64::from(size)) {
+                            self.timed_ensure(core, line, kind);
+                        }
                     }
-                }
-                Op::Lock { lock, .. } | Op::Unlock { lock, .. } => {
-                    let core = self.core_of(thread);
-                    self.timed_ensure(core, lock.addr(), AccessKind::Write);
-                    self.core_time[core.index()] += self.cfg.latency.sync_op;
-                }
-                Op::Barrier { .. } | Op::Fork { .. } | Op::Join { .. } => {
-                    let c = self.core_of(thread).index();
-                    self.core_time[c] += self.cfg.latency.sync_op;
-                }
-                Op::Compute { cycles } => {
-                    let c = self.core_of(thread).index();
-                    self.core_time[c] += u64::from(cycles);
-                }
-            },
-            TraceEvent::BarrierComplete { .. } => {
-                let max = self.core_time.iter().copied().max().unwrap_or(0);
-                for t in &mut self.core_time {
-                    *t = max;
+                    Op::Lock { lock, .. } | Op::Unlock { lock, .. } => {
+                        self.timed_ensure(core, lock.addr(), AccessKind::Write);
+                        self.cmp.advance(core, self.cfg.latency.sync_op);
+                    }
+                    Op::Barrier { .. } | Op::Fork { .. } | Op::Join { .. } => {
+                        self.cmp.advance(core, self.cfg.latency.sync_op);
+                    }
+                    Op::Compute { cycles } => self.cmp.advance(core, u64::from(cycles)),
                 }
             }
+            TraceEvent::BarrierComplete { .. } => self.cmp.barrier(),
         }
     }
 

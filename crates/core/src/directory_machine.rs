@@ -13,14 +13,15 @@
 //! metadata and lose it on the same L2 displacements — the integration
 //! tests assert report-for-report equality.
 
+use crate::cmp::{dispatch_window, Access, Cmp, ReportLog, Windowed};
 use crate::config::HardConfig;
 use crate::metadata::{HardLineMeta, HardMetaFactory};
 use hard_bloom::LockRegister;
 use hard_cache::policy::NullFactory;
-use hard_cache::{BusTimeline, Hierarchy, MemStats, MetaDirectory};
-use hard_lockset::{dummy_lock, MAX_GRANULES};
+use hard_cache::{CacheGeometry, Hierarchy, MemStats, MetaDirectory};
+use hard_lockset::dummy_lock;
 use hard_trace::{Detector, Op, RaceReport, TraceEvent};
-use hard_types::{AccessKind, Addr, CoreId, Cycles, FastHashSet, LockId, SiteId, ThreadId};
+use hard_types::{AccessKind, Addr, CoreId, Cycles, LockId, ThreadId};
 
 /// HARD with directory-resident metadata. See the [module docs](self).
 #[derive(Debug)]
@@ -29,14 +30,10 @@ pub struct DirectoryHardMachine {
     hierarchy: Hierarchy<NullFactory>,
     directory: MetaDirectory<HardMetaFactory>,
     registers: Vec<LockRegister>,
-    running: Vec<Option<ThreadId>>,
-    reports: Vec<RaceReport>,
-    reported: FastHashSet<(Addr, SiteId)>,
-    core_time: Vec<u64>,
-    bus: BusTimeline,
-    /// Per-window scratch for the batched dispatch pre-pass: the
-    /// precomputed `(line, set)` of every single-line access.
-    batch_prep: Vec<Option<(Addr, usize)>>,
+    cmp: Cmp,
+    log: ReportLog,
+    /// Window pre-pass scratch (see [`dispatch_window`]).
+    window: Vec<Option<(Addr, usize)>>,
 }
 
 impl DirectoryHardMachine {
@@ -67,12 +64,9 @@ impl DirectoryHardMachine {
             hierarchy: Hierarchy::new(cfg.hierarchy, NullFactory)?,
             directory: MetaDirectory::new(factory),
             registers: (0..n).map(|_| LockRegister::new(cfg.bloom)).collect(),
-            running: vec![None; n],
-            reports: Vec::new(),
-            reported: FastHashSet::default(),
-            core_time: vec![0; n],
-            bus: BusTimeline::new(),
-            batch_prep: Vec::new(),
+            cmp: Cmp::new(n, cfg.latency),
+            log: ReportLog::new(cfg.granularity),
+            window: Vec::new(),
             cfg,
         })
     }
@@ -99,7 +93,7 @@ impl DirectoryHardMachine {
     /// Execution time so far.
     #[must_use]
     pub fn total_cycles(&self) -> Cycles {
-        Cycles(self.core_time.iter().copied().max().unwrap_or(0))
+        self.cmp.total_cycles()
     }
 
     /// True if the line containing `addr` lost its metadata to an L2
@@ -110,39 +104,23 @@ impl DirectoryHardMachine {
     }
 
     fn core_of(&mut self, thread: ThreadId) -> CoreId {
-        let core = CoreId(thread.0 % self.cfg.hierarchy.num_cores as u32);
-        let slot = &mut self.running[core.index()];
-        if *slot != Some(thread) {
-            if slot.is_some() {
-                self.core_time[core.index()] += self.cfg.latency.context_switch;
-            }
-            *slot = Some(thread);
-        }
-        while self.registers.len() <= thread.index() {
-            self.registers.push(LockRegister::new(self.cfg.bloom));
-        }
+        let core = self.cmp.core_of(thread);
+        self.ensure_thread(thread);
         core
     }
 
-    fn timed_ensure(&mut self, core: CoreId, addr: Addr, kind: AccessKind) {
-        let (line_addr, set) = self.cfg.hierarchy.l1.line_and_set(addr);
-        self.timed_ensure_prepared(core, line_addr, set, kind);
+    fn ensure_thread(&mut self, thread: ThreadId) {
+        while self.registers.len() <= thread.index() {
+            self.registers.push(LockRegister::new(self.cfg.bloom));
+        }
     }
 
-    /// [`Self::timed_ensure`] with the line/set arithmetic hoisted out —
-    /// the batched dispatch pre-computes both per window. This machine's
-    /// scalar path performs exactly one cache probe per access (the
-    /// metadata lives in the directory, not the line), so the batched
-    /// path goes through the hierarchy's single-probe
+    /// Performs the cache access and charges it to the core. The
+    /// metadata lives in the directory, not the line, so this is the
+    /// machine's only cache probe per line, scalar and batched alike:
     /// [`Hierarchy::ensure_prepared`], never the two-probe fused path.
-    fn timed_ensure_prepared(
-        &mut self,
-        core: CoreId,
-        line_addr: Addr,
-        set: usize,
-        kind: AccessKind,
-    ) {
-        let Ok(r) = self.hierarchy.ensure_prepared(core, line_addr, set, kind) else {
+    fn timed_ensure(&mut self, core: CoreId, line: Addr, set: usize, kind: AccessKind) {
+        let Ok(r) = self.hierarchy.ensure_prepared(core, line, set, kind) else {
             // This machine injects no faults, so a coherence error is a
             // simulator bug; skip the access rather than unwind.
             debug_assert!(false, "coherence invariant broken on a fault-free machine");
@@ -155,125 +133,47 @@ impl DirectoryHardMachine {
                 self.directory.retire(line);
             }
         }
-        let lat = &self.cfg.latency;
-        let c = core.index();
-        let occ = lat.bus_occupancy(&r);
-        let start = if occ > 0 {
-            self.bus.acquire(self.core_time[c], occ)
-        } else {
-            self.core_time[c]
-        };
-        self.core_time[c] = start + lat.service_latency(&r);
+        self.cmp.charge(core, &r, false);
     }
 
-    fn on_access(
-        &mut self,
-        index: usize,
-        thread: ThreadId,
-        addr: Addr,
-        size: u8,
-        kind: AccessKind,
-        site: SiteId,
-    ) {
-        let core = self.core_of(thread);
-        let gran = self.cfg.granularity;
-        let line_bytes = self.hierarchy.line_bytes();
+    /// Every access: one [`Self::access_line`] per line it overlaps.
+    fn on_access(&mut self, index: usize, a: Access) {
+        let core = self.core_of(a.thread);
         let geom = self.cfg.hierarchy.l1;
-        for line_addr in geom.lines_in(addr, u64::from(size)) {
-            self.timed_ensure(core, line_addr, kind);
-            // The directory round trip: get the line's metadata, run
-            // the lockset update, put it back. Posted on the bus.
-            let held = self.registers[thread.index()].vector();
-            let mut racy = [Addr(0); MAX_GRANULES];
-            let mut racy_count = 0usize;
-            {
-                let meta: &mut HardLineMeta = self.directory.access(line_addr, core);
-                let lo = addr.0.max(line_addr.0);
-                let hi = (addr.0 + u64::from(size)).min(line_addr.0 + line_bytes);
-                for g in gran.granules_in(Addr(lo), hi - lo) {
-                    let gi = ((g.0 - line_addr.0) / gran.bytes()) as usize;
-                    let (_, out) = meta.access(gi, thread, kind, &held);
-                    if out.race {
-                        racy[racy_count] = g;
-                        racy_count += 1;
-                    }
-                }
-            }
-            let occ = self.cfg.latency.meta_broadcast_occupancy;
-            self.bus.acquire(self.core_time[core.index()], occ);
-            for &g in &racy[..racy_count] {
-                if self.reported.insert((g, site)) {
-                    self.reports.push(RaceReport {
-                        addr,
-                        size,
-                        site,
-                        thread,
-                        kind,
-                        event_index: index,
-                    });
-                }
-            }
+        for line in geom.lines_in(a.addr, u64::from(a.size)) {
+            let (line, set) = geom.line_and_set(line);
+            self.access_line(core, index, &a, line, set);
         }
     }
 
-    /// [`Self::on_access`] specialized for a single-line access whose
-    /// `(line, set)` the batch pre-pass already computed. The multi-line
-    /// walk degenerates to one iteration, so the span clipping collapses
-    /// to the access's own `[addr, addr+size)` range; every observable
-    /// side effect (hierarchy, directory round trip, posted bus
-    /// occupancy, reports) is the scalar code verbatim.
-    #[allow(clippy::too_many_arguments)]
-    fn on_access_prepared(
-        &mut self,
-        index: usize,
-        thread: ThreadId,
-        addr: Addr,
-        size: u8,
-        kind: AccessKind,
-        site: SiteId,
-        line_addr: Addr,
-        set: usize,
-    ) {
-        let core = self.core_of(thread);
+    /// The part of access `a` inside `line`: the cache access, then the
+    /// directory round trip — get the line's metadata, run the lockset
+    /// update, put it back — posted on the bus.
+    fn access_line(&mut self, core: CoreId, index: usize, a: &Access, line: Addr, set: usize) {
+        self.timed_ensure(core, line, set, a.kind);
+        let held = self.registers[a.thread.index()].vector();
         let gran = self.cfg.granularity;
-        self.timed_ensure_prepared(core, line_addr, set, kind);
-        // The directory round trip: get the line's metadata, run the
-        // lockset update, put it back. Posted on the bus.
-        let held = self.registers[thread.index()].vector();
-        let mut racy = [Addr(0); MAX_GRANULES];
-        let mut racy_count = 0usize;
-        {
-            let meta: &mut HardLineMeta = self.directory.access(line_addr, core);
-            for g in gran.granules_in(addr, u64::from(size)) {
-                let gi = ((g.0 - line_addr.0) / gran.bytes()) as usize;
-                let (_, out) = meta.access(gi, thread, kind, &held);
-                if out.race {
-                    racy[racy_count] = g;
-                    racy_count += 1;
-                }
+        let (lo, len) = a.clip(line, self.cfg.hierarchy.l1.line_bytes());
+        let meta: &mut HardLineMeta = self.directory.access(line, core);
+        let mut racy = 0u64;
+        for g in gran.granules_in(lo, len) {
+            let gi = ((g.0 - line.0) / gran.bytes()) as usize;
+            if meta.access(gi, a.thread, a.kind, &held).1.race {
+                racy |= 1 << gi;
             }
         }
-        let occ = self.cfg.latency.meta_broadcast_occupancy;
-        self.bus.acquire(self.core_time[core.index()], occ);
-        for &g in &racy[..racy_count] {
-            if self.reported.insert((g, site)) {
-                self.reports.push(RaceReport {
-                    addr,
-                    size,
-                    site,
-                    thread,
-                    kind,
-                    event_index: index,
-                });
-            }
-        }
+        self.cmp
+            .post(core, self.cfg.latency.meta_broadcast_occupancy);
+        self.log.record(index, a, line, racy);
     }
 
     fn on_lock_op(&mut self, thread: ThreadId, lock: LockId, acquire: bool) {
         let core = self.core_of(thread);
-        self.timed_ensure(core, lock.addr(), AccessKind::Write);
+        let (line, set) = self.cfg.hierarchy.l1.line_and_set(lock.addr());
+        self.timed_ensure(core, line, set, AccessKind::Write);
         let lat = &self.cfg.latency;
-        self.core_time[core.index()] += lat.sync_op + lat.lock_register_update;
+        self.cmp
+            .advance(core, lat.sync_op + lat.lock_register_update);
         if acquire {
             self.registers[thread.index()].acquire(lock);
         } else {
@@ -290,42 +190,36 @@ impl Detector for DirectoryHardMachine {
     fn on_event(&mut self, index: usize, event: &TraceEvent) {
         match *event {
             TraceEvent::Op { thread, op } => match op {
-                Op::Read { addr, size, site } => {
-                    self.on_access(index, thread, addr, size, AccessKind::Read, site);
-                }
-                Op::Write { addr, size, site } => {
-                    self.on_access(index, thread, addr, size, AccessKind::Write, site);
+                Op::Read { .. } | Op::Write { .. } => {
+                    if let Some(a) = Access::of(event) {
+                        self.on_access(index, a);
+                    }
                 }
                 Op::Lock { lock, .. } => self.on_lock_op(thread, lock, true),
                 Op::Unlock { lock, .. } => self.on_lock_op(thread, lock, false),
                 Op::Fork { child, .. } => {
                     self.directory.flash(|meta| meta.fork_transfer_all(thread));
-                    let c = self.core_of(thread).index();
-                    while self.registers.len() <= child.index() {
-                        self.registers.push(LockRegister::new(self.cfg.bloom));
-                    }
+                    let core = self.core_of(thread);
+                    self.ensure_thread(child);
                     self.registers[child.index()].acquire(dummy_lock(child));
-                    self.core_time[c] += self.cfg.latency.sync_op;
+                    self.cmp.advance(core, self.cfg.latency.sync_op);
                 }
                 Op::Join { child, .. } => {
-                    let c = self.core_of(thread).index();
+                    let core = self.core_of(thread);
                     self.registers[thread.index()].acquire(dummy_lock(child));
-                    self.core_time[c] += self.cfg.latency.sync_op;
+                    self.cmp.advance(core, self.cfg.latency.sync_op);
                 }
                 Op::Barrier { .. } => {
-                    let c = self.core_of(thread).index();
-                    self.core_time[c] += self.cfg.latency.sync_op;
+                    let core = self.core_of(thread);
+                    self.cmp.advance(core, self.cfg.latency.sync_op);
                 }
                 Op::Compute { cycles } => {
-                    let c = self.core_of(thread).index();
-                    self.core_time[c] += u64::from(cycles);
+                    let core = self.core_of(thread);
+                    self.cmp.advance(core, u64::from(cycles));
                 }
             },
             TraceEvent::BarrierComplete { .. } => {
-                let max = self.core_time.iter().copied().max().unwrap_or(0);
-                for t in &mut self.core_time {
-                    *t = max;
-                }
+                self.cmp.barrier();
                 if self.cfg.barrier_pruning {
                     self.directory.flash(|meta| meta.barrier_reset_all());
                 }
@@ -334,70 +228,36 @@ impl Detector for DirectoryHardMachine {
     }
 
     fn on_batch(&mut self, index: usize, events: &[TraceEvent]) {
-        // This machine has no fault injector and no observability
-        // recorder, so — unlike the snoopy machines — there is no
-        // delegation branch: every window takes the batched path.
-        // Pre-pass: hoist the L1 shift/mask line+set arithmetic of
-        // every single-line access in the batch (the overwhelmingly
-        // common case) out of the dispatch loop.
-        let geom = self.cfg.hierarchy.l1;
-        let line_bytes = geom.line_bytes();
-        self.batch_prep.clear();
-        self.batch_prep.extend(events.iter().map(|e| match *e {
-            TraceEvent::Op {
-                op: Op::Read { addr, size, .. } | Op::Write { addr, size, .. },
-                ..
-            } => {
-                let (line, set) = geom.line_and_set(addr);
-                (addr.0 + u64::from(size) <= line.0 + line_bytes).then_some((line, set))
-            }
-            _ => None,
-        }));
-        for (i, e) in events.iter().enumerate() {
-            match *e {
-                TraceEvent::Op {
-                    thread,
-                    op: Op::Read { addr, size, site },
-                } => match self.batch_prep[i] {
-                    Some((line, set)) => self.on_access_prepared(
-                        index + i,
-                        thread,
-                        addr,
-                        size,
-                        AccessKind::Read,
-                        site,
-                        line,
-                        set,
-                    ),
-                    // Line-straddling access: the scalar multi-line
-                    // walk is the reference behavior.
-                    None => self.on_access(index + i, thread, addr, size, AccessKind::Read, site),
-                },
-                TraceEvent::Op {
-                    thread,
-                    op: Op::Write { addr, size, site },
-                } => match self.batch_prep[i] {
-                    Some((line, set)) => self.on_access_prepared(
-                        index + i,
-                        thread,
-                        addr,
-                        size,
-                        AccessKind::Write,
-                        site,
-                        line,
-                        set,
-                    ),
-                    None => self.on_access(index + i, thread, addr, size, AccessKind::Write, site),
-                },
-                _ => self.on_event(index + i, e),
-            }
-        }
-        // No deferred-stats flush: `ensure_prepared` counts hits
-        // inline, exactly like the scalar `ensure`.
+        dispatch_window(self, index, events);
     }
 
     fn reports(&self) -> &[RaceReport] {
-        &self.reports
+        self.log.reports()
+    }
+}
+
+impl Windowed for DirectoryHardMachine {
+    fn l1(&self) -> CacheGeometry {
+        self.cfg.hierarchy.l1
+    }
+
+    fn window(&mut self) -> &mut Vec<Option<(Addr, usize)>> {
+        &mut self.window
+    }
+
+    fn access(&mut self, index: usize, a: Access) {
+        self.on_access(index, a);
+    }
+
+    fn access_prepared(&mut self, index: usize, a: Access, line: Addr, set: usize) {
+        let core = self.core_of(a.thread);
+        self.access_line(core, index, &a, line, set);
+    }
+
+    /// A no-op: `ensure_prepared` counts hits inline, exactly like the
+    /// scalar `ensure`.
+    fn flush_deferred_stats(&mut self) {
+        self.hierarchy.flush_deferred_stats();
     }
 }
 
@@ -406,6 +266,7 @@ mod tests {
     use super::*;
     use crate::machine::HardMachine;
     use hard_trace::{run_detector, ProgramBuilder, SchedConfig, Scheduler};
+    use hard_types::SiteId;
 
     #[test]
     fn detects_the_basic_race() {
@@ -453,32 +314,7 @@ mod tests {
     #[test]
     fn batched_run_is_bit_identical_to_scalar() {
         use hard_trace::run_detector_batched;
-        use hard_types::BarrierId;
-        // Mixed workload: granule- and line-straddling accesses, locks,
-        // barriers, compute — mirrors the snoopy machines' batch pin.
-        let mut b = ProgramBuilder::new(4);
-        for t in 0..4u32 {
-            let tp = b.thread(t);
-            for i in 0..200u64 {
-                let a = 0x1000 + (i % 24) * 12 + u64::from(t % 2) * 8;
-                let site = SiteId(t * 10_000 + i as u32);
-                let size = (1 + (i % 16)) as u8;
-                if i % 3 == 0 {
-                    tp.lock(LockId(0x40), site).write(Addr(a), size, SiteId(7));
-                    tp.unlock(LockId(0x40), SiteId(t * 10_000 + 5000 + i as u32));
-                } else if i % 3 == 1 {
-                    tp.write(Addr(a), size, SiteId(8 + (i % 5) as u32));
-                } else {
-                    tp.read(Addr(a), size, SiteId(20)).compute(2);
-                }
-            }
-            tp.barrier(BarrierId(1), SiteId(99_000 + t));
-        }
-        let trace = Scheduler::new(SchedConfig {
-            seed: 7,
-            max_quantum: 13,
-        })
-        .run(&b.build());
+        let trace = crate::cmp::mixed_workload();
         let mut scalar = DirectoryHardMachine::new(HardConfig::default());
         let r_scalar = run_detector(&mut scalar, &trace);
         let mut batched = DirectoryHardMachine::new(HardConfig::default());

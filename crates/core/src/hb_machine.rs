@@ -7,13 +7,13 @@
 //! metadata only for cached data — while thread/lock clocks (per-core
 //! register state) survive displacement.
 
+use crate::cmp::{dispatch_window, pin, Access, ReportLog, Windowed};
 use crate::metadata::{HbLineMeta, HbMetaFactory};
-use hard_cache::{Hierarchy, HierarchyConfig, MemStats};
-use hard_hb::{hb_access, SyncClocks};
-use hard_lockset::MAX_GRANULES;
-use hard_obs::{CounterId, Event, ObsHandle};
+use hard_cache::{CacheGeometry, Hierarchy, HierarchyConfig, MemStats};
+use hard_hb::{hb_access, SyncClocks, VectorClock};
+use hard_obs::{CounterId, ObsHandle};
 use hard_trace::{Detector, Op, RaceReport, TraceEvent};
-use hard_types::{AccessKind, Addr, FastHashSet, Granularity, SiteId, ThreadId};
+use hard_types::{AccessKind, Addr, CoreId, Granularity, ThreadId};
 
 /// Configuration of the hardware happens-before machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,13 +81,10 @@ pub struct HbMachine {
     cfg: HbMachineConfig,
     hierarchy: Hierarchy<HbMetaFactory>,
     sync: SyncClocks,
-    reports: Vec<RaceReport>,
-    reported: FastHashSet<(Addr, SiteId)>,
+    log: ReportLog,
     obs: ObsHandle,
-    /// Batch pre-pass scratch: the hoisted (line, set) pair of each
-    /// single-line access in the window being dispatched (allocated
-    /// once, reused per batch — mirrors `HardMachine`).
-    batch_prep: Vec<Option<(Addr, usize)>>,
+    /// Window pre-pass scratch (see [`dispatch_window`]).
+    window: Vec<Option<(Addr, usize)>>,
 }
 
 impl HbMachine {
@@ -117,10 +114,9 @@ impl HbMachine {
         Ok(HbMachine {
             hierarchy: Hierarchy::new(cfg.hierarchy, factory)?,
             sync: SyncClocks::new(n),
-            reports: Vec::new(),
-            reported: FastHashSet::default(),
+            log: ReportLog::new(cfg.granularity),
             obs: ObsHandle::off(),
-            batch_prep: Vec::new(),
+            window: Vec::new(),
             cfg,
         })
     }
@@ -151,165 +147,94 @@ impl HbMachine {
         self.hierarchy.was_meta_lost(addr)
     }
 
-    /// Threads map to cores round-robin (identity while threads fit).
-    fn core_of(&self, thread: ThreadId) -> hard_types::CoreId {
-        hard_types::CoreId(thread.0 % self.cfg.hierarchy.num_cores as u32)
+    /// Threads map to cores round-robin; this machine keeps no clocks,
+    /// so a context switch costs nothing.
+    fn core_of(&self, thread: ThreadId) -> CoreId {
+        pin(thread, self.cfg.hierarchy.num_cores)
     }
 
-    fn on_access(
-        &mut self,
-        index: usize,
-        thread: ThreadId,
-        addr: Addr,
-        size: u8,
-        kind: AccessKind,
-        site: SiteId,
-    ) {
-        let core = self.core_of(thread);
-        let gran = self.cfg.granularity;
+    /// The scalar access path: `ensure` then `meta_mut` per line, the
+    /// reference the batched path is tested against.
+    fn on_access(&mut self, index: usize, a: Access) {
+        let core = self.core_of(a.thread);
         let geom = self.cfg.hierarchy.l1;
-        let line_bytes = self.hierarchy.line_bytes();
-        for line_addr in geom.lines_in(addr, u64::from(size)) {
-            if self.hierarchy.ensure(core, line_addr, kind).is_err() {
+        for line in geom.lines_in(a.addr, u64::from(a.size)) {
+            if self.hierarchy.ensure(core, line, a.kind).is_err() {
                 // This machine injects no faults, so a coherence error
                 // is a simulator bug; skip the access rather than
                 // unwind a campaign over it.
                 debug_assert!(false, "coherence invariant broken on a fault-free machine");
                 continue;
             }
-            let lo = addr.0.max(line_addr.0);
-            let hi = (addr.0 + u64::from(size)).min(line_addr.0 + line_bytes);
-            let mut changed = false;
-            let mut racy: Vec<Addr> = Vec::new();
-            {
-                // Field-disjoint borrows: the clock is read from `sync`
-                // while the line metadata is updated in `hierarchy` —
-                // no per-access clock clone.
-                let clock = self.sync.thread(thread);
-                let epoch = clock.get(thread);
-                let meta: &mut HbLineMeta = self
-                    .hierarchy
-                    .meta_mut(core, line_addr)
-                    .expect("line was just ensured resident");
-                for g in gran.granules_in(Addr(lo), hi - lo) {
-                    let gi = ((g.0 - line_addr.0) / gran.bytes()) as usize;
-                    let m = &mut meta[gi];
-                    // `hb_access` writes `last_write = (thread, epoch)`
-                    // and zeroes the thread's read epoch on a write, or
-                    // sets the read epoch on a read; the record changed
-                    // iff those slots held different values before.
-                    let g_changed = if kind.is_write() {
-                        m.last_write != Some((thread, epoch)) || m.read_epochs[thread.index()] != 0
-                    } else {
-                        m.read_epochs[thread.index()] != epoch
-                    };
-                    let out = hb_access(m, thread, clock, kind);
-                    changed |= g_changed;
-                    if out.is_race() {
-                        racy.push(g);
-                    }
-                }
-            }
-            // Timestamps on shared lines are kept coherent the same way
-            // HARD's candidate sets are.
-            if changed && self.hierarchy.shared_beyond(core, line_addr) {
-                let ok = self.hierarchy.broadcast_meta(core, line_addr).is_ok();
-                debug_assert!(ok, "broadcast from a core that just accessed the line");
-            }
-            for g in racy {
-                if self.reported.insert((g, site)) {
-                    self.reports.push(RaceReport {
-                        addr,
-                        size,
-                        site,
-                        thread,
-                        kind,
-                        event_index: index,
-                    });
-                    self.obs.counter(CounterId::HbRaces, 1);
-                    self.obs.emit(|| Event::Race {
-                        addr: addr.0,
-                        site: site.0,
-                        thread: thread.0,
-                    });
-                }
-            }
+            let (lo, len) = a.clip(line, geom.line_bytes());
+            // Field-disjoint borrows: the clock is read from `sync`
+            // while the line metadata is updated in `hierarchy` — no
+            // per-access clock clone.
+            let meta = self
+                .hierarchy
+                .meta_mut(core, line)
+                .expect("line was just ensured resident");
+            let clock = self.sync.thread(a.thread);
+            let (changed, racy) =
+                check_granules(meta, clock, self.cfg.granularity, &a, line, lo, len);
+            self.finish_line(index, &a, core, line, changed, racy);
         }
     }
 
-    /// The batched access path: [`HbMachine::on_access`] for an access
-    /// contained in one cache line, with the line/set arithmetic
-    /// pre-computed and the hierarchy walked once through the fused
-    /// [`Hierarchy::access_prepared`] probe. Bit-identical to the
-    /// scalar path, recorder calls included (pinned by the tests below
-    /// and the harness invariance tests).
-    #[allow(clippy::too_many_arguments)]
-    fn on_access_prepared(
+    /// Timestamps on shared lines are kept coherent the same way HARD's
+    /// candidate sets are; then the line's races are reported.
+    fn finish_line(
         &mut self,
         index: usize,
-        thread: ThreadId,
-        addr: Addr,
-        size: u8,
-        kind: AccessKind,
-        site: SiteId,
-        line_addr: Addr,
-        set: usize,
+        a: &Access,
+        core: CoreId,
+        line: Addr,
+        changed: bool,
+        racy: u64,
     ) {
-        let core = self.core_of(thread);
-        let gran = self.cfg.granularity;
-        let mut changed = false;
-        // Inline scratch, like HARD's span path: a line has at most
-        // MAX_GRANULES granules, so no heap allocation per access.
-        let mut racy_granules = [Addr(0); MAX_GRANULES];
-        let mut racy_count = 0usize;
-        {
-            // Field-disjoint borrows: clock from `sync`, metadata from
-            // `hierarchy` (same pattern as the scalar path).
-            let clock = self.sync.thread(thread);
-            let epoch = clock.get(thread);
-            let Ok((_, meta)) = self.hierarchy.access_prepared(core, line_addr, set, kind) else {
-                debug_assert!(false, "coherence invariant broken on a fault-free machine");
-                return;
-            };
-            for g in gran.granules_in(addr, u64::from(size)) {
-                let gi = ((g.0 - line_addr.0) / gran.bytes()) as usize;
-                let m = &mut meta[gi];
-                let g_changed = if kind.is_write() {
-                    m.last_write != Some((thread, epoch)) || m.read_epochs[thread.index()] != 0
-                } else {
-                    m.read_epochs[thread.index()] != epoch
-                };
-                let out = hb_access(m, thread, clock, kind);
-                changed |= g_changed;
-                if out.is_race() {
-                    racy_granules[racy_count] = g;
-                    racy_count += 1;
-                }
-            }
-        }
-        if changed && self.hierarchy.shared_beyond(core, line_addr) {
-            let ok = self.hierarchy.broadcast_meta(core, line_addr).is_ok();
+        if changed && self.hierarchy.shared_beyond(core, line) {
+            let ok = self.hierarchy.broadcast_meta(core, line).is_ok();
             debug_assert!(ok, "broadcast from a core that just accessed the line");
         }
-        for &g in &racy_granules[..racy_count] {
-            if self.reported.insert((g, site)) {
-                self.reports.push(RaceReport {
-                    addr,
-                    size,
-                    site,
-                    thread,
-                    kind,
-                    event_index: index,
-                });
-                self.obs.counter(CounterId::HbRaces, 1);
-                self.obs.emit(|| Event::Race {
-                    addr: addr.0,
-                    site: site.0,
-                    thread: thread.0,
-                });
-            }
+        self.log
+            .record_observed(&self.obs, CounterId::HbRaces, index, a, line, racy);
+    }
+}
+
+/// Runs the happens-before check of access `a` on the granules of
+/// `line` that `[lo, lo + len)` overlaps. Returns whether any granule's
+/// record changed and the mask of racy granules (bit `i` is granule
+/// `i`).
+fn check_granules(
+    meta: &mut HbLineMeta,
+    clock: &VectorClock,
+    gran: Granularity,
+    a: &Access,
+    line: Addr,
+    lo: Addr,
+    len: u64,
+) -> (bool, u64) {
+    let (thread, kind) = (a.thread, a.kind);
+    let epoch = clock.get(thread);
+    let mut changed = false;
+    let mut racy = 0u64;
+    for g in gran.granules_in(lo, len) {
+        let gi = ((g.0 - line.0) / gran.bytes()) as usize;
+        let m = &mut meta[gi];
+        // `hb_access` writes `last_write = (thread, epoch)` and zeroes
+        // the thread's read epoch on a write, or sets the read epoch on
+        // a read; the record changed iff those slots held different
+        // values before.
+        changed |= if kind.is_write() {
+            m.last_write != Some((thread, epoch)) || m.read_epochs[thread.index()] != 0
+        } else {
+            m.read_epochs[thread.index()] != epoch
+        };
+        if hb_access(m, thread, clock, kind).is_race() {
+            racy |= 1 << gi;
         }
     }
+    (changed, racy)
 }
 
 impl Detector for HbMachine {
@@ -320,11 +245,10 @@ impl Detector for HbMachine {
     fn on_event(&mut self, index: usize, event: &TraceEvent) {
         match *event {
             TraceEvent::Op { thread, op } => match op {
-                Op::Read { addr, size, site } => {
-                    self.on_access(index, thread, addr, size, AccessKind::Read, site);
-                }
-                Op::Write { addr, size, site } => {
-                    self.on_access(index, thread, addr, size, AccessKind::Write, site);
+                Op::Read { .. } | Op::Write { .. } => {
+                    if let Some(a) = Access::of(event) {
+                        self.on_access(index, a);
+                    }
                 }
                 Op::Lock { lock, .. } => {
                     let core = self.core_of(thread);
@@ -345,67 +269,46 @@ impl Detector for HbMachine {
     }
 
     fn on_batch(&mut self, index: usize, events: &[TraceEvent]) {
-        // Pre-pass: hoist the L1 shift/mask line+set arithmetic of
-        // every single-line access out of the dispatch loop.
-        let geom = self.cfg.hierarchy.l1;
-        let line_bytes = geom.line_bytes();
-        self.batch_prep.clear();
-        self.batch_prep.extend(events.iter().map(|e| match *e {
-            TraceEvent::Op {
-                op: Op::Read { addr, size, .. } | Op::Write { addr, size, .. },
-                ..
-            } => {
-                let (line, set) = geom.line_and_set(addr);
-                (addr.0 + u64::from(size) <= line.0 + line_bytes).then_some((line, set))
-            }
-            _ => None,
-        }));
-        for (i, e) in events.iter().enumerate() {
-            match *e {
-                TraceEvent::Op { thread, op } => match op {
-                    Op::Read { addr, size, site } => match self.batch_prep[i] {
-                        Some((line, set)) => self.on_access_prepared(
-                            index + i,
-                            thread,
-                            addr,
-                            size,
-                            AccessKind::Read,
-                            site,
-                            line,
-                            set,
-                        ),
-                        // Line-straddling access: the scalar multi-line
-                        // walk is the reference behavior.
-                        None => {
-                            self.on_access(index + i, thread, addr, size, AccessKind::Read, site);
-                        }
-                    },
-                    Op::Write { addr, size, site } => match self.batch_prep[i] {
-                        Some((line, set)) => self.on_access_prepared(
-                            index + i,
-                            thread,
-                            addr,
-                            size,
-                            AccessKind::Write,
-                            site,
-                            line,
-                            set,
-                        ),
-                        None => {
-                            self.on_access(index + i, thread, addr, size, AccessKind::Write, site);
-                        }
-                    },
-                    _ => self.on_event(index + i, e),
-                },
-                TraceEvent::BarrierComplete { .. } => self.sync.barrier_all(),
-            }
-        }
-        // Fold the window's deferred L1-hit count into the stats.
-        self.hierarchy.flush_deferred_stats();
+        dispatch_window(self, index, events);
     }
 
     fn reports(&self) -> &[RaceReport] {
-        &self.reports
+        self.log.reports()
+    }
+}
+
+impl Windowed for HbMachine {
+    fn l1(&self) -> CacheGeometry {
+        self.cfg.hierarchy.l1
+    }
+
+    fn window(&mut self) -> &mut Vec<Option<(Addr, usize)>> {
+        &mut self.window
+    }
+
+    fn access(&mut self, index: usize, a: Access) {
+        self.on_access(index, a);
+    }
+
+    /// [`HbMachine::on_access`] with the hierarchy walked once through
+    /// the fused [`Hierarchy::access_prepared`] probe. Bit-identical to
+    /// the scalar path, recorder calls included (pinned by the tests
+    /// below and the harness invariance tests).
+    fn access_prepared(&mut self, index: usize, a: Access, line: Addr, set: usize) {
+        let core = self.core_of(a.thread);
+        let Ok((_, meta)) = self.hierarchy.access_prepared(core, line, set, a.kind) else {
+            debug_assert!(false, "coherence invariant broken on a fault-free machine");
+            return;
+        };
+        let clock = self.sync.thread(a.thread);
+        let len = u64::from(a.size);
+        let (changed, racy) =
+            check_granules(meta, clock, self.cfg.granularity, &a, line, a.addr, len);
+        self.finish_line(index, &a, core, line, changed, racy);
+    }
+
+    fn flush_deferred_stats(&mut self) {
+        self.hierarchy.flush_deferred_stats();
     }
 }
 
@@ -413,7 +316,7 @@ impl Detector for HbMachine {
 mod tests {
     use super::*;
     use hard_trace::{run_detector, ProgramBuilder, SchedConfig, Scheduler, Trace};
-    use hard_types::{BarrierId, LockId};
+    use hard_types::{BarrierId, LockId, SiteId};
 
     fn sched(seed: u64) -> Scheduler {
         Scheduler::new(SchedConfig {
@@ -510,28 +413,7 @@ mod tests {
     #[test]
     fn batched_run_is_bit_identical_to_scalar() {
         use hard_trace::run_detector_batched;
-        // Straddling sizes, cross-thread sharing, locks, and a barrier:
-        // exercises the prepared path, the straddling fallback, and the
-        // sync dispatch inside on_batch.
-        let mut b = ProgramBuilder::new(4);
-        for t in 0..4u32 {
-            let tp = b.thread(t);
-            for i in 0..200u64 {
-                let a = 0x1000 + (i % 24) * 12 + u64::from(t % 2) * 8;
-                let site = SiteId(t * 10_000 + i as u32);
-                let size = (1 + (i % 16)) as u8;
-                if i % 3 == 0 {
-                    tp.lock(LockId(0x40), site).write(Addr(a), size, SiteId(7));
-                    tp.unlock(LockId(0x40), SiteId(t * 10_000 + 5000 + i as u32));
-                } else if i % 3 == 1 {
-                    tp.write(Addr(a), size, SiteId(8 + (i % 5) as u32));
-                } else {
-                    tp.read(Addr(a), size, SiteId(20)).compute(2);
-                }
-            }
-            tp.barrier(BarrierId(1), SiteId(99_000 + t));
-        }
-        let trace = sched(7).run(&b.build());
+        let trace = crate::cmp::mixed_workload();
         let mut scalar = HbMachine::new(HbMachineConfig::default());
         let r_scalar = run_detector(&mut scalar, &trace);
         let mut batched = HbMachine::new(HbMachineConfig::default());

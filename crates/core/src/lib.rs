@@ -41,6 +41,7 @@
 //! ```
 
 pub mod baseline;
+mod cmp;
 pub mod config;
 pub mod directory_machine;
 pub mod hb_machine;

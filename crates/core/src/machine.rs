@@ -1,15 +1,15 @@
 //! The HARD machine: detection and timing on the simulated CMP.
 
+use crate::cmp::{dispatch_window, Access, Cmp, ReportLog, Windowed};
 use crate::config::HardConfig;
 use crate::metadata::{HardLineMeta, HardMetaFactory};
 use hard_bloom::{LaneKernel, LockRegister};
-use hard_cache::{BusTimeline, Hierarchy, MemStats, ServedBy};
-use hard_lockset::{dummy_lock, MAX_GRANULES};
+use hard_cache::{BusTimeline, CacheGeometry, Hierarchy, MemStats};
+use hard_lockset::dummy_lock;
 use hard_obs::{CounterId, Event, HistId, ObsHandle};
 use hard_trace::{Detector, Op, RaceReport, TraceEvent};
 use hard_types::{
-    AccessKind, Addr, CoreId, Cycles, FastHashSet, FaultInjector, FaultStats, HardError, LockId,
-    SiteId, ThreadId,
+    AccessKind, Addr, CoreId, Cycles, FaultInjector, FaultStats, HardError, LockId, ThreadId,
 };
 use std::collections::BTreeSet;
 
@@ -47,14 +47,8 @@ pub struct HardMachine {
     /// keep this anyway; HARD's recovery path rebuilds a corrupted lock
     /// register from it.
     shadow: Vec<Vec<LockId>>,
-    /// The thread currently occupying each core, for context-switch
-    /// accounting.
-    running: Vec<Option<ThreadId>>,
-    reports: Vec<RaceReport>,
-    reported: FastHashSet<(Addr, SiteId)>,
-    core_time: Vec<u64>,
-    bus: BusTimeline,
-    detection_enabled: bool,
+    cmp: Cmp,
+    log: ReportLog,
     faults: FaultInjector,
     /// Granules whose stored metadata parity no longer matches —
     /// corruption that has landed but not yet been read. Only touched
@@ -77,10 +71,8 @@ pub struct HardMachine {
     /// ([`Detector::on_batch`]). Every kernel is bit-identical to the
     /// scalar path; this is a throughput and testing lever only.
     kernel: LaneKernel,
-    /// Batch pre-pass scratch: the hoisted (line, set) pair of each
-    /// single-line access in the batch being dispatched. Held on the
-    /// machine so the buffer is allocated once, not per batch.
-    batch_prep: Vec<Option<(Addr, usize)>>,
+    /// Window pre-pass scratch (see [`dispatch_window`]).
+    window: Vec<Option<(Addr, usize)>>,
 }
 
 impl HardMachine {
@@ -111,12 +103,8 @@ impl HardMachine {
             hierarchy: Hierarchy::new(cfg.hierarchy, factory)?,
             registers: (0..n).map(|_| LockRegister::new(cfg.bloom)).collect(),
             shadow: (0..n).map(|_| Vec::new()).collect(),
-            running: vec![None; n],
-            reports: Vec::new(),
-            reported: FastHashSet::default(),
-            core_time: vec![0; n],
-            bus: BusTimeline::new(),
-            detection_enabled: true,
+            cmp: Cmp::new(n, cfg.latency),
+            log: ReportLog::new(cfg.granularity),
             faults: FaultInjector::new(cfg.faults),
             corrupt_meta: BTreeSet::new(),
             corrupt_registers: vec![false; n],
@@ -125,7 +113,7 @@ impl HardMachine {
             event_count: 0,
             obs: ObsHandle::off(),
             kernel: LaneKernel::auto(),
-            batch_prep: Vec::new(),
+            window: Vec::new(),
             cfg,
         })
     }
@@ -167,7 +155,7 @@ impl HardMachine {
     /// The shared-bus timeline (for utilization reporting).
     #[must_use]
     pub fn bus(&self) -> &BusTimeline {
-        &self.bus
+        self.cmp.bus()
     }
 
     /// Fault-injection and degradation statistics (all zero on a
@@ -180,7 +168,7 @@ impl HardMachine {
     /// Execution time so far: the maximum core clock.
     #[must_use]
     pub fn total_cycles(&self) -> Cycles {
-        Cycles(self.core_time.iter().copied().max().unwrap_or(0))
+        self.cmp.total_cycles()
     }
 
     /// True if the line containing `addr` ever lost its metadata to an
@@ -203,19 +191,10 @@ impl HardMachine {
         &self.registers[thread.index()]
     }
 
-    /// Maps a thread to its core. With at most `num_cores` threads this
-    /// is the paper's one-thread-per-core pinning; beyond that, threads
-    /// share cores round-robin and pay a context switch whenever the
-    /// core's occupant changes.
+    /// Maps a thread to its core (see [`Cmp::core_of`]) and makes sure
+    /// it has a register pair.
     fn core_of(&mut self, thread: ThreadId) -> CoreId {
-        let core = CoreId(thread.0 % self.cfg.hierarchy.num_cores as u32);
-        let slot = &mut self.running[core.index()];
-        if *slot != Some(thread) {
-            if slot.is_some() {
-                self.core_time[core.index()] += self.cfg.latency.context_switch;
-            }
-            *slot = Some(thread);
-        }
+        let core = self.cmp.core_of(thread);
         self.ensure_thread(thread);
         core
     }
@@ -245,55 +224,30 @@ impl HardMachine {
         }
     }
 
-    /// Performs the cache access and advances the core clock; returns
-    /// `None` (after absorbing the error into the fault statistics) if
+    /// Performs the cache access and charges it to the core; returns
+    /// `false` (after absorbing the error into the fault statistics) if
     /// a coherence invariant was broken — reachable only under injected
     /// corruption, never on a fault-free machine.
-    fn timed_ensure(&mut self, core: CoreId, addr: Addr, kind: AccessKind) -> Option<ServedBy> {
-        let r = match self.hierarchy.ensure(core, addr, kind) {
-            Ok(r) => r,
+    fn timed_ensure(&mut self, core: CoreId, addr: Addr, kind: AccessKind, detect: bool) -> bool {
+        match self.hierarchy.ensure(core, addr, kind) {
+            Ok(r) => {
+                self.cmp.charge(core, &r, detect);
+                true
+            }
             Err(_) => {
                 self.faults.stats.internal_errors += 1;
-                return None;
+                false
             }
-        };
-        let lat = &self.cfg.latency;
-        let c = core.index();
-        // Every data transfer also carries the 18 metadata bits (§3.4).
-        let piggyback = if self.detection_enabled && r.bus_data > 0 {
-            lat.meta_piggyback_occupancy
-        } else {
-            0
-        };
-        let occ = lat.bus_occupancy(&r) + piggyback;
-        let start = if occ > 0 {
-            self.bus.acquire(self.core_time[c], occ)
-        } else {
-            self.core_time[c]
-        };
-        let mut t = start + lat.service_latency(&r) + piggyback;
-        // The candidate check overlaps an L1 hit entirely; on misses the
-        // metadata arrives with the line and the AND+test tacks on.
-        if self.detection_enabled && r.served_by != ServedBy::L1 {
-            t += lat.candidate_check;
         }
-        self.core_time[c] = t;
-        Some(r.served_by)
     }
 
-    fn on_access(
-        &mut self,
-        index: usize,
-        thread: ThreadId,
-        addr: Addr,
-        size: u8,
-        kind: AccessKind,
-        site: SiteId,
-    ) {
-        let core = self.core_of(thread);
+    /// The scalar access path, fault model included: the reference the
+    /// batched path is tested against.
+    fn on_access(&mut self, index: usize, a: Access) {
+        let core = self.core_of(a.thread);
         let faults_active = self.faults.is_active();
         if faults_active {
-            self.repair_register_if_corrupt(thread);
+            self.repair_register_if_corrupt(a.thread);
         }
         let line_bytes = self.hierarchy.line_bytes();
         let gran = self.cfg.granularity;
@@ -306,20 +260,16 @@ impl HardMachine {
         // walk avoids collecting the (almost always singleton) line
         // list into a heap vector on every access.
         let geom = self.cfg.hierarchy.l1;
-        for line_addr in geom.lines_in(addr, u64::from(size)) {
-            if self.timed_ensure(core, line_addr, kind).is_none() {
+        for line_addr in geom.lines_in(a.addr, u64::from(a.size)) {
+            if !self.timed_ensure(core, line_addr, a.kind, true) {
                 continue;
             }
             // Clip the access to this line and update each overlapped
             // granule's candidate set and LState.
-            let lo = addr.0.max(line_addr.0);
-            let hi = (addr.0 + u64::from(size)).min(line_addr.0 + line_bytes);
-            let held = self.registers[thread.index()].vector();
+            let (lo, len) = a.clip(line_addr, line_bytes);
+            let held = self.registers[a.thread.index()].vector();
             let mut changed = false;
-            // Inline scratch: a line has at most MAX_GRANULES granules,
-            // so the racy set never needs a heap allocation.
-            let mut racy_granules = [Addr(0); MAX_GRANULES];
-            let mut racy_count = 0usize;
+            let mut racy = 0u64;
             {
                 let Some(meta): Option<&mut HardLineMeta> =
                     self.hierarchy.meta_mut(core, line_addr)
@@ -330,7 +280,7 @@ impl HardMachine {
                     self.faults.stats.internal_errors += 1;
                     continue;
                 };
-                for g in gran.granules_in(Addr(lo), hi - lo) {
+                for g in gran.granules_in(lo, len) {
                     let gi = ((g.0 - line_addr.0) / gran.bytes()) as usize;
                     // Reading the metadata word checks its parity. A
                     // mismatch means a strike landed since the last
@@ -358,7 +308,7 @@ impl HardMachine {
                     // transitions (e.g. Virgin→Exclusive on a read).
                     // On the packed words, change detection is a single
                     // XOR instead of a clone-and-compare.
-                    let (granule_changed, out) = meta.access(gi, thread, kind, &held);
+                    let (granule_changed, out) = meta.access(gi, a.thread, a.kind, &held);
                     changed |= granule_changed;
                     if obs_on {
                         candidate_checks += 1;
@@ -369,13 +319,12 @@ impl HardMachine {
                             self.obs.emit(|| Event::CandidateEmpty {
                                 line: line_addr.0,
                                 granule: gi as u32,
-                                thread: thread.0,
+                                thread: a.thread.0,
                             });
                         }
                     }
                     if out.race {
-                        racy_granules[racy_count] = g;
-                        racy_count += 1;
+                        racy |= 1 << gi;
                     }
                 }
             }
@@ -407,35 +356,17 @@ impl HardMachine {
                     }
                 }
                 if deliver {
-                    if self.hierarchy.broadcast_meta(core, line_addr).is_ok() {
-                        // The broadcast is posted: it occupies the bus
-                        // (delaying later transactions) without
-                        // stalling this core.
-                        let occ = self.cfg.latency.meta_broadcast_occupancy;
-                        self.bus.acquire(self.core_time[core.index()], occ);
-                    } else {
-                        self.faults.stats.internal_errors += 1;
-                    }
+                    self.broadcast(core, line_addr);
                 }
             }
-            for &g in &racy_granules[..racy_count] {
-                if self.reported.insert((g, site)) {
-                    self.reports.push(RaceReport {
-                        addr,
-                        size,
-                        site,
-                        thread,
-                        kind,
-                        event_index: index,
-                    });
-                    self.obs.counter(CounterId::RacesReported, 1);
-                    self.obs.emit(|| Event::Race {
-                        addr: addr.0,
-                        site: site.0,
-                        thread: thread.0,
-                    });
-                }
-            }
+            self.log.record_observed(
+                &self.obs,
+                CounterId::RacesReported,
+                index,
+                &a,
+                line_addr,
+                racy,
+            );
         }
         if obs_on {
             self.obs
@@ -447,137 +378,15 @@ impl HardMachine {
         }
     }
 
-    /// The batch kernel's access path: [`HardMachine::on_access`] for
-    /// an access contained in one cache line, with the line/set
-    /// arithmetic pre-computed by the batch pre-pass, the metadata
-    /// reached through the prepared probe, and the per-granule Figure 2
-    /// transition + §3.3 intersect + emptiness test run as one
-    /// [`PackedLineMeta`](hard_lockset::PackedLineMeta) span access
-    /// through the lane kernel.
-    ///
-    /// Only entered with faults inactive; on that domain it is
-    /// bit-identical to the scalar path, recorder calls included
-    /// (pinned by the machine tests and the harness determinism
-    /// tests).
-    #[allow(clippy::too_many_arguments)]
-    fn on_access_prepared(
-        &mut self,
-        index: usize,
-        thread: ThreadId,
-        addr: Addr,
-        size: u8,
-        kind: AccessKind,
-        site: SiteId,
-        line_addr: Addr,
-        set: usize,
-    ) {
-        let core = self.core_of(thread);
-        let gshift = self.cfg.granularity.shift();
-        let g0 = ((addr.0 - line_addr.0) >> gshift) as usize;
-        let g1 = if size == 0 {
-            // `granules_in` treats an empty range as its base granule.
-            g0 + 1
+    /// §3.4: sends `core`'s metadata for `line` to every other copy.
+    /// The broadcast is posted: it occupies the bus (delaying later
+    /// transactions) without stalling the core.
+    fn broadcast(&mut self, core: CoreId, line: Addr) {
+        if self.hierarchy.broadcast_meta(core, line).is_ok() {
+            self.cmp
+                .post(core, self.cfg.latency.meta_broadcast_occupancy);
         } else {
-            ((addr.0 + u64::from(size) - 1 - line_addr.0) >> gshift) as usize + 1
-        };
-        // Hoisted before the hierarchy call (neither touches registers
-        // or the kernel selection, so the reorder is pure).
-        let held = self.registers[thread.index()].vector();
-        let kernel = self.kernel;
-        // One fused hierarchy walk replaces the scalar ensure-probe +
-        // metadata-probe pair; same coherence actions, same LRU
-        // charges, L1 hits deferred to the per-window flush.
-        let (r, span) = match self.hierarchy.access_prepared(core, line_addr, set, kind) {
-            Ok((r, meta)) => {
-                let span = meta.access_span(g0, g1, thread, kind, &held, kernel);
-                if self.obs.is_on() {
-                    // The scalar path's per-granule recorder calls, in
-                    // its order, read back from the updated line.
-                    for gi in g0..g1 {
-                        self.obs
-                            .histogram(HistId::BloomPopulation, u64::from(meta.population(gi)));
-                        if span.race_mask & (1 << (gi - g0)) != 0 {
-                            self.obs.emit(|| Event::CandidateEmpty {
-                                line: line_addr.0,
-                                granule: gi as u32,
-                                thread: thread.0,
-                            });
-                        }
-                    }
-                }
-                (r, span)
-            }
-            Err(_) => {
-                // Only reachable under injected faults in the scalar
-                // path; kept for structural parity.
-                self.faults.stats.internal_errors += 1;
-                return;
-            }
-        };
-        // The timing charge of `timed_ensure`, verbatim. Computing the
-        // span first is unobservable: the span kernel never reads the
-        // clocks and the bus never reads the metadata, and the
-        // broadcast below still sees the updated core time.
-        let lat = &self.cfg.latency;
-        let c = core.index();
-        let piggyback = if self.detection_enabled && r.bus_data > 0 {
-            lat.meta_piggyback_occupancy
-        } else {
-            0
-        };
-        let occ = lat.bus_occupancy(&r) + piggyback;
-        let start = if occ > 0 {
-            self.bus.acquire(self.core_time[c], occ)
-        } else {
-            self.core_time[c]
-        };
-        let mut t = start + lat.service_latency(&r) + piggyback;
-        if self.detection_enabled && r.served_by != ServedBy::L1 {
-            t += lat.candidate_check;
-        }
-        self.core_time[c] = t;
-        if self.cfg.metadata_broadcast
-            && span.changed
-            && self.hierarchy.shared_beyond(core, line_addr)
-        {
-            // Faults are inactive on this path: the broadcast always
-            // attempts delivery (no drop/delay rolls).
-            if self.hierarchy.broadcast_meta(core, line_addr).is_ok() {
-                let occ = self.cfg.latency.meta_broadcast_occupancy;
-                self.bus.acquire(self.core_time[core.index()], occ);
-            } else {
-                self.faults.stats.internal_errors += 1;
-            }
-        }
-        let mut mask = span.race_mask;
-        while mask != 0 {
-            let k = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let g = Addr(line_addr.0 + (((g0 + k) as u64) << gshift));
-            if self.reported.insert((g, site)) {
-                self.reports.push(RaceReport {
-                    addr,
-                    size,
-                    site,
-                    thread,
-                    kind,
-                    event_index: index,
-                });
-                self.obs.counter(CounterId::RacesReported, 1);
-                self.obs.emit(|| Event::Race {
-                    addr: addr.0,
-                    site: site.0,
-                    thread: thread.0,
-                });
-            }
-        }
-        if self.obs.is_on() {
-            self.obs
-                .counter(CounterId::CandidateChecks, (g1 - g0) as u64);
-            let empties = u64::from(span.race_mask.count_ones());
-            if empties > 0 {
-                self.obs.counter(CounterId::CandidateEmpties, empties);
-            }
+            self.faults.stats.internal_errors += 1;
         }
     }
 
@@ -589,12 +398,10 @@ impl HardMachine {
         // The lock variable itself is memory traffic (test-and-set),
         // but lock/unlock instructions are recognized by HARD and do
         // not run the lockset update on their own line.
-        let was_enabled = self.detection_enabled;
-        self.detection_enabled = false;
-        let _ = self.timed_ensure(core, lock.addr(), AccessKind::Write);
-        self.detection_enabled = was_enabled;
+        self.timed_ensure(core, lock.addr(), AccessKind::Write, false);
         let lat = &self.cfg.latency;
-        self.core_time[core.index()] += lat.sync_op + lat.lock_register_update;
+        self.cmp
+            .advance(core, lat.sync_op + lat.lock_register_update);
         let t = thread.index();
         if acquire {
             self.registers[t].acquire(lock);
@@ -613,11 +420,7 @@ impl HardMachine {
     }
 
     fn on_barrier_complete(&mut self) {
-        // All cores leave the barrier together.
-        let max = self.core_time.iter().copied().max().unwrap_or(0);
-        for t in &mut self.core_time {
-            *t = max;
-        }
+        self.cmp.barrier();
         if self.cfg.barrier_pruning {
             let mut granules = 0u64;
             self.hierarchy.flash_meta(|meta| {
@@ -646,8 +449,8 @@ impl HardMachine {
             self.pending_head += 1;
             if self.hierarchy.sharers(line) > 0 && self.hierarchy.broadcast_meta(core, line).is_ok()
             {
-                let occ = self.cfg.latency.meta_broadcast_occupancy;
-                self.bus.acquire(self.core_time[core.index()], occ);
+                self.cmp
+                    .post(core, self.cfg.latency.meta_broadcast_occupancy);
             } else {
                 // The source copy is gone (evicted or displaced while
                 // the message waited): the deferred broadcast is lost
@@ -728,11 +531,10 @@ impl Detector for HardMachine {
         }
         match *event {
             TraceEvent::Op { thread, op } => match op {
-                Op::Read { addr, size, site } => {
-                    self.on_access(index, thread, addr, size, AccessKind::Read, site);
-                }
-                Op::Write { addr, size, site } => {
-                    self.on_access(index, thread, addr, size, AccessKind::Write, site);
+                Op::Read { .. } | Op::Write { .. } => {
+                    if let Some(a) = Access::of(event) {
+                        self.on_access(index, a);
+                    }
                 }
                 Op::Lock { lock, .. } => self.on_lock_op(thread, lock, true),
                 Op::Unlock { lock, .. } => self.on_lock_op(thread, lock, false),
@@ -742,27 +544,27 @@ impl Detector for HardMachine {
                     // adopt them without a false foreign transition.
                     self.hierarchy
                         .flash_meta(|meta| meta.fork_transfer_all(thread));
-                    let c = self.core_of(thread).index();
+                    let core = self.core_of(thread);
                     // §3.1 dummy lock: the child holds it for life.
                     self.ensure_thread(child);
                     self.registers[child.index()].acquire(dummy_lock(child));
                     self.shadow[child.index()].push(dummy_lock(child));
-                    self.core_time[c] += self.cfg.latency.sync_op;
+                    self.cmp.advance(core, self.cfg.latency.sync_op);
                 }
                 Op::Join { child, .. } => {
                     // The parent inherits the child's dummy lock.
-                    let c = self.core_of(thread).index();
+                    let core = self.core_of(thread);
                     self.registers[thread.index()].acquire(dummy_lock(child));
                     self.shadow[thread.index()].push(dummy_lock(child));
-                    self.core_time[c] += self.cfg.latency.sync_op;
+                    self.cmp.advance(core, self.cfg.latency.sync_op);
                 }
                 Op::Barrier { .. } => {
-                    let c = self.core_of(thread).index();
-                    self.core_time[c] += self.cfg.latency.sync_op;
+                    let core = self.core_of(thread);
+                    self.cmp.advance(core, self.cfg.latency.sync_op);
                 }
                 Op::Compute { cycles } => {
-                    let c = self.core_of(thread).index();
-                    self.core_time[c] += u64::from(cycles);
+                    let core = self.core_of(thread);
+                    self.cmp.advance(core, u64::from(cycles));
                 }
             },
             TraceEvent::BarrierComplete { .. } => self.on_barrier_complete(),
@@ -781,69 +583,113 @@ impl Detector for HardMachine {
             }
             return;
         }
-        // Pre-pass: hoist the L1 shift/mask line+set arithmetic of
-        // every single-line access in the batch (the overwhelmingly
-        // common case) out of the dispatch loop.
-        let geom = self.cfg.hierarchy.l1;
-        let line_bytes = geom.line_bytes();
-        self.batch_prep.clear();
-        self.batch_prep.extend(events.iter().map(|e| match *e {
-            TraceEvent::Op {
-                op: Op::Read { addr, size, .. } | Op::Write { addr, size, .. },
-                ..
-            } => {
-                let (line, set) = geom.line_and_set(addr);
-                (addr.0 + u64::from(size) <= line.0 + line_bytes).then_some((line, set))
-            }
-            _ => None,
-        }));
-        for (i, e) in events.iter().enumerate() {
-            match *e {
-                TraceEvent::Op { thread, op } => match op {
-                    Op::Read { addr, size, site } => match self.batch_prep[i] {
-                        Some((line, set)) => self.on_access_prepared(
-                            index + i,
-                            thread,
-                            addr,
-                            size,
-                            AccessKind::Read,
-                            site,
-                            line,
-                            set,
-                        ),
-                        // Line-straddling access: the scalar multi-line
-                        // walk is the reference behavior.
-                        None => {
-                            self.on_access(index + i, thread, addr, size, AccessKind::Read, site);
-                        }
-                    },
-                    Op::Write { addr, size, site } => match self.batch_prep[i] {
-                        Some((line, set)) => self.on_access_prepared(
-                            index + i,
-                            thread,
-                            addr,
-                            size,
-                            AccessKind::Write,
-                            site,
-                            line,
-                            set,
-                        ),
-                        None => {
-                            self.on_access(index + i, thread, addr, size, AccessKind::Write, site);
-                        }
-                    },
-                    _ => self.on_event(index + i, e),
-                },
-                TraceEvent::BarrierComplete { .. } => self.on_barrier_complete(),
-            }
-        }
-        // Fold the window's deferred L1-hit count into the stats; the
-        // sums are identical to per-access increments by construction.
-        self.hierarchy.flush_deferred_stats();
+        dispatch_window(self, index, events);
     }
 
     fn reports(&self) -> &[RaceReport] {
-        &self.reports
+        self.log.reports()
+    }
+}
+
+impl Windowed for HardMachine {
+    fn l1(&self) -> CacheGeometry {
+        self.cfg.hierarchy.l1
+    }
+
+    fn window(&mut self) -> &mut Vec<Option<(Addr, usize)>> {
+        &mut self.window
+    }
+
+    fn access(&mut self, index: usize, a: Access) {
+        self.on_access(index, a);
+    }
+
+    /// The batch kernel's access path: the metadata reached through the
+    /// fused prepared probe, and the per-granule Figure 2 transition +
+    /// §3.3 intersect + emptiness test run as one
+    /// [`PackedLineMeta`](hard_lockset::PackedLineMeta) span access
+    /// through the lane kernel.
+    ///
+    /// Only entered with faults inactive; on that domain it is
+    /// bit-identical to the scalar path, recorder calls included
+    /// (pinned by the machine tests and the harness determinism
+    /// tests).
+    fn access_prepared(&mut self, index: usize, a: Access, line_addr: Addr, set: usize) {
+        let core = self.core_of(a.thread);
+        let gshift = self.cfg.granularity.shift();
+        let g0 = ((a.addr.0 - line_addr.0) >> gshift) as usize;
+        let g1 = if a.size == 0 {
+            // `granules_in` treats an empty range as its base granule.
+            g0 + 1
+        } else {
+            ((a.end() - 1 - line_addr.0) >> gshift) as usize + 1
+        };
+        // Hoisted before the hierarchy call (neither touches registers
+        // or the kernel selection, so the reorder is pure).
+        let held = self.registers[a.thread.index()].vector();
+        let kernel = self.kernel;
+        // One fused hierarchy walk replaces the scalar ensure-probe +
+        // metadata-probe pair; same coherence actions, same LRU
+        // charges, L1 hits deferred to the per-window flush.
+        let (r, span) = match self.hierarchy.access_prepared(core, line_addr, set, a.kind) {
+            Ok((r, meta)) => {
+                let span = meta.access_span(g0, g1, a.thread, a.kind, &held, kernel);
+                if self.obs.is_on() {
+                    // The scalar path's per-granule recorder calls, in
+                    // its order, read back from the updated line.
+                    for gi in g0..g1 {
+                        self.obs
+                            .histogram(HistId::BloomPopulation, u64::from(meta.population(gi)));
+                        if span.race_mask & (1 << (gi - g0)) != 0 {
+                            self.obs.emit(|| Event::CandidateEmpty {
+                                line: line_addr.0,
+                                granule: gi as u32,
+                                thread: a.thread.0,
+                            });
+                        }
+                    }
+                }
+                (r, span)
+            }
+            Err(_) => {
+                // Only reachable under injected faults in the scalar
+                // path; kept for structural parity.
+                self.faults.stats.internal_errors += 1;
+                return;
+            }
+        };
+        // Charging after the span is unobservable: the span kernel
+        // never reads the clocks and the bus never reads the metadata,
+        // and the broadcast below still sees the updated core time.
+        self.cmp.charge(core, &r, true);
+        // Faults are inactive on this path: the broadcast always
+        // attempts delivery (no drop/delay rolls).
+        if self.cfg.metadata_broadcast
+            && span.changed
+            && self.hierarchy.shared_beyond(core, line_addr)
+        {
+            self.broadcast(core, line_addr);
+        }
+        self.log.record_observed(
+            &self.obs,
+            CounterId::RacesReported,
+            index,
+            &a,
+            line_addr,
+            u64::from(span.race_mask) << g0,
+        );
+        if self.obs.is_on() {
+            self.obs
+                .counter(CounterId::CandidateChecks, (g1 - g0) as u64);
+            let empties = u64::from(span.race_mask.count_ones());
+            if empties > 0 {
+                self.obs.counter(CounterId::CandidateEmpties, empties);
+            }
+        }
+    }
+
+    fn flush_deferred_stats(&mut self) {
+        self.hierarchy.flush_deferred_stats();
     }
 }
 
@@ -851,7 +697,7 @@ impl Detector for HardMachine {
 mod tests {
     use super::*;
     use hard_trace::{run_detector, ProgramBuilder, SchedConfig, Scheduler, Trace};
-    use hard_types::{BarrierId, FaultPlan};
+    use hard_types::{BarrierId, FaultPlan, SiteId};
 
     fn sched(seed: u64) -> Scheduler {
         Scheduler::new(SchedConfig {
@@ -1260,39 +1106,11 @@ mod tests {
         assert_eq!(m_plain.stats(), m.stats());
     }
 
-    /// A workload whose accesses straddle granules and lines and whose
-    /// length crosses several batch boundaries, so the batched run
-    /// exercises the span kernel, the straddling fallback and the sync
-    /// dispatch paths.
-    fn batch_workload() -> Trace {
-        let mut b = ProgramBuilder::new(4);
-        for t in 0..4u32 {
-            let tp = b.thread(t);
-            for i in 0..200u64 {
-                let a = 0x1000 + (i % 24) * 12 + u64::from(t % 2) * 8;
-                let site = SiteId(t * 10_000 + i as u32);
-                // Sizes 1..16: some accesses straddle granules, a few
-                // straddle the 32-byte line.
-                let size = (1 + (i % 16)) as u8;
-                if i % 3 == 0 {
-                    tp.lock(LockId(0x40), site).write(Addr(a), size, SiteId(7));
-                    tp.unlock(LockId(0x40), SiteId(t * 10_000 + 5000 + i as u32));
-                } else if i % 3 == 1 {
-                    tp.write(Addr(a), size, SiteId(8 + (i % 5) as u32));
-                } else {
-                    tp.read(Addr(a), size, SiteId(20)).compute(2);
-                }
-            }
-            tp.barrier(BarrierId(1), SiteId(99_000 + t));
-        }
-        sched(7).run(&b.build())
-    }
-
     #[test]
     fn batched_run_is_bit_identical_to_scalar_for_every_kernel() {
         use hard_bloom::LaneKernel;
         use hard_trace::run_detector_batched;
-        let trace = batch_workload();
+        let trace = crate::cmp::mixed_workload();
         let mut scalar = HardMachine::new(HardConfig::default());
         let r_scalar = run_detector(&mut scalar, &trace);
         for kernel in [LaneKernel::Scalar, LaneKernel::Unroll4, LaneKernel::Simd] {
@@ -1310,7 +1128,7 @@ mod tests {
         use hard_obs::{MemoryRecorder, ObsHandle};
         use hard_trace::run_detector_batched;
         use std::sync::Arc;
-        let trace = batch_workload();
+        let trace = crate::cmp::mixed_workload();
         // Fault-injected runs take the scalar delegation path.
         let cfg = HardConfig::default().with_faults(FaultPlan::uniform(13, 60_000));
         let mut scalar = HardMachine::new(cfg);

@@ -1,7 +1,11 @@
 //! Property tests of the assembled machines.
 
-use hard::{BaselineMachine, HardConfig, HardMachine};
-use hard_trace::{run_detector, Program, SchedConfig, Scheduler, ThreadProgram};
+use hard::{
+    BaselineMachine, DirectoryHardMachine, HardConfig, HardMachine, HbMachine, HbMachineConfig,
+};
+use hard_trace::{
+    run_detector, run_detector_batched, Program, SchedConfig, Scheduler, ThreadProgram,
+};
 use hard_types::{Addr, FaultPlan, FaultStats, LockId, SiteId};
 use proptest::prelude::*;
 
@@ -41,6 +45,17 @@ fn arb_program() -> impl Strategy<Value = Program> {
                     site: SiteId(200 + k as u32),
                 },
             ]
+        }),
+        // Sizes 1..=16 at any byte offset: some accesses straddle
+        // granules, some the 32-byte line.
+        (0u64..512, 1u8..=16, any::<bool>()).prop_map(|(off, size, wr)| {
+            let addr = Addr(0x1000 + off);
+            let site = SiteId(300 + (off % 16) as u32);
+            vec![if wr {
+                hard_trace::Op::Write { addr, size, site }
+            } else {
+                hard_trace::Op::Read { addr, size, site }
+            }]
         }),
         (1u32..100).prop_map(|c| vec![hard_trace::Op::Compute { cycles: c }]),
     ];
@@ -202,5 +217,40 @@ proptest! {
             rf.iter().any(|r| r.addr == RACE_ADDR),
             "injected race at {:?} lost (seed {})", RACE_ADDR, seed
         );
+    }
+
+    /// The batched window dispatch is the per-event path for every
+    /// detecting machine, line-straddling accesses included: same
+    /// reports, cycles, memory statistics and directory round trips.
+    #[test]
+    fn batched_runs_equal_scalar_runs(p in arb_program(), seed in 0u64..4) {
+        let trace = Scheduler::new(SchedConfig { seed, max_quantum: 4 }).run(&p);
+
+        let mut scalar = HardMachine::new(HardConfig::default());
+        let mut batched = HardMachine::new(HardConfig::default());
+        prop_assert_eq!(
+            run_detector(&mut scalar, &trace),
+            run_detector_batched(&mut batched, &trace)
+        );
+        prop_assert_eq!(scalar.total_cycles(), batched.total_cycles());
+        prop_assert_eq!(scalar.stats(), batched.stats());
+
+        let mut scalar = DirectoryHardMachine::new(HardConfig::default());
+        let mut batched = DirectoryHardMachine::new(HardConfig::default());
+        prop_assert_eq!(
+            run_detector(&mut scalar, &trace),
+            run_detector_batched(&mut batched, &trace)
+        );
+        prop_assert_eq!(scalar.total_cycles(), batched.total_cycles());
+        prop_assert_eq!(scalar.stats(), batched.stats());
+        prop_assert_eq!(scalar.directory_requests(), batched.directory_requests());
+
+        let mut scalar = HbMachine::new(HbMachineConfig::default());
+        let mut batched = HbMachine::new(HbMachineConfig::default());
+        prop_assert_eq!(
+            run_detector(&mut scalar, &trace),
+            run_detector_batched(&mut batched, &trace)
+        );
+        prop_assert_eq!(scalar.stats(), batched.stats());
     }
 }
