@@ -1,21 +1,7 @@
 //! `hard-exp`: regenerate the paper's tables and figures.
 //!
-//! ```text
-//! hard-exp <table1|table2|table3|table4|table5|table6|fig8|bloom|ablation|window|all>
-//!          [--scale F] [--runs N] [--jobs N] [--markdown] [--format text|markdown|json]
-//!          [--quiet] [--trace-out PATH] [--bench-out PATH] [--trace-cache DIR|off]
-//!          [--kernel scalar|batch|auto]
-//! hard-exp faults [--rates PPM,...] [--checkpoint PATH] [--max-cycles N] [--max-events N]
-//! hard-exp obs [--smoke] [--out DIR] [--serve ADDR] [--serve-requests N]
-//! hard-exp record --app <name> --file <path> [--inject SEED] [--scale F]
-//! hard-exp replay --file <path> [--detector hard|lockset-ideal|hb|hb-ideal]
-//! hard-exp submit --addr HOST:PORT --file <path> [--detector NAME] [--clients N] [--repeat N]
-//! hard-exp serve-load [--clients N] [--repeat N] [--serve-cmd PATH] [--scale F]
-//! hard-exp obs-serve [--clients N] [--repeat N] [--retries N] [--seed N]
-//!          [--out DIR] [--serve-cmd PATH]
-//! hard-exp bench-check --file BENCH_x.json
-//! hard-exp bench-check --trajectory BENCH_a.json,BENCH_b.json,...
-//! ```
+//! Run it with no arguments for the usage text (`USAGE`), which lists
+//! every command.
 //!
 //! `obs-serve` spawns a real `hard-serve` with live telemetry enabled,
 //! drives a fleet of trace-ID-stamped sessions through it, then
@@ -57,14 +43,31 @@ use hard_harness::experiments::{
     server, table1, table2, table3, table45, table6, window, workload_stats,
 };
 use hard_harness::{
-    execute, CampaignConfig, Checkpoint, DetectorKind, InjectMode, KernelMode, OutputFormat,
-    Reporter, RunLimits,
+    execute_hardened_cell, CampaignConfig, CellTrace, Checkpoint, DetectorKind, InjectMode,
+    KernelMode, OutputFormat, Reporter, RunLimits, RunOutcome,
 };
 use hard_obs::{MemoryRecorder, ObsHandle};
 use hard_trace::codec;
 use hard_workloads::{App, Scale};
 use std::process::ExitCode;
 use std::sync::Arc;
+
+/// The usage text: one line per command form, then the flags every
+/// command takes.
+const USAGE: &str = "\
+usage: hard-exp <table1|table2|table3|table4|table5|table45|table6|fig8|bloom|ablation|window|server|robustness|workloads|cord|verify|all>
+       hard-exp faults [--rates PPM,PPM,...] [--checkpoint PATH] [--max-cycles N] [--max-events N]
+       hard-exp obs [--smoke] [--out DIR] [--serve ADDR] [--serve-requests N]
+       hard-exp record --app <name> --file <path> [--inject SEED]
+       hard-exp replay --file <path> [--detector hard|lockset-ideal|hb|hb-ideal]
+       hard-exp submit --addr HOST:PORT --file <path> [--detector NAME] [--clients N] [--repeat N]
+       hard-exp serve-load [--clients N] [--repeat N] [--serve-cmd PATH]
+       hard-exp chaos [--rates PPM,PPM,...] [--clients N] [--repeat N] [--retries N] [--seed N] [--addr HOST:PORT] [--serve-cmd PATH]
+       hard-exp obs-serve [--clients N] [--repeat N] [--retries N] [--seed N] [--out DIR] [--serve-cmd PATH]
+       hard-exp bench-check --file BENCH_x.json | --trajectory BENCH_a.json,BENCH_b.json,...
+every command: [--scale F] [--runs N] [--jobs N] [--mode omit|wrong-lock] [--markdown]
+       [--format text|markdown|json] [--quiet] [--trace-out PATH] [--bench-out PATH]
+       [--trace-cache DIR|off] [--kernel scalar|batch|auto]";
 
 struct Args {
     command: String,
@@ -767,7 +770,7 @@ fn run_command(args: &Args, rep: &Reporter) -> Result<(), String> {
                 if fnv != header.payload_fnv {
                     return Err("payload checksum mismatch after replay".into());
                 }
-                (events as usize, run.reports)
+                (events, run.reports)
             } else {
                 let f =
                     std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
@@ -776,12 +779,15 @@ fn run_command(args: &Args, rep: &Reporter) -> Result<(), String> {
                 trace
                     .validate()
                     .map_err(|e| format!("trace is not a plausible execution: {e}"))?;
-                let run = execute(&kind, &trace, &[]);
-                (trace.len(), run.reports)
+                let cell = CellTrace::Materialized(trace);
+                match execute_hardened_cell(&kind, &cell, &[], RunLimits::unlimited()) {
+                    RunOutcome::Ok(run, m) => (m.events, run.reports),
+                    other => return Err(format!("replay did not complete: {other:?}")),
+                }
             };
             let body = hard_harness::ReportBody {
                 label: kind.label().to_string(),
-                events: events as u64,
+                events,
                 reports,
             };
             for line in body.notes() {
@@ -897,23 +903,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: hard-exp <table1|table2|table3|table4|table5|table6|fig8|bloom|ablation|window|all> \
-                 [--scale F] [--runs N] [--jobs N] [--format text|markdown|json] [--quiet] \
-                 [--trace-out PATH] [--bench-out PATH] [--trace-cache DIR|off] [--kernel scalar|batch|auto]\n       \
-                 hard-exp faults [--rates PPM,PPM,...] [--checkpoint PATH] [--max-cycles N] [--max-events N]\n       \
-                 hard-exp obs [--smoke] [--out DIR] [--serve ADDR] [--serve-requests N]\n       \
-                 hard-exp record --app <name> --file <path> [--inject SEED]\n       \
-                 hard-exp replay --file <path> [--detector hard|lockset-ideal|hb|hb-ideal]\n       \
-                 hard-exp submit --addr HOST:PORT --file <path> [--detector NAME] [--clients N] [--repeat N]\n       \
-                 hard-exp serve-load [--clients N] [--repeat N] [--serve-cmd PATH] [--scale F]\n       \
-                 hard-exp chaos [--rates PPM,PPM,...] [--clients N] [--repeat N] [--retries N] \
-                 [--seed N] [--addr HOST:PORT] [--serve-cmd PATH]\n       \
-                 hard-exp obs-serve [--clients N] [--repeat N] [--retries N] [--seed N] \
-                 [--out DIR] [--serve-cmd PATH]\n       \
-                 hard-exp bench-check --file BENCH_x.json\n       \
-                 hard-exp bench-check --trajectory BENCH_a.json,BENCH_b.json,..."
-            );
+            eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -982,11 +972,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             if e.starts_with("unknown command") {
-                eprintln!(
-                    "usage: hard-exp <table1|table2|table3|table4|table5|table6|fig8|bloom|\
-                     ablation|window|server|robustness|faults|chaos|obs|obs-serve|verify|\
-                     record|replay|submit|serve-load|all>"
-                );
+                eprintln!("{USAGE}");
             }
             ExitCode::FAILURE
         }

@@ -5,8 +5,16 @@
 //! * all detectors observe *identical executions*;
 //! * false positives are measured on the race-free execution and
 //!   counted at source level (distinct static sites).
+//!
+//! Every detection campaign scores through one path: `score_cell`
+//! runs a detector list over one trace through the production engine
+//! ([`execute_hardened_cell_observed`]) into [`DetectorTally`]s, and
+//! `sweep` does so for every application × {race-free, run 0..runs}
+//! cell on the campaign pool.
 
-use crate::detectors::DetectorRun;
+use crate::detectors::{DetectorKind, DetectorRun};
+use crate::runner::{execute_hardened_cell_observed, RunLimits, RunMetrics, RunOutcome};
+use hard_obs::ObsHandle;
 use hard_trace::{PackedTrace, SchedConfig, Scheduler, Trace};
 use hard_types::{Addr, SiteId};
 use hard_workloads::{inject_race, inject_wrong_lock, App, Injection, WorkloadConfig};
@@ -288,6 +296,161 @@ pub fn per_app<R: Send>(jobs: usize, f: impl Fn(App) -> R + Sync) -> Vec<R> {
 #[must_use]
 pub fn alarm_sites(run: &DetectorRun) -> BTreeSet<SiteId> {
     run.reports.iter().map(|r| r.site).collect()
+}
+
+/// One detector's scored results over a set of cells.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DetectorTally {
+    /// Injected bugs detected.
+    pub detected: usize,
+    /// Misses attributable to L2 displacement of the metadata.
+    pub missed_displaced: usize,
+    /// Other misses.
+    pub missed_other: usize,
+    /// Source-level false alarms on the race-free run.
+    pub alarms: usize,
+    /// Runs that panicked inside the detector.
+    pub faulted: usize,
+    /// Runs that hit a [`RunLimits`] deadline.
+    pub timed_out: usize,
+    /// Resources of the completed runs, summed.
+    pub metrics: RunMetrics,
+}
+
+impl std::ops::AddAssign for DetectorTally {
+    fn add_assign(&mut self, other: DetectorTally) {
+        self.detected += other.detected;
+        self.missed_displaced += other.missed_displaced;
+        self.missed_other += other.missed_other;
+        self.alarms += other.alarms;
+        self.faulted += other.faulted;
+        self.timed_out += other.timed_out;
+        self.metrics += other.metrics;
+    }
+}
+
+/// Asserts that every run behind `tallies` completed. Campaigns that
+/// print no crashed or timed-out column call this: their runs are
+/// fault-free and unlimited, so anything else is a simulator bug.
+///
+/// # Panics
+///
+/// When a run crashed or timed out.
+pub(crate) fn expect_complete(tallies: &[DetectorTally]) {
+    for t in tallies {
+        assert!(
+            t.faulted == 0 && t.timed_out == 0,
+            "fault-free unlimited runs always complete ({} crashed, {} timed out)",
+            t.faulted,
+            t.timed_out
+        );
+    }
+}
+
+/// Scores every detector of `kinds` on one trace: the race-free
+/// execution when `injection` is `None` (false alarms), an injected
+/// run otherwise (bug outcome). Each run goes through the production
+/// engine under `limits`, reporting into `obs`; the result holds one
+/// tally per detector, in `kinds` order.
+#[must_use]
+pub(crate) fn score_cell(
+    trace: &CellTrace,
+    injection: Option<&Injection>,
+    kinds: &[DetectorKind],
+    limits: RunLimits,
+    obs: &ObsHandle,
+) -> Vec<DetectorTally> {
+    let pr = injection.map(probes).unwrap_or_default();
+    kinds
+        .iter()
+        .map(|kind| {
+            let mut t = DetectorTally::default();
+            match execute_hardened_cell_observed(kind, trace, &pr, limits, obs) {
+                RunOutcome::Ok(run, metrics) => {
+                    t.metrics = metrics;
+                    match injection.map(|inj| score(&run, inj)) {
+                        None => t.alarms = alarm_sites(&run).len(),
+                        Some(BugOutcome::Detected) => t.detected = 1,
+                        Some(BugOutcome::MissedDisplaced) => t.missed_displaced = 1,
+                        Some(BugOutcome::Missed) => t.missed_other = 1,
+                    }
+                }
+                RunOutcome::Faulted { .. } => t.faulted = 1,
+                RunOutcome::TimedOut { .. } => t.timed_out = 1,
+            }
+            t
+        })
+        .collect()
+}
+
+/// The scored campaign sweep: for each of `apps`, the race-free cell
+/// and injected runs `0..cfg.runs`, each scored by [`score_cell`] with
+/// the detectors `kinds(app, run)` returns (`run` is `None` for the
+/// race-free cell). Traces come through the corpus cache
+/// ([`race_free_cell`], [`injected_cell`]); a cell whose list is empty
+/// is skipped without fetching its trace.
+///
+/// The cells fan out over `cfg.jobs` workers and merge in cell order,
+/// so the result — per application, one tally per list position — is
+/// bit-identical for every worker count.
+pub(crate) fn sweep(
+    cfg: &CampaignConfig,
+    apps: &[App],
+    kinds: impl Fn(App, Option<usize>) -> Vec<DetectorKind> + Sync,
+    limits: RunLimits,
+) -> Vec<Vec<DetectorTally>> {
+    let mut cells = Vec::with_capacity(apps.len() * (cfg.runs + 1));
+    for &app in apps {
+        cells.push((app, None));
+        cells.extend((0..cfg.runs).map(|i| (app, Some(i))));
+    }
+    let obs = hard_obs::installed();
+    let scored = crate::parallel::map_cells(cfg.jobs, &cells, |_, &(app, run)| {
+        let kinds = kinds(app, run);
+        if kinds.is_empty() {
+            return Vec::new();
+        }
+        match run {
+            None => score_cell(&race_free_cell(app, cfg), None, &kinds, limits, &obs),
+            Some(i) => {
+                let (trace, injection) = injected_cell(app, cfg, i);
+                score_cell(&trace, Some(&injection), &kinds, limits, &obs)
+            }
+        }
+    });
+    scored
+        .chunks(cfg.runs + 1)
+        .map(|app_cells| {
+            let mut merged = Vec::new();
+            for cell in app_cells {
+                accumulate(&mut merged, cell);
+            }
+            merged
+        })
+        .collect()
+}
+
+/// Adds `cell`'s tallies into `sum` position by position, growing
+/// `sum` to `cell`'s length first.
+pub(crate) fn accumulate(sum: &mut Vec<DetectorTally>, cell: &[DetectorTally]) {
+    if sum.len() < cell.len() {
+        sum.resize(cell.len(), DetectorTally::default());
+    }
+    for (s, &t) in sum.iter_mut().zip(cell) {
+        *s += t;
+    }
+}
+
+/// [`sweep`] over every application with unlimited runs, for the
+/// fault-free tables: panics unless every run completed
+/// ([`expect_complete`]).
+pub(crate) fn sweep_complete(
+    cfg: &CampaignConfig,
+    kinds: impl Fn(App, Option<usize>) -> Vec<DetectorKind> + Sync,
+) -> Vec<Vec<DetectorTally>> {
+    let tallies = sweep(cfg, &App::all(), kinds, RunLimits::unlimited());
+    tallies.iter().for_each(|t| expect_complete(t));
+    tallies
 }
 
 #[cfg(test)]

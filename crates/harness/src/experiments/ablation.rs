@@ -9,17 +9,19 @@
 //!   slowdown next to HARD's percent-level overhead.
 
 use crate::campaign::{
-    alarm_sites, injected_trace, probes, race_free_trace, score, CampaignConfig,
+    accumulate, expect_complete, injected_trace, race_free_trace, score_cell, CampaignConfig,
+    CellTrace, DetectorTally,
 };
-use crate::detectors::{execute, DetectorKind};
+use crate::detectors::DetectorKind;
+use crate::runner::RunLimits;
 use crate::table::TextTable;
 use hard::{
     estimate_software_lockset, BaselineMachine, DirectoryHardMachine, HardConfig, HardMachine,
     HybridMachine, SoftwareLocksetCost,
 };
-use hard_trace::{run_detector, Detector};
+use hard_trace::{run_detector, Detector, Trace};
 use hard_types::Addr;
-use hard_workloads::App;
+use hard_workloads::{App, Injection};
 use std::collections::BTreeSet;
 
 /// One application row of the ablation study.
@@ -72,20 +74,22 @@ fn hybrid_run(trace: &hard_trace::Trace) -> (Vec<hard_trace::RaceReport>, Hybrid
 /// Runs the ablation study, on the campaign pool.
 #[must_use]
 pub fn run(cfg: &CampaignConfig) -> Ablation {
+    let obs = hard_obs::installed();
+    let hard = DetectorKind::hard_default();
+    let raw = DetectorKind::Hard(HardConfig {
+        barrier_pruning: false,
+        ..HardConfig::default()
+    });
+    let fig3 = DetectorKind::Hard(HardConfig::default().with_figure3_l2());
+    // Scores a trace once the machines below are done with it.
+    let score = |trace: Trace, injection: Option<&Injection>, kinds: &[DetectorKind]| {
+        let cell = CellTrace::Materialized(trace);
+        let tallies = score_cell(&cell, injection, kinds, RunLimits::unlimited(), &obs);
+        expect_complete(&tallies);
+        tallies
+    };
     let rows = crate::campaign::per_app(cfg.jobs, |app| {
         let rf = race_free_trace(app, cfg);
-
-        // Barrier pruning on/off.
-        let pruned = execute(&DetectorKind::hard_default(), &rf, &[]);
-        let raw_cfg = HardConfig {
-            barrier_pruning: false,
-            ..HardConfig::default()
-        };
-        let raw = execute(&DetectorKind::Hard(raw_cfg), &rf, &[]);
-
-        // Figure 3 L2 organization on the race-free run.
-        let fig3_kind = DetectorKind::Hard(HardConfig::default().with_figure3_l2());
-        let alarms_fig3 = alarm_sites(&execute(&fig3_kind, &rf, &[])).len();
 
         // Hybrid alarms on the race-free run.
         let (hybrid_reports, _) = hybrid_run(&rf);
@@ -108,24 +112,16 @@ pub fn run(cfg: &CampaignConfig) -> Ablation {
             (snoopy.total_cycles().0 as f64 - base_cycles as f64) / base_cycles as f64
         };
 
+        // Barrier pruning on/off and the Figure 3 L2 organization.
+        let [pruned, raw, fig3_rf] = score(rf, None, &[hard, raw, fig3])[..] else {
+            unreachable!("one tally per detector");
+        };
+
         // Detection: HARD vs hybrid vs Figure 3 over the injected runs.
-        let mut bugs_hard = 0;
+        let mut bugs = vec![DetectorTally::default(); 2];
         let mut bugs_hybrid = 0;
-        let mut bugs_fig3 = 0;
         for run_idx in 0..cfg.runs {
             let (trace, injection) = injected_trace(app, cfg, run_idx);
-            let pr = probes(&injection);
-            if score(
-                &execute(&DetectorKind::hard_default(), &trace, &pr),
-                &injection,
-            )
-            .is_detected()
-            {
-                bugs_hard += 1;
-            }
-            if score(&execute(&fig3_kind, &trace, &pr), &injection).is_detected() {
-                bugs_fig3 += 1;
-            }
             let (combined, _) = hybrid_run(&trace);
             let hit = combined
                 .iter()
@@ -133,17 +129,18 @@ pub fn run(cfg: &CampaignConfig) -> Ablation {
             if hit {
                 bugs_hybrid += 1;
             }
+            accumulate(&mut bugs, &score(trace, Some(&injection), &[hard, fig3]));
         }
 
         AblationRow {
             app,
-            alarms_pruned: alarm_sites(&pruned).len(),
-            alarms_raw: alarm_sites(&raw).len(),
+            alarms_pruned: pruned.alarms,
+            alarms_raw: raw.alarms,
             alarms_hybrid: hybrid_alarm_sites.len(),
-            bugs_hard,
+            bugs_hard: bugs[0].detected,
             bugs_hybrid,
-            bugs_fig3,
-            alarms_fig3,
+            bugs_fig3: bugs[1].detected,
+            alarms_fig3: fig3_rf.alarms,
             snoopy_broadcasts: snoopy.stats().meta_broadcasts,
             directory_requests: dir.directory_requests(),
             directory_agrees,

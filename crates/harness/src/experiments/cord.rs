@@ -2,7 +2,7 @@
 //! trade-off among the paper's cited baselines): how much detection the
 //! cheaper scalar clocks give up on the campaign workloads.
 
-use crate::campaign::{injected_trace, probes, CampaignConfig};
+use crate::campaign::{injected_trace, CampaignConfig};
 use crate::table::TextTable;
 use hard_hb::{IdealHappensBefore, IdealHbConfig, ScalarHappensBefore, ScalarHbConfig};
 use hard_trace::run_detector;
@@ -42,7 +42,6 @@ pub fn run(cfg: &CampaignConfig) -> Cord {
         };
         for run_idx in 0..cfg.runs {
             let (trace, injection) = injected_trace(app, cfg, run_idx);
-            let _ = probes(&injection);
             let hit = |reports: &[hard_trace::RaceReport]| {
                 reports
                     .iter()

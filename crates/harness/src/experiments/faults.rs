@@ -16,12 +16,10 @@
 //!   divergence are campaign *results* (`faulted` / `timed out`
 //!   columns, expected to stay zero), not crashes.
 
-use crate::campaign::{
-    alarm_sites, injected_cell, probes, race_free_cell, score, BugOutcome, CampaignConfig,
-};
+use crate::campaign::{sweep, CampaignConfig, DetectorTally};
 use crate::checkpoint::{Cell, Checkpoint};
 use crate::detectors::DetectorKind;
-use crate::runner::{execute_hardened_cell, RunLimits, RunOutcome};
+use crate::runner::RunLimits;
 use crate::table::TextTable;
 use hard::HardConfig;
 use hard_types::FaultPlan;
@@ -101,61 +99,27 @@ fn hard_with_faults(rate_ppm: u32, seed: u64) -> DetectorKind {
     DetectorKind::Hard(HardConfig::default().with_faults(plan))
 }
 
-fn compute_cell(app: App, rate_ppm: u32, cfg: &FaultsConfig) -> Cell {
-    let mut cell = Cell {
+/// The durable checkpoint cell of one `(rate, app)` tally.
+fn cell(rate_ppm: u32, t: &DetectorTally) -> Cell {
+    Cell {
         rate_ppm,
-        detected: 0,
-        faulted: 0,
-        timed_out: 0,
-        alarms: 0,
-        resets: 0,
-        injected: 0,
-        cycles: 0,
-        broadcasts: 0,
-    };
-
-    // False alarms on the race-free execution at this fault rate.
-    let rf = race_free_cell(app, &cfg.campaign);
-    let kind = hard_with_faults(rate_ppm, fault_seed(rate_ppm, app, usize::MAX >> 1));
-    match execute_hardened_cell(&kind, &rf, &[], cfg.limits) {
-        RunOutcome::Ok(run, m) => {
-            cell.alarms = alarm_sites(&run).len();
-            cell.resets += m.faults.conservative_resets;
-            cell.injected += m.faults.injected();
-            cell.cycles += m.cycles;
-            cell.broadcasts += m.meta_broadcasts;
-        }
-        RunOutcome::Faulted { .. } => cell.faulted += 1,
-        RunOutcome::TimedOut { .. } => cell.timed_out += 1,
+        detected: t.detected,
+        faulted: t.faulted,
+        timed_out: t.timed_out,
+        alarms: t.alarms,
+        resets: t.metrics.faults.conservative_resets,
+        injected: t.metrics.faults.injected(),
+        cycles: t.metrics.cycles,
+        broadcasts: t.metrics.meta_broadcasts,
     }
-
-    // Bug detection over the injected runs.
-    for run_idx in 0..cfg.campaign.runs {
-        let (trace, injection) = injected_cell(app, &cfg.campaign, run_idx);
-        let pr = probes(&injection);
-        let kind = hard_with_faults(rate_ppm, fault_seed(rate_ppm, app, run_idx));
-        match execute_hardened_cell(&kind, &trace, &pr, cfg.limits) {
-            RunOutcome::Ok(run, m) => {
-                if score(&run, &injection) == BugOutcome::Detected {
-                    cell.detected += 1;
-                }
-                cell.resets += m.faults.conservative_resets;
-                cell.injected += m.faults.injected();
-                cell.cycles += m.cycles;
-                cell.broadcasts += m.meta_broadcasts;
-            }
-            RunOutcome::Faulted { .. } => cell.faulted += 1,
-            RunOutcome::TimedOut { .. } => cell.timed_out += 1,
-        }
-    }
-    cell
 }
 
 /// Runs the sweep, optionally resuming from (and recording into) a
-/// checkpoint. Within a rate the six applications fan out over the
-/// campaign pool (`cfg.campaign.jobs` workers; `1` is truly serial);
-/// cells are made durable on the calling thread as each rate
-/// completes, preserving the checkpoint's rate-ordered layout.
+/// checkpoint. Within a rate the uncached applications' cells run as
+/// one scored sweep on the campaign pool (`cfg.campaign.jobs` workers;
+/// `1` is truly serial); cells are made durable on the calling thread
+/// as each rate completes, preserving the checkpoint's rate-ordered
+/// layout.
 #[must_use]
 pub fn run(cfg: &FaultsConfig, mut checkpoint: Option<&mut Checkpoint>) -> FaultsStudy {
     let mut rows = Vec::new();
@@ -172,10 +136,16 @@ pub fn run(cfg: &FaultsConfig, mut checkpoint: Option<&mut Checkpoint>) -> Fault
             .filter(|(_, c)| c.is_none())
             .map(|(&app, _)| app)
             .collect();
-        let fresh: Vec<(App, Cell)> =
-            crate::parallel::map_cells(cfg.campaign.jobs, &todo, |_, &app| {
-                (app, compute_cell(app, rate, cfg))
-            });
+        // The race-free cell (`run` = `None`) takes its own fault seed.
+        let kinds = |app, run: Option<usize>| {
+            let seed = fault_seed(rate, app, run.unwrap_or(usize::MAX >> 1));
+            vec![hard_with_faults(rate, seed)]
+        };
+        let fresh: Vec<(App, Cell)> = todo
+            .iter()
+            .zip(sweep(&cfg.campaign, &todo, kinds, cfg.limits))
+            .map(|(&app, t)| (app, cell(rate, &t[0])))
+            .collect();
         if let Some(cp) = checkpoint.as_deref_mut() {
             for (app, cell) in &fresh {
                 // A failed append degrades to in-memory-only: the sweep

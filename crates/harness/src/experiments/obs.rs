@@ -17,14 +17,13 @@
 //! tier-2 guard that instrumentation stays wired end to end.
 
 use crate::campaign::{
-    alarm_sites, injected_cell, per_app, probes, race_free_cell, score, BugOutcome, CampaignConfig,
+    expect_complete, injected_cell, per_app, race_free_cell, score_cell, CampaignConfig, CellTrace,
 };
 use crate::detectors::DetectorKind;
-use crate::runner::{execute_hardened_cell_observed, RunLimits, RunOutcome};
+use crate::runner::RunLimits;
 use crate::table::TextTable;
 use hard_obs::{jsonl, CounterId, Exposition, MemoryRecorder, ObsHandle, Snapshot};
-use hard_types::FaultStats;
-use hard_workloads::App;
+use hard_workloads::{App, Injection};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -52,7 +51,7 @@ pub struct AppObs {
     /// Simulated cycles across all runs.
     pub cycles: u64,
     /// Accumulated fault-statistic samples
-    /// ([`FaultStats::metric_pairs`] names; all zero in this
+    /// ([`hard_types::FaultStats::metric_pairs`] names; all zero in this
     /// fault-free campaign, exposed so scrapers see the full taxonomy).
     pub fault_metrics: Vec<(&'static str, u64)>,
     /// Where the JSONL event stream went, if anywhere.
@@ -83,15 +82,11 @@ fn observe_app(app: App, cfg: &ObsConfig) -> std::io::Result<AppObs> {
         None => MemoryRecorder::new(),
     });
     let obs = ObsHandle::new(rec.clone());
-    let kind = DetectorKind::hard_default();
-
-    let mut detected = 0;
-    let mut alarms = 0;
-    let mut cycles = 0;
-    let mut faults = FaultStats::default();
-    let mut tally = |m: &crate::runner::RunMetrics| {
-        cycles += m.cycles;
-        faults = faults.merged(m.faults);
+    let kinds = [DetectorKind::hard_default()];
+    let score = |trace: &CellTrace, injection: Option<&Injection>| {
+        let tallies = score_cell(trace, injection, &kinds, RunLimits::unlimited(), &obs);
+        expect_complete(&tallies);
+        tallies[0]
     };
 
     let app_span = obs.span(|| format!("app:{}", app.name()));
@@ -99,41 +94,28 @@ fn observe_app(app: App, cfg: &ObsConfig) -> std::io::Result<AppObs> {
     let gen_span = obs.span(|| format!("generate:{}", app.name()));
     let rf = race_free_cell(app, &cfg.campaign);
     obs.span_end(gen_span, 0, rf.len() as u64);
-    if let RunOutcome::Ok(run, m) =
-        execute_hardened_cell_observed(&kind, &rf, &[], RunLimits::unlimited(), &obs)
-    {
-        alarms = alarm_sites(&run).len();
-        tally(&m);
-    }
-
+    let mut tally = score(&rf, None);
     for run_idx in 0..cfg.campaign.runs {
         let (trace, injection) = injected_cell(app, &cfg.campaign, run_idx);
-        let pr = probes(&injection);
-        if let RunOutcome::Ok(run, m) =
-            execute_hardened_cell_observed(&kind, &trace, &pr, RunLimits::unlimited(), &obs)
-        {
-            if score(&run, &injection) == BugOutcome::Detected {
-                detected += 1;
-            }
-            tally(&m);
-        }
+        tally += score(&trace, Some(&injection));
     }
 
-    obs.span_end(app_span, cycles, 0);
+    obs.span_end(app_span, tally.metrics.cycles, 0);
     rec.flush()?;
-    let fault_metrics = faults.metric_pairs().to_vec();
     Ok(AppObs {
         app,
         snapshot: rec.snapshot(),
-        detected,
-        alarms,
-        cycles,
-        fault_metrics,
+        detected: tally.detected,
+        alarms: tally.alarms,
+        cycles: tally.metrics.cycles,
+        fault_metrics: tally.metrics.faults.metric_pairs().to_vec(),
         jsonl_path,
     })
 }
 
-/// Runs the campaign, one application per OS thread.
+/// Runs the campaign: the applications fan out over the campaign pool
+/// ([`per_app`], `cfg.campaign.jobs` workers), each scored serially
+/// into its own recorder.
 ///
 /// # Errors
 ///

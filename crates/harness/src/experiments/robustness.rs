@@ -7,10 +7,9 @@
 //! HARD-vs-happens-before gap is a property of the algorithms, not of
 //! one scheduling regime.
 
-use crate::campaign::{injected_trace, probes, score, CampaignConfig};
-use crate::detectors::{execute, DetectorKind};
+use crate::campaign::{sweep_complete, CampaignConfig};
+use crate::detectors::DetectorKind;
 use crate::table::TextTable;
-use hard_workloads::App;
 
 /// Aggregate detection totals at one quantum bound.
 #[derive(Clone, Copy, Debug)]
@@ -37,55 +36,42 @@ pub struct Robustness {
 /// The quantum bounds swept.
 pub const QUANTA: [u32; 4] = [1, 4, 16, 64];
 
-/// Runs the sweep.
+/// Runs the sweep: one scored sweep per quantum bound, over the
+/// injected runs only.
 #[must_use]
 pub fn run(cfg: &CampaignConfig) -> Robustness {
-    let mut rows = Vec::new();
-    for &q in &QUANTA {
-        let qcfg = CampaignConfig {
-            max_quantum: q,
-            ..*cfg
-        };
-        let mut row = RobustnessRow {
-            max_quantum: q,
-            hard: 0,
-            ideal: 0,
-            hb: 0,
-            total: 0,
-        };
-        for &app in &App::all() {
-            for run_idx in 0..qcfg.runs {
-                let (trace, injection) = injected_trace(app, &qcfg, run_idx);
-                let pr = probes(&injection);
-                row.total += 1;
-                if score(
-                    &execute(&DetectorKind::hard_default(), &trace, &pr),
-                    &injection,
-                )
-                .is_detected()
-                {
-                    row.hard += 1;
-                }
-                if score(
-                    &execute(&DetectorKind::lockset_ideal(), &trace, &pr),
-                    &injection,
-                )
-                .is_detected()
-                {
-                    row.ideal += 1;
-                }
-                if score(
-                    &execute(&DetectorKind::hb_default(), &trace, &pr),
-                    &injection,
-                )
-                .is_detected()
-                {
-                    row.hb += 1;
-                }
+    let kinds = [
+        DetectorKind::hard_default(),
+        DetectorKind::lockset_ideal(),
+        DetectorKind::hb_default(),
+    ];
+    let rows = QUANTA
+        .iter()
+        .map(|&q| {
+            let qcfg = CampaignConfig {
+                max_quantum: q,
+                ..*cfg
+            };
+            let tallies = sweep_complete(&qcfg, |_, run| match run {
+                Some(_) => kinds.to_vec(),
+                None => Vec::new(),
+            });
+            let total = |i: usize| {
+                tallies
+                    .iter()
+                    .filter_map(|t| t.get(i))
+                    .map(|t| t.detected)
+                    .sum()
+            };
+            RobustnessRow {
+                max_quantum: q,
+                hard: total(0),
+                ideal: total(1),
+                hb: total(2),
+                total: tallies.len() * cfg.runs,
             }
-        }
-        rows.push(row);
-    }
+        })
+        .collect();
     Robustness { rows }
 }
 

@@ -3,8 +3,11 @@
 //! barrier-phased SPLASH kernels) — plus [`MetricsServer`], the
 //! Prometheus-style exposition endpoint behind `hard-exp obs --serve`.
 
-use crate::campaign::{alarm_sites, probes, score, BugOutcome, CampaignConfig};
-use crate::detectors::{execute, DetectorKind};
+use crate::campaign::{
+    accumulate, expect_complete, score_cell, CampaignConfig, CellTrace, DetectorTally,
+};
+use crate::detectors::DetectorKind;
+use crate::runner::RunLimits;
 use crate::table::TextTable;
 use hard_trace::{SchedConfig, Scheduler, Trace};
 use hard_workloads::apps::server;
@@ -13,9 +16,8 @@ use hard_workloads::{inject_race, Injection, WorkloadConfig};
 /// Per-detector tallies on the server workload.
 #[derive(Clone, Debug)]
 pub struct ServerResult {
-    /// `(pool threads, detector label, bugs detected, displacement
-    /// misses, alarms)`.
-    pub rows: Vec<(usize, String, usize, usize, usize)>,
+    /// `(pool threads, detector label, tally)`.
+    pub rows: Vec<(usize, &'static str, DetectorTally)>,
     /// Injected runs.
     pub runs: usize,
 }
@@ -63,33 +65,31 @@ fn detector_set(threads: usize) -> [DetectorKind; 4] {
 #[must_use]
 pub fn run(cfg: &CampaignConfig) -> ServerResult {
     let mut rows = Vec::new();
+    let obs = hard_obs::installed();
     for threads in [4usize, 8] {
         let kinds = detector_set(threads);
-        let rf = race_free(cfg, threads);
-        let mut tallies: Vec<(usize, String, usize, usize, usize)> = kinds
-            .iter()
-            .map(|k| {
-                (
-                    threads,
-                    k.label().to_string(),
-                    0,
-                    0,
-                    alarm_sites(&execute(k, &rf, &[])).len(),
-                )
-            })
-            .collect();
+        let score = |trace: Trace, injection: Option<&Injection>| {
+            let tallies = score_cell(
+                &CellTrace::Materialized(trace),
+                injection,
+                &kinds,
+                RunLimits::unlimited(),
+                &obs,
+            );
+            expect_complete(&tallies);
+            tallies
+        };
+        let mut tallies = score(race_free(cfg, threads), None);
         for run_idx in 0..cfg.runs {
             let (trace, info) = injected(cfg, threads, run_idx);
-            let pr = probes(&info);
-            for (k, row) in kinds.iter().zip(tallies.iter_mut()) {
-                match score(&execute(k, &trace, &pr), &info) {
-                    BugOutcome::Detected => row.2 += 1,
-                    BugOutcome::MissedDisplaced => row.3 += 1,
-                    BugOutcome::Missed => {}
-                }
-            }
+            accumulate(&mut tallies, &score(trace, Some(&info)));
         }
-        rows.extend(tallies);
+        rows.extend(
+            kinds
+                .iter()
+                .zip(tallies)
+                .map(|(k, t)| (threads, k.label(), t)),
+        );
     }
     ServerResult {
         rows,
@@ -108,13 +108,13 @@ impl ServerResult {
             "displacement misses",
             "false alarms",
         ]);
-        for (threads, label, detected, displaced, alarms) in &self.rows {
+        for (threads, label, tally) in &self.rows {
             t.row(vec![
                 format!("{threads} threads"),
-                label.clone(),
-                format!("{detected}/{}", self.runs),
-                displaced.to_string(),
-                alarms.to_string(),
+                (*label).into(),
+                format!("{}/{}", tally.detected, self.runs),
+                tally.missed_displaced.to_string(),
+                tally.alarms.to_string(),
             ]);
         }
         t
@@ -363,15 +363,25 @@ mod tests {
             let get = |label: &str| {
                 r.rows
                     .iter()
-                    .find(|(t, l, ..)| *t == threads && l == label)
+                    .find(|(t, l, _)| *t == threads && *l == label)
                     .unwrap()
+                    .2
             };
             let hard = get("HARD");
             let ideal = get("lockset-ideal");
             let hb = get("HB");
-            assert!(ideal.2 >= hard.2, "{threads}: ideal dominates HARD");
-            assert!(hard.2 >= hb.2, "{threads}: lockset beats happens-before");
-            assert!(hard.2 >= r.runs / 2, "{threads}: most injections caught");
+            assert!(
+                ideal.detected >= hard.detected,
+                "{threads}: ideal dominates HARD"
+            );
+            assert!(
+                hard.detected >= hb.detected,
+                "{threads}: lockset beats happens-before"
+            );
+            assert!(
+                hard.detected >= r.runs / 2,
+                "{threads}: most injections caught"
+            );
         }
     }
 }

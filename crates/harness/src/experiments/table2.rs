@@ -1,26 +1,12 @@
 //! Table 2: overall effectiveness of HARD vs. happens-before, default
 //! and ideal, on six applications with 10 injected races each.
 
-use crate::campaign::{
-    alarm_sites, injected_cell, probes, race_free_cell, score, BugOutcome, CampaignConfig,
-};
+use crate::campaign::{sweep_complete, CampaignConfig};
 use crate::detectors::DetectorKind;
-use crate::runner::{execute_hardened_cell, RunLimits, RunOutcome};
 use crate::table::TextTable;
 use hard_workloads::App;
 
-/// Per-detector tallies for one application.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DetectorTally {
-    /// Bugs detected out of [`Table2::runs`].
-    pub detected: usize,
-    /// Misses attributable to L2 displacement of the metadata.
-    pub missed_displaced: usize,
-    /// Other misses.
-    pub missed_other: usize,
-    /// Source-level false alarms on the race-free run.
-    pub alarms: usize,
-}
+pub use crate::campaign::DetectorTally;
 
 /// One application row.
 #[derive(Clone, Copy, Debug)]
@@ -57,86 +43,20 @@ pub fn detector_set() -> [DetectorKind; 4] {
     ]
 }
 
-/// One unit of campaign work: `run` is `None` for the race-free
-/// (false-alarm) execution, `Some(i)` for injected run `i`. The trace
-/// is generated once per cell and all four detectors observe it.
-fn compute_cell(app: App, run: Option<usize>, cfg: &CampaignConfig) -> [DetectorTally; 4] {
-    let kinds = detector_set();
-    let mut tallies = [DetectorTally::default(); 4];
-    match run {
-        None => {
-            let rf = race_free_cell(app, cfg);
-            for (k, tally) in kinds.iter().zip(tallies.iter_mut()) {
-                let out = execute_hardened_cell(k, &rf, &[], RunLimits::unlimited());
-                let RunOutcome::Ok(dr, _) = out else {
-                    unreachable!("fault-free unlimited runs always complete");
-                };
-                tally.alarms = alarm_sites(&dr).len();
-            }
-        }
-        Some(run_idx) => {
-            let (trace, injection) = injected_cell(app, cfg, run_idx);
-            let pr = probes(&injection);
-            for (k, tally) in kinds.iter().zip(tallies.iter_mut()) {
-                let out = execute_hardened_cell(k, &trace, &pr, RunLimits::unlimited());
-                let RunOutcome::Ok(dr, _) = out else {
-                    unreachable!("fault-free unlimited runs always complete");
-                };
-                match score(&dr, &injection) {
-                    BugOutcome::Detected => tally.detected += 1,
-                    BugOutcome::MissedDisplaced => tally.missed_displaced += 1,
-                    BugOutcome::Missed => tally.missed_other += 1,
-                }
-            }
-        }
-    }
-    tallies
-}
-
-impl DetectorTally {
-    fn merge(&mut self, other: &DetectorTally) {
-        self.detected += other.detected;
-        self.missed_displaced += other.missed_displaced;
-        self.missed_other += other.missed_other;
-        self.alarms += other.alarms;
-    }
-}
-
-/// Runs the Table 2 campaign on the cell pool: one cell per
-/// `(application, run)` pair (plus the race-free alarm cell per app),
-/// fanned out over `cfg.jobs` workers and merged in cell order — the
-/// result is bit-identical for every worker count.
+/// Runs the Table 2 campaign over the scored sweep: every cell's trace
+/// is fetched once and all four detectors observe it; the result is
+/// bit-identical for every worker count.
 #[must_use]
 pub fn run(cfg: &CampaignConfig) -> Table2 {
-    let apps = App::all();
-    let mut cells: Vec<(App, Option<usize>)> = Vec::with_capacity(apps.len() * (cfg.runs + 1));
-    for &app in &apps {
-        cells.push((app, None));
-        for run_idx in 0..cfg.runs {
-            cells.push((app, Some(run_idx)));
-        }
-    }
-    let results = crate::parallel::map_cells(cfg.jobs, &cells, |_, &(app, run)| {
-        compute_cell(app, run, cfg)
-    });
-    let per_app = cfg.runs + 1;
-    let rows = apps
-        .iter()
-        .enumerate()
-        .map(|(ai, &app)| {
-            let mut tallies = [DetectorTally::default(); 4];
-            for cell in &results[ai * per_app..(ai + 1) * per_app] {
-                for (t, c) in tallies.iter_mut().zip(cell) {
-                    t.merge(c);
-                }
-            }
-            Table2Row {
-                app,
-                hard: tallies[0],
-                hard_ideal: tallies[1],
-                hb: tallies[2],
-                hb_ideal: tallies[3],
-            }
+    let rows = App::all()
+        .into_iter()
+        .zip(sweep_complete(cfg, |_, _| detector_set().to_vec()))
+        .map(|(app, t)| Table2Row {
+            app,
+            hard: t[0],
+            hard_ideal: t[1],
+            hb: t[2],
+            hb_ideal: t[3],
         })
         .collect();
     Table2 {

@@ -1,10 +1,8 @@
 //! Table 3: effect of the metadata granularity (4–32 B) on detected
 //! bugs (expected constant) and false alarms (expected rising).
 
-use crate::campaign::{
-    alarm_sites, injected_trace, probes, race_free_trace, score, CampaignConfig,
-};
-use crate::detectors::{execute, DetectorKind};
+use crate::campaign::{sweep_complete, CampaignConfig};
+use crate::detectors::DetectorKind;
 use crate::table::TextTable;
 use hard::{HardConfig, HbMachineConfig};
 use hard_workloads::App;
@@ -12,18 +10,19 @@ use hard_workloads::App;
 /// The granularities swept (bytes).
 pub const GRANULARITIES: [u64; 4] = [4, 8, 16, 32];
 
-/// One application row of the sweep.
+/// One application row of a four-point HARD vs. happens-before sweep
+/// (Table 3's granularities, Tables 4+5's L2 sizes).
 #[derive(Clone, Debug)]
 pub struct Table3Row {
     /// The application.
     pub app: App,
-    /// Bugs detected by HARD per granularity.
+    /// Bugs detected by HARD per sweep point.
     pub hard_bugs: [usize; 4],
-    /// Bugs detected by happens-before per granularity.
+    /// Bugs detected by happens-before per sweep point.
     pub hb_bugs: [usize; 4],
-    /// HARD false alarms per granularity.
+    /// HARD false alarms per sweep point.
     pub hard_alarms: [usize; 4],
-    /// Happens-before false alarms per granularity.
+    /// Happens-before false alarms per sweep point.
     pub hb_alarms: [usize; 4],
 }
 
@@ -36,38 +35,65 @@ pub struct Table3 {
     pub runs: usize,
 }
 
+/// Scores HARD and happens-before at each of four configuration points
+/// over the scored sweep, one row per application.
+pub(crate) fn hard_hb_rows(
+    cfg: &CampaignConfig,
+    points: [(HardConfig, HbMachineConfig); 4],
+) -> Vec<Table3Row> {
+    let kinds: Vec<DetectorKind> = points
+        .iter()
+        .flat_map(|&(hard, hb)| [DetectorKind::Hard(hard), DetectorKind::HbHw(hb)])
+        .collect();
+    App::all()
+        .into_iter()
+        .zip(sweep_complete(cfg, |_, _| kinds.clone()))
+        .map(|(app, t)| Table3Row {
+            app,
+            hard_bugs: std::array::from_fn(|i| t[2 * i].detected),
+            hb_bugs: std::array::from_fn(|i| t[2 * i + 1].detected),
+            hard_alarms: std::array::from_fn(|i| t[2 * i].alarms),
+            hb_alarms: std::array::from_fn(|i| t[2 * i + 1].alarms),
+        })
+        .collect()
+}
+
+/// A per-point field of [`Table3Row`].
+pub(crate) type Field = fn(&Table3Row) -> &[usize; 4];
+
+/// Renders four-point rows: per `(prefix, field)` column group, one
+/// `"{prefix} {point}"` column for each of the four point labels.
+pub(crate) fn render_rows(
+    rows: &[Table3Row],
+    points: &[String; 4],
+    columns: &[(&str, Field)],
+) -> TextTable {
+    let mut headers = vec!["application".to_string()];
+    for (prefix, _) in columns {
+        headers.extend(points.iter().map(|p| format!("{prefix} {p}")));
+    }
+    let mut t = TextTable::new(headers);
+    for r in rows {
+        let mut cells = vec![r.app.name().to_string()];
+        for (_, field) in columns {
+            cells.extend(field(r).iter().map(ToString::to_string));
+        }
+        t.row(cells);
+    }
+    t
+}
+
 /// Runs the granularity sweep, on the campaign pool.
 #[must_use]
 pub fn run(cfg: &CampaignConfig) -> Table3 {
-    let rows = crate::campaign::per_app(cfg.jobs, |app| {
-        let mut row = Table3Row {
-            app,
-            hard_bugs: [0; 4],
-            hb_bugs: [0; 4],
-            hard_alarms: [0; 4],
-            hb_alarms: [0; 4],
-        };
-        let rf = race_free_trace(app, cfg);
-        let injected: Vec<_> = (0..cfg.runs).map(|i| injected_trace(app, cfg, i)).collect();
-        for (gi, &g) in GRANULARITIES.iter().enumerate() {
-            let hard = DetectorKind::Hard(HardConfig::default().with_granularity(g));
-            let hb = DetectorKind::HbHw(HbMachineConfig::default().with_granularity(g));
-            row.hard_alarms[gi] = alarm_sites(&execute(&hard, &rf, &[])).len();
-            row.hb_alarms[gi] = alarm_sites(&execute(&hb, &rf, &[])).len();
-            for (trace, injection) in &injected {
-                let pr = probes(injection);
-                if score(&execute(&hard, trace, &pr), injection).is_detected() {
-                    row.hard_bugs[gi] += 1;
-                }
-                if score(&execute(&hb, trace, &pr), injection).is_detected() {
-                    row.hb_bugs[gi] += 1;
-                }
-            }
-        }
-        row
+    let points = GRANULARITIES.map(|g| {
+        (
+            HardConfig::default().with_granularity(g),
+            HbMachineConfig::default().with_granularity(g),
+        )
     });
     Table3 {
-        rows,
+        rows: hard_hb_rows(cfg, points),
         runs: cfg.runs,
     }
 }
@@ -76,23 +102,16 @@ impl Table3 {
     /// Renders in the paper's layout.
     #[must_use]
     pub fn render(&self) -> TextTable {
-        let mut headers = vec!["application".to_string()];
-        for side in ["HARD bugs", "HB bugs", "HARD alarms", "HB alarms"] {
-            for g in GRANULARITIES {
-                headers.push(format!("{side} {g}B"));
-            }
-        }
-        let mut t = TextTable::new(headers);
-        for r in &self.rows {
-            let mut cells = vec![r.app.name().to_string()];
-            for arr in [&r.hard_bugs, &r.hb_bugs, &r.hard_alarms, &r.hb_alarms] {
-                for v in arr.iter() {
-                    cells.push(v.to_string());
-                }
-            }
-            t.row(cells);
-        }
-        t
+        render_rows(
+            &self.rows,
+            &GRANULARITIES.map(|g| format!("{g}B")),
+            &[
+                ("HARD bugs", |r| &r.hard_bugs),
+                ("HB bugs", |r| &r.hb_bugs),
+                ("HARD alarms", |r| &r.hard_alarms),
+                ("HB alarms", |r| &r.hb_alarms),
+            ],
+        )
     }
 }
 

@@ -2,31 +2,16 @@
 //! detected bugs (Table 4, expected weakly rising) and false alarms
 //! (Table 5, expected weakly rising) for HARD and happens-before.
 
-use crate::campaign::{
-    alarm_sites, injected_trace, probes, race_free_trace, score, CampaignConfig,
-};
-use crate::detectors::{execute, DetectorKind};
+use super::table3::{hard_hb_rows, render_rows, Field, Table3Row};
+use crate::campaign::CampaignConfig;
 use crate::table::TextTable;
 use hard::{HardConfig, HbMachineConfig};
-use hard_workloads::App;
 
 /// The L2 capacities swept (bytes).
 pub const L2_SIZES: [u64; 4] = [128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024];
 
-/// One application row of the sweep.
-#[derive(Clone, Debug)]
-pub struct L2SweepRow {
-    /// The application.
-    pub app: App,
-    /// Bugs detected by HARD per L2 size.
-    pub hard_bugs: [usize; 4],
-    /// Bugs detected by happens-before per L2 size.
-    pub hb_bugs: [usize; 4],
-    /// HARD false alarms per L2 size.
-    pub hard_alarms: [usize; 4],
-    /// Happens-before false alarms per L2 size.
-    pub hb_alarms: [usize; 4],
-}
+/// One application row of the sweep: Table 3's row type, per L2 size.
+pub type L2SweepRow = Table3Row;
 
 /// The combined Tables 4+5 result.
 #[derive(Clone, Debug)]
@@ -40,82 +25,37 @@ pub struct L2Sweep {
 /// Runs the L2 sweep, on the campaign pool.
 #[must_use]
 pub fn run(cfg: &CampaignConfig) -> L2Sweep {
-    let rows = crate::campaign::per_app(cfg.jobs, |app| {
-        let mut row = L2SweepRow {
-            app,
-            hard_bugs: [0; 4],
-            hb_bugs: [0; 4],
-            hard_alarms: [0; 4],
-            hb_alarms: [0; 4],
-        };
-        let rf = race_free_trace(app, cfg);
-        let injected: Vec<_> = (0..cfg.runs).map(|i| injected_trace(app, cfg, i)).collect();
-        for (si, &size) in L2_SIZES.iter().enumerate() {
-            let hard = DetectorKind::Hard(HardConfig::default().with_l2_size(size));
-            let hb = DetectorKind::HbHw(HbMachineConfig::default().with_l2_size(size));
-            row.hard_alarms[si] = alarm_sites(&execute(&hard, &rf, &[])).len();
-            row.hb_alarms[si] = alarm_sites(&execute(&hb, &rf, &[])).len();
-            for (trace, injection) in &injected {
-                let pr = probes(injection);
-                if score(&execute(&hard, trace, &pr), injection).is_detected() {
-                    row.hard_bugs[si] += 1;
-                }
-                if score(&execute(&hb, trace, &pr), injection).is_detected() {
-                    row.hb_bugs[si] += 1;
-                }
-            }
-        }
-        row
+    let points = L2_SIZES.map(|size| {
+        (
+            HardConfig::default().with_l2_size(size),
+            HbMachineConfig::default().with_l2_size(size),
+        )
     });
     L2Sweep {
-        rows,
+        rows: hard_hb_rows(cfg, points),
         runs: cfg.runs,
     }
 }
 
 impl L2Sweep {
+    fn render(&self, hard: Field, hb: Field) -> TextTable {
+        render_rows(
+            &self.rows,
+            &L2_SIZES.map(|s| format!("{}KB", s / 1024)),
+            &[("HARD", hard), ("HB", hb)],
+        )
+    }
+
     /// Renders Table 4 (bugs detected).
     #[must_use]
     pub fn render_bugs(&self) -> TextTable {
-        let mut headers = vec!["application".to_string()];
-        for side in ["HARD", "HB"] {
-            for s in L2_SIZES {
-                headers.push(format!("{side} {}KB", s / 1024));
-            }
-        }
-        let mut t = TextTable::new(headers);
-        for r in &self.rows {
-            let mut cells = vec![r.app.name().to_string()];
-            for arr in [&r.hard_bugs, &r.hb_bugs] {
-                for v in arr.iter() {
-                    cells.push(v.to_string());
-                }
-            }
-            t.row(cells);
-        }
-        t
+        self.render(|r| &r.hard_bugs, |r| &r.hb_bugs)
     }
 
     /// Renders Table 5 (false alarms).
     #[must_use]
     pub fn render_alarms(&self) -> TextTable {
-        let mut headers = vec!["application".to_string()];
-        for side in ["HARD", "HB"] {
-            for s in L2_SIZES {
-                headers.push(format!("{side} {}KB", s / 1024));
-            }
-        }
-        let mut t = TextTable::new(headers);
-        for r in &self.rows {
-            let mut cells = vec![r.app.name().to_string()];
-            for arr in [&r.hard_alarms, &r.hb_alarms] {
-                for v in arr.iter() {
-                    cells.push(v.to_string());
-                }
-            }
-            t.row(cells);
-        }
-        t
+        self.render(|r| &r.hard_alarms, |r| &r.hb_alarms)
     }
 }
 

@@ -4,10 +4,8 @@
 //! (candidate sets are small, so the 16-bit vector does not collide)
 //! and the false-alarm counts are nearly identical.
 
-use crate::campaign::{
-    alarm_sites, injected_trace, probes, race_free_trace, score, CampaignConfig,
-};
-use crate::detectors::{execute, DetectorKind};
+use crate::campaign::{sweep_complete, CampaignConfig};
+use crate::detectors::DetectorKind;
 use crate::table::TextTable;
 use hard::HardConfig;
 use hard_bloom::BloomShape;
@@ -40,32 +38,19 @@ pub struct Table6 {
 /// Runs the bloom sweep, on the campaign pool.
 #[must_use]
 pub fn run(cfg: &CampaignConfig) -> Table6 {
-    let rows = crate::campaign::per_app(cfg.jobs, |app| {
-        let d16 = DetectorKind::Hard(HardConfig::default().with_bloom(BloomShape::B16));
-        let d32 = DetectorKind::Hard(HardConfig::default().with_bloom(BloomShape::B32));
-        let rf = race_free_trace(app, cfg);
-        let alarms_16 = alarm_sites(&execute(&d16, &rf, &[])).len();
-        let alarms_32 = alarm_sites(&execute(&d32, &rf, &[])).len();
-        let mut bugs_16 = 0;
-        let mut bugs_32 = 0;
-        for i in 0..cfg.runs {
-            let (trace, injection) = injected_trace(app, cfg, i);
-            let pr = probes(&injection);
-            if score(&execute(&d16, &trace, &pr), &injection).is_detected() {
-                bugs_16 += 1;
-            }
-            if score(&execute(&d32, &trace, &pr), &injection).is_detected() {
-                bugs_32 += 1;
-            }
-        }
-        Table6Row {
+    let kinds = [BloomShape::B16, BloomShape::B32]
+        .map(|shape| DetectorKind::Hard(HardConfig::default().with_bloom(shape)));
+    let rows = App::all()
+        .into_iter()
+        .zip(sweep_complete(cfg, |_, _| kinds.to_vec()))
+        .map(|(app, t)| Table6Row {
             app,
-            bugs_16,
-            bugs_32,
-            alarms_16,
-            alarms_32,
-        }
-    });
+            bugs_16: t[0].detected,
+            bugs_32: t[1].detected,
+            alarms_16: t[0].alarms,
+            alarms_32: t[1].alarms,
+        })
+        .collect();
     Table6 {
         rows,
         runs: cfg.runs,

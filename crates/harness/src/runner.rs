@@ -59,6 +59,16 @@ pub struct RunMetrics {
     pub l2_evictions: u64,
 }
 
+impl std::ops::AddAssign for RunMetrics {
+    fn add_assign(&mut self, other: RunMetrics) {
+        self.faults = self.faults.merged(other.faults);
+        self.cycles += other.cycles;
+        self.events += other.events;
+        self.meta_broadcasts += other.meta_broadcasts;
+        self.l2_evictions += other.l2_evictions;
+    }
+}
+
 /// The structured result of one hardened run.
 #[derive(Clone, Debug)]
 pub enum RunOutcome {
@@ -77,29 +87,6 @@ pub enum RunOutcome {
         /// Simulated cycles at expiry (0 for untimed detectors).
         cycles: u64,
     },
-}
-
-impl RunOutcome {
-    /// The completed run, if there is one.
-    #[must_use]
-    pub fn ok(&self) -> Option<&DetectorRun> {
-        match self {
-            RunOutcome::Ok(run, _) => Some(run),
-            _ => None,
-        }
-    }
-
-    /// True for [`RunOutcome::Faulted`].
-    #[must_use]
-    pub fn is_faulted(&self) -> bool {
-        matches!(self, RunOutcome::Faulted { .. })
-    }
-
-    /// True for [`RunOutcome::TimedOut`].
-    #[must_use]
-    pub fn is_timed_out(&self) -> bool {
-        matches!(self, RunOutcome::TimedOut { .. })
-    }
 }
 
 /// How often the deadline is checked, in events: once per window, so
@@ -503,17 +490,53 @@ mod tests {
         ]
     }
 
+    /// Every configuration the campaign sweeps send through the engine
+    /// beyond [`all_kinds`]: Table 3's granularities, Tables 4+5's L2
+    /// sizes, Table 6's 32-bit vector, the ablation's Figure 3 L2 and
+    /// the server campaign's 8-thread happens-before machine.
+    fn swept_kinds() -> Vec<DetectorKind> {
+        let (hard, hb) = (HardConfig::default(), hard::HbMachineConfig::default());
+        let granularities = [4, 8, 16].map(|g| (hard.with_granularity(g), hb.with_granularity(g)));
+        let l2_sizes = crate::experiments::table45::L2_SIZES
+            .map(|size| (hard.with_l2_size(size), hb.with_l2_size(size)));
+        let mut kinds: Vec<DetectorKind> = granularities
+            .into_iter()
+            .chain(l2_sizes)
+            .flat_map(|(h, b)| [DetectorKind::Hard(h), DetectorKind::HbHw(b)])
+            .collect();
+        kinds.extend([
+            DetectorKind::Hard(hard.with_bloom(hard_bloom::BloomShape::B32)),
+            DetectorKind::Hard(hard.with_figure3_l2()),
+            DetectorKind::HbHw(hb.with_num_threads(8)),
+        ]);
+        kinds
+    }
+
     #[test]
     fn unlimited_hardened_run_matches_plain_execute() {
-        let trace = racy_trace();
-        for kind in all_kinds() {
-            let plain = execute(&kind, &trace, &[Addr(0x1000)]);
-            let hardened = hardened(&kind, &trace, &[Addr(0x1000)], RunLimits::unlimited());
+        let (campaign_trace, injection) = crate::campaign::injected_trace(
+            hard_workloads::App::Barnes,
+            &crate::campaign::CampaignConfig::reduced(0.05, 1),
+            0,
+        );
+        let campaign_probes = crate::campaign::probes(&injection);
+        let cases = all_kinds()
+            .into_iter()
+            .map(|k| (k, racy_trace(), vec![Addr(0x1000)]))
+            .chain(
+                all_kinds()
+                    .into_iter()
+                    .chain(swept_kinds())
+                    .map(|k| (k, campaign_trace.clone(), campaign_probes.clone())),
+            );
+        for (kind, trace, probes) in cases {
+            let plain = execute(&kind, &trace, &probes);
+            let hardened = hardened(&kind, &trace, &probes, RunLimits::unlimited());
             let RunOutcome::Ok(run, _) = hardened else {
                 panic!("{kind}: hardened run must complete");
             };
-            assert_eq!(run.reports, plain.reports, "{kind}");
-            assert_eq!(run.meta_lost, plain.meta_lost, "{kind}");
+            assert_eq!(run.reports, plain.reports, "{kind:?}");
+            assert_eq!(run.meta_lost, plain.meta_lost, "{kind:?}");
         }
     }
 
@@ -544,7 +567,7 @@ mod tests {
             max_events: Some(DEADLINE_STRIDE),
         };
         let out = hardened(&DetectorKind::lockset_ideal(), &trace, &[], limits);
-        assert!(out.is_timed_out(), "got {out:?}");
+        assert!(matches!(out, RunOutcome::TimedOut { .. }), "got {out:?}");
     }
 
     #[test]
@@ -861,6 +884,6 @@ mod tests {
                     .unwrap_or_default(),
             },
         };
-        assert!(out.is_faulted());
+        assert!(matches!(out, RunOutcome::Faulted { .. }));
     }
 }

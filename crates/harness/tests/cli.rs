@@ -414,3 +414,45 @@ fn verify_passes_at_tiny_scale() {
     assert!(s.contains("PASS"));
     assert!(!s.contains("FAIL"), "{s}");
 }
+
+#[test]
+fn every_usage_command_is_dispatched() {
+    // The usage text is the command list: every `hard-exp <cmd>` form
+    // it names must reach a handler, not the `unknown command` arm.
+    let out = hard_exp().output().expect("spawn");
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    let commands: Vec<&str> = usage
+        .lines()
+        .filter_map(|l| l.split("hard-exp ").nth(1)?.split_whitespace().next())
+        .flat_map(|form| form.trim_matches(|c| c == '<' || c == '>').split('|'))
+        .collect();
+    for cmd in [
+        "table45",
+        "cord",
+        "workloads",
+        "server",
+        "robustness",
+        "verify",
+    ] {
+        assert!(commands.contains(&cmd), "usage omits {cmd}:\n{usage}");
+    }
+    let dir = std::env::temp_dir().join(format!("hard-exp-cli-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out_dir = dir.join("out");
+    for cmd in commands {
+        // Tiny and offline: serve campaigns fail at the spawn, commands
+        // with required arguments fail on the missing one.
+        let out = hard_exp()
+            .current_dir(&dir)
+            .args([cmd, "--scale", "0.01", "--runs", "1", "--jobs", "1"])
+            .args(["--trace-cache", "off", "--quiet", "--rates", "0"])
+            .args(["--serve-cmd", "/nonexistent/hard-serve"])
+            .arg("--out")
+            .arg(&out_dir)
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("unknown command"), "{cmd}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
