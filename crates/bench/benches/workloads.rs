@@ -1,8 +1,7 @@
-//! Workload-pipeline throughput: generation, scheduling, injection and
-//! trace serialization.
+//! Workload-pipeline throughput: generation, scheduling and injection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hard_trace::{codec, SchedConfig, Scheduler};
+use hard_trace::{SchedConfig, Scheduler};
 use hard_workloads::{inject_race, App, WorkloadConfig};
 use std::hint::black_box;
 
@@ -36,31 +35,5 @@ fn bench_injection(c: &mut Criterion) {
     });
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let p = App::WaterNsquared.generate(&cfg());
-    let trace = Scheduler::new(SchedConfig::default()).run(&p);
-    let mut buf = Vec::new();
-    codec::encode(&trace, &mut buf).unwrap();
-    let mut g = c.benchmark_group("trace/codec");
-    g.sample_size(20);
-    g.bench_function("encode", |b| {
-        b.iter(|| {
-            let mut out = Vec::with_capacity(buf.len());
-            codec::encode(&trace, &mut out).unwrap();
-            out
-        })
-    });
-    g.bench_function("decode", |b| {
-        b.iter(|| codec::decode(buf.as_slice()).unwrap())
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_generation,
-    bench_scheduling,
-    bench_injection,
-    bench_codec
-);
+criterion_group!(benches, bench_generation, bench_scheduling, bench_injection);
 criterion_main!(benches);

@@ -4,10 +4,11 @@
 //! This is the first code that touches bytes a client uploads to
 //! `hard-serve`, so it is the natural place for a length-field
 //! overflow or a truncation panic to hide. Invariants: arbitrary bytes
-//! produce `Err`, never a panic, and an accepted header's payload
-//! offset stays inside the input.
+//! produce `Err`, never a panic, an accepted header's payload offset
+//! stays inside the input, and its thread count is within
+//! [`CORPUS_MAX_THREADS`].
 
-use hard_harness::corpus::{encode_bytes, parse_header};
+use hard_harness::corpus::{encode_bytes, parse_header, CORPUS_MAX_THREADS};
 use hard_trace::PackedTrace;
 use std::process::ExitCode;
 
@@ -17,8 +18,11 @@ fn target(data: &[u8]) {
             payload_at <= data.len(),
             "accepted header points past the input"
         );
+        assert!(
+            header.num_threads <= CORPUS_MAX_THREADS,
+            "accepted a header over the thread limit"
+        );
         // Field reads must have been bounds-checked, not wrapped.
-        let _ = header.num_threads;
         let _ = header.events;
     }
 }

@@ -9,11 +9,14 @@
 //! same error string naming the same record index — and so does
 //! [`hard_harness::execute_streamed`] over a
 //! [`hard_trace::ChunkedReader`] cutting the same bytes into chunks.
+//! And whenever [`PackedTrace::from_bytes`] accepts the payload, the
+//! feeder rejects it exactly when [`hard_trace::Trace::validate`] does,
+//! at the same event index and for the same cause.
 
 use hard_harness::{execute_streamed, DetectorKind, StreamFeeder};
 use hard_trace::packed_event::RECORD_BYTES;
-use hard_trace::{ChunkedReader, PackedTrace, RaceReport};
-use hard_types::Xoshiro256;
+use hard_trace::{ChunkedReader, Op, PackedTrace, RaceReport, Trace, TraceEvent};
+use hard_types::{LockId, SiteId, ThreadId, Xoshiro256};
 use std::process::ExitCode;
 
 /// Threads the stream claims; mutated records may name others.
@@ -67,6 +70,21 @@ fn target(data: &[u8]) {
     let pulled = execute_streamed(&kind, THREADS, &mut reader)
         .map(|(run, events, fnv)| (run.reports, events, fnv));
     assert_eq!(pulled, whole, "execute_streamed diverged from the feeder");
+
+    if let Ok(packed) = PackedTrace::from_bytes(THREADS as u32, payload.to_vec()) {
+        // Whole valid records: only the validator can refuse them.
+        let fed = whole.as_ref().err().map(|e| {
+            e.strip_prefix("record ")
+                .unwrap_or_else(|| panic!("feeder error without a record index: {e}"))
+                .to_string()
+        });
+        let validated = packed.to_trace().validate().err().map(|e| {
+            e.strip_prefix("event ")
+                .unwrap_or_else(|| panic!("validate error without an event index: {e}"))
+                .to_string()
+        });
+        assert_eq!(fed, validated, "feeder and Trace::validate disagree");
+    }
 }
 
 /// Real packed records from a tiny generated trace, one seed per
@@ -80,8 +98,33 @@ fn seeds() -> Vec<Vec<u8>> {
     let head = &bytes[..bytes.len().min(600 * RECORD_BYTES)];
     (0..5u8)
         .map(|k| [&[k][..], head].concat())
-        .chain([vec![0u8; 1 + 2 * RECORD_BYTES + 5]])
+        .chain([vec![0u8; 1 + 2 * RECORD_BYTES + 5], lock_violation()])
         .collect()
+}
+
+/// t1 releases an unheld lock, then acquires it while t0 holds it:
+/// the mutator starts one seed inside the validator's rejections.
+fn lock_violation() -> Vec<u8> {
+    let (lock, site) = (LockId(0x40), SiteId(0));
+    let ops = [
+        (0, Op::Compute { cycles: 1 }),
+        (1, Op::Unlock { lock, site }),
+        (0, Op::Lock { lock, site }),
+        (1, Op::Lock { lock, site }),
+        (0, Op::Unlock { lock, site }),
+    ];
+    let trace = Trace {
+        events: ops
+            .into_iter()
+            .map(|(t, op)| TraceEvent::Op {
+                thread: ThreadId(t),
+                op,
+            })
+            .collect(),
+        num_threads: THREADS,
+    };
+    let packed = PackedTrace::from_trace(&trace).expect("hand-built trace packs");
+    [&[1u8][..], packed.bytes()].concat()
 }
 
 fn main() -> ExitCode {

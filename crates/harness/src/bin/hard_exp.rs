@@ -35,19 +35,17 @@
 //! Cache statistics print to stderr only (and not at all under
 //! `--quiet`). `record` writes the corpus format (`HARDCRP1`);
 //! `replay` streams it through the detector without materialising the
-//! payload, and still imports codec (`HARDTRC1`/`HARDTRC2`) traces,
-//! told apart by magic.
+//! payload, rejecting any record the stream validator refuses.
 
 use hard_harness::experiments::{
     ablation, bloom_analysis, chaos, claims, cord, faults, fig8, load, obs, obs_serve, robustness,
     server, table1, table2, table3, table45, table6, window, workload_stats,
 };
 use hard_harness::{
-    execute_hardened_cell, CampaignConfig, CellTrace, Checkpoint, DetectorKind, InjectMode,
-    KernelMode, OutputFormat, Reporter, RunLimits, RunOutcome,
+    CampaignConfig, Checkpoint, DetectorKind, InjectMode, KernelMode, OutputFormat, Reporter,
+    RunLimits,
 };
 use hard_obs::{MemoryRecorder, ObsHandle};
-use hard_trace::codec;
 use hard_workloads::{App, Scale};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -741,54 +739,25 @@ fn run_command(args: &Args, rep: &Reporter) -> Result<(), String> {
         "replay" => {
             let path = args.file.as_deref().ok_or("replay needs --file <path>")?;
             let kind = DetectorKind::parse(&args.detector)?;
-            let magic = {
-                let mut m = [0u8; 8];
-                let mut f =
-                    std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-                use std::io::Read;
-                let _ = f
-                    .read(&mut m)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                m
-            };
-            let (events, reports) = if &magic == hard_harness::corpus::CORPUS_MAGIC {
-                // A packed corpus file: stream it through the detector
-                // chunk by chunk — the payload is never resident.
-                let (header, mut reader) =
-                    hard_harness::corpus::open_streamed(std::path::Path::new(path))?;
-                let (run, events, fnv) = hard_harness::execute_streamed(
-                    &kind,
-                    header.num_threads as usize,
-                    &mut reader,
-                )?;
-                if events != header.events {
-                    return Err(format!(
-                        "stream ended after {events} of {} events",
-                        header.events
-                    ));
-                }
-                if fnv != header.payload_fnv {
-                    return Err("payload checksum mismatch after replay".into());
-                }
-                (events, run.reports)
-            } else {
-                let f =
-                    std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-                let trace = codec::decode(std::io::BufReader::new(f))
-                    .map_err(|e| format!("decode failed: {e}"))?;
-                trace
-                    .validate()
-                    .map_err(|e| format!("trace is not a plausible execution: {e}"))?;
-                let cell = CellTrace::Materialized(trace);
-                match execute_hardened_cell(&kind, &cell, &[], RunLimits::unlimited()) {
-                    RunOutcome::Ok(run, m) => (m.events, run.reports),
-                    other => return Err(format!("replay did not complete: {other:?}")),
-                }
-            };
+            // Stream the corpus file through the detector chunk by
+            // chunk: the payload is never resident.
+            let (header, mut reader) =
+                hard_harness::corpus::open_streamed(std::path::Path::new(path))?;
+            let (run, events, fnv) =
+                hard_harness::execute_streamed(&kind, header.num_threads as usize, &mut reader)?;
+            if events != header.events {
+                return Err(format!(
+                    "stream ended after {events} of {} events",
+                    header.events
+                ));
+            }
+            if fnv != header.payload_fnv {
+                return Err("payload checksum mismatch after replay".into());
+            }
             let body = hard_harness::ReportBody {
                 label: kind.label().to_string(),
                 events,
-                reports,
+                reports: run.reports,
             };
             for line in body.notes() {
                 rep.note(&line);

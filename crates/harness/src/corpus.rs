@@ -32,10 +32,12 @@
 //! selection entirely.
 //!
 //! Damage never panics and never poisons a campaign: a corrupt or
-//! truncated entry is counted, discarded and regenerated. Files in the
-//! archival codec formats (`HARDTRC1`/`HARDTRC2`) found under a corpus
-//! key are imported through [`codec::decode_lossy`] and accepted only
-//! when complete.
+//! truncated entry is counted, discarded and regenerated.
+//!
+//! The same format is what `record` writes and what `replay` and
+//! `hard-serve` take from outside. [`parse_header`] bounds the thread
+//! count at [`CORPUS_MAX_THREADS`], and the streaming consumers check
+//! every record with [`hard_trace::Validator`] as it arrives.
 
 use hard_trace::codec;
 use hard_trace::packed_event::{ChunkedReader, PackedTrace, DEFAULT_CHUNK_RECORDS, RECORD_BYTES};
@@ -49,6 +51,13 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Magic prefix of a corpus file.
 pub const CORPUS_MAGIC: &[u8; 8] = b"HARDCRP1";
+
+/// Largest thread count a corpus header may claim. Detectors size
+/// per-thread state from the header before any record arrives (the
+/// happens-before clocks are `n` clocks of `n` words), so an unbounded
+/// count would let one upload allocate gigabytes. The in-tree
+/// workloads use at most 8.
+pub const CORPUS_MAX_THREADS: u32 = 1024;
 
 /// One cached trace: the packed payload plus the injection ground
 /// truth for injected runs.
@@ -145,8 +154,8 @@ impl CorpusCache {
     /// persisting) the trace via `build` on a miss.
     ///
     /// `need_injection` demands an entry with ground truth: a disk
-    /// entry without one (e.g. an imported archival trace) is treated
-    /// as a miss rather than returned incomplete.
+    /// entry without one (a race-free recording) is treated as a miss
+    /// rather than returned incomplete.
     ///
     /// Returns `None` only when the generated trace cannot be packed
     /// (a thread id beyond the packed encoding's 20-bit field, which no
@@ -221,31 +230,13 @@ enum LoadError {
     Corrupt(String),
 }
 
-/// Reads and fully validates one corpus (or archival codec) file.
+/// Reads and fully validates one corpus file.
 fn load_file(path: &Path) -> Result<CorpusEntry, LoadError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(LoadError::Absent),
         Err(e) => return Err(LoadError::Corrupt(e.to_string())),
     };
-    if bytes.len() >= 8 && (&bytes[..8] == b"HARDTRC2" || &bytes[..8] == b"HARDTRC1") {
-        // An archival trace dropped into the corpus: import it through
-        // the lossy decoder, accepting only undamaged streams.
-        let lossy =
-            codec::decode_lossy(bytes.as_slice()).map_err(|e| LoadError::Corrupt(e.to_string()))?;
-        if !lossy.complete {
-            return Err(LoadError::Corrupt(format!(
-                "archival trace lost {} event(s)",
-                lossy.events_lost
-            )));
-        }
-        let packed =
-            PackedTrace::from_trace(&lossy.trace).map_err(|e| LoadError::Corrupt(e.to_string()))?;
-        return Ok(CorpusEntry {
-            trace: Arc::new(packed),
-            injection: None,
-        });
-    }
     let (header, payload_at) = parse_header(&bytes).map_err(LoadError::Corrupt)?;
     let payload = &bytes[payload_at..];
     let expect = usize::try_from(header.events)
@@ -288,8 +279,9 @@ pub struct StreamHeader {
 ///
 /// # Errors
 ///
-/// Describes the first corruption found (bad magic, truncation, or a
-/// header-checksum mismatch).
+/// Describes the first corruption found (bad magic, truncation, a
+/// header-checksum mismatch, or a thread count over
+/// [`CORPUS_MAX_THREADS`]).
 pub fn parse_header(bytes: &[u8]) -> Result<(StreamHeader, usize), String> {
     let need = |n: usize| -> Result<(), String> {
         if bytes.len() < n {
@@ -327,6 +319,12 @@ pub fn parse_header(bytes: &[u8]) -> Result<(StreamHeader, usize), String> {
     );
     if codec::fnv1a(&bytes[..32 + inj_len]) != header_fnv {
         return Err("header checksum mismatch".into());
+    }
+    // Checked after the checksum, so a flipped bit reads as damage.
+    if num_threads > CORPUS_MAX_THREADS {
+        return Err(format!(
+            "header claims {num_threads} threads, over the {CORPUS_MAX_THREADS}-thread limit"
+        ));
     }
     Ok((
         StreamHeader {
@@ -632,29 +630,23 @@ mod tests {
     }
 
     #[test]
-    fn archival_codec_files_are_imported() {
-        let dir = temp_dir("import");
-        let trace = small_trace();
-        let cache = CorpusCache::new(dir.clone());
-        let key = "imported";
-        let path = cache.path_for(key);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut buf = Vec::new();
-        codec::encode(&trace, &mut buf).unwrap();
-        std::fs::write(&path, &buf).unwrap();
-        let entry = cache
-            .get_or_create(key, false, || unreachable!("import serves the codec file"))
-            .unwrap();
-        assert_eq!(entry.trace.to_trace(), trace);
-        assert_eq!(cache.stats().hits_disk, 1);
-        // Needing an injection demotes the import to a miss.
-        let again = CorpusCache::new(dir.clone());
-        let entry = again
-            .get_or_create(key, true, || (trace.clone(), Some(sample_injection())))
-            .unwrap();
-        assert!(entry.injection.is_some());
-        assert_eq!(again.stats().misses, 1);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn headers_over_the_thread_limit_are_rejected() {
+        let packed = PackedTrace::from_trace(&small_trace()).unwrap();
+        let mut bytes = encode_bytes(&packed, None);
+        // Claim `n` threads and re-seal the header so only the limit
+        // can reject it.
+        let mut reseal = |n: u32| {
+            bytes[8..12].copy_from_slice(&n.to_le_bytes());
+            let fnv = codec::fnv1a(&bytes[..32]).to_le_bytes();
+            bytes[32..40].copy_from_slice(&fnv);
+            parse_header(&bytes).map(|(h, _)| h.num_threads)
+        };
+        assert_eq!(reseal(CORPUS_MAX_THREADS), Ok(CORPUS_MAX_THREADS));
+        assert_eq!(
+            reseal(CORPUS_MAX_THREADS + 1),
+            Err("header claims 1025 threads, over the 1024-thread limit".into())
+        );
+        assert!(reseal(u32::MAX).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::kernel;
 use hard_obs::ObsHandle;
 use hard_trace::codec;
 use hard_trace::packed_event::{ChunkedReader, PackedEvent, RECORD_BYTES};
-use hard_trace::{observe_window, Detector, Op, TraceEvent, BATCH_EVENTS};
+use hard_trace::{observe_window, Detector, TraceEvent, Validator, BATCH_EVENTS};
 use hard_types::{Addr, FaultStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -317,7 +317,7 @@ pub fn execute_streamed(
 /// by event count alone.
 pub struct StreamFeeder {
     engine: Engine,
-    num_threads: usize,
+    validator: Validator,
     /// Partial record carried across a feed boundary.
     carry: [u8; RECORD_BYTES],
     carry_len: usize,
@@ -336,7 +336,7 @@ impl StreamFeeder {
     fn observed(kind: &DetectorKind, num_threads: usize, obs: &ObsHandle) -> StreamFeeder {
         StreamFeeder {
             engine: Engine::new(kind, num_threads, RunLimits::unlimited(), obs),
-            num_threads,
+            validator: Validator::new(num_threads),
             carry: [0u8; RECORD_BYTES],
             carry_len: 0,
             fnv: codec::FNV1A_INIT,
@@ -349,28 +349,17 @@ impl StreamFeeder {
         self.engine.taken()
     }
 
-    /// Decodes and validates one record, then hands it to the engine.
-    /// A record naming a thread outside the stream's `num_threads` is
-    /// rejected here: the detectors index per-thread state by it.
+    /// Decodes one record and checks it with the stream's
+    /// [`Validator`], then hands it to the engine. The detectors index
+    /// per-thread state by thread id and assume lock mutual exclusion,
+    /// so nothing the validator rejects reaches them.
     fn push(&mut self, rec: &[u8; RECORD_BYTES]) -> Result<(), String> {
         let index = self.engine.taken();
         let e = PackedEvent::from_bytes(rec)
             .unpack()
-            .map_err(|e| format!("record {index}: {e}"))?;
-        if let TraceEvent::Op { thread, op } = &e {
-            let child = match op {
-                Op::Fork { child, .. } | Op::Join { child, .. } => Some(*child),
-                _ => None,
-            };
-            for t in std::iter::once(*thread).chain(child) {
-                if t.index() >= self.num_threads {
-                    return Err(format!(
-                        "record {index}: {t} out of range for {} threads",
-                        self.num_threads
-                    ));
-                }
-            }
-        }
+            .map_err(|e| e.to_string())
+            .and_then(|e| self.validator.check(&e).map(|()| e))
+            .map_err(|cause| format!("record {index}: {cause}"))?;
         self.engine.push(e);
         Ok(())
     }
@@ -380,8 +369,8 @@ impl StreamFeeder {
     /// # Errors
     ///
     /// Returns `record {index}: {cause}` for an undecodable record or
-    /// one naming an out-of-range thread. After an error the feeder
-    /// state is spent; callers drop it.
+    /// one the [`Validator`] rejects. After an error the feeder state
+    /// is spent; callers drop it.
     pub fn feed(&mut self, mut bytes: &[u8]) -> Result<(), String> {
         self.fnv = codec::fnv1a_update(self.fnv, bytes);
         if self.carry_len > 0 {
@@ -441,8 +430,8 @@ mod tests {
     use crate::detectors::execute;
     use crate::kernel::KernelMode;
     use hard::HardConfig;
-    use hard_trace::{PackedTrace, ProgramBuilder, SchedConfig, Scheduler, Trace, TraceStats};
-    use hard_types::{BarrierId, FaultPlan, LockId, SiteId};
+    use hard_trace::{Op, PackedTrace, ProgramBuilder, SchedConfig, Scheduler, Trace, TraceStats};
+    use hard_types::{BarrierId, FaultPlan, LockId, SiteId, ThreadId};
     use std::sync::Arc;
 
     /// Two threads racing on four lines, with a locked read and a
@@ -865,6 +854,80 @@ mod tests {
                 format!("record {first}: t1 out of range for 1 threads")
             );
         }
+    }
+
+    /// Feeds 300 well-formed writes by t0 and then `tail` as one
+    /// two-thread stream, split at several chunk sizes, under every
+    /// detector; returns the error, which must not depend on either.
+    fn malformed_stream_error(tail: &[(u32, Op)]) -> String {
+        let write = Op::Write {
+            addr: Addr(0x1000),
+            size: 4,
+            site: SiteId(0),
+        };
+        let events = std::iter::repeat_n((0, write), 300)
+            .chain(tail.iter().copied())
+            .map(|(t, op)| TraceEvent::Op {
+                thread: ThreadId(t),
+                op,
+            })
+            .collect();
+        let packed = PackedTrace::from_trace(&Trace {
+            events,
+            num_threads: 2,
+        })
+        .unwrap();
+        let mut errors = Vec::new();
+        for kind in all_kinds() {
+            for chunk in [1usize, 7, 16, 4095] {
+                let mut feeder = StreamFeeder::new(&kind, 2);
+                let fed = packed
+                    .bytes()
+                    .chunks(chunk)
+                    .try_for_each(|p| feeder.feed(p));
+                errors.push(fed.expect_err("a malformed stream must be rejected"));
+            }
+        }
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+        errors.swap_remove(0)
+    }
+
+    const LOCK: LockId = LockId(0x40);
+
+    #[test]
+    fn stream_feeder_rejects_unheld_releases() {
+        let release = Op::Unlock {
+            lock: LOCK,
+            site: SiteId(1),
+        };
+        assert_eq!(
+            malformed_stream_error(&[(1, release)]),
+            "record 300: t1 releases unheld lock@0x40"
+        );
+    }
+
+    #[test]
+    fn stream_feeder_rejects_double_acquires() {
+        let acquire = Op::Lock {
+            lock: LOCK,
+            site: SiteId(1),
+        };
+        assert_eq!(
+            malformed_stream_error(&[(0, acquire), (1, acquire)]),
+            "record 301: t1 acquires lock@0x40 held by t0"
+        );
+    }
+
+    #[test]
+    fn stream_feeder_rejects_acting_before_the_fork() {
+        let fork = Op::Fork {
+            child: ThreadId(1),
+            site: SiteId(1),
+        };
+        assert_eq!(
+            malformed_stream_error(&[(1, Op::Compute { cycles: 1 }), (0, fork)]),
+            "record 301: t1 acts before its fork"
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn markdown_mode_emits_pipes() {
 #[test]
 fn record_then_replay_roundtrips() {
     let dir = std::env::temp_dir();
-    let path = dir.join(format!("hard-exp-cli-test-{}.trc", std::process::id()));
+    let path = dir.join(format!("hard-exp-cli-test-{}.crp", std::process::id()));
     let path_s = path.to_str().expect("utf8 temp path");
 
     let rec = hard_exp()
@@ -77,6 +77,10 @@ fn record_then_replay_roundtrips() {
         String::from_utf8_lossy(&rec.stderr)
     );
     assert!(String::from_utf8_lossy(&rec.stdout).contains("recorded water-nsquared"));
+    assert_eq!(
+        &std::fs::read(&path).expect("corpus file")[..8],
+        b"HARDCRP1"
+    );
 
     let rep = hard_exp()
         .args(["replay", "--file", path_s, "--detector", "hard"])
@@ -89,6 +93,18 @@ fn record_then_replay_roundtrips() {
     );
     let s = String::from_utf8_lossy(&rep.stdout);
     assert!(s.contains("replayed") && s.contains("HARD"), "{s}");
+
+    // A flipped payload bit must fail the checksum, not change results.
+    let mut bytes = std::fs::read(&path).expect("corpus file");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&path, bytes).expect("rewrite");
+    let out = hard_exp()
+        .args(["replay", "--file", path_s])
+        .output()
+        .expect("spawn replay");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("checksum"));
 
     std::fs::remove_file(&path).ok();
 }
@@ -103,7 +119,7 @@ fn replay_rejects_garbage_files() {
         .output()
         .expect("spawn");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("decode failed"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("truncated header"));
     std::fs::remove_file(&path).ok();
 }
 
@@ -272,70 +288,60 @@ fn trace_out_streams_global_events() {
     let _ = std::fs::remove_file(&path);
 }
 
-#[test]
-fn packed_record_then_replay_streams_the_corpus_format() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("hard-exp-cli-packed-{}.crp", std::process::id()));
-    let path_s = path.to_str().expect("utf8 temp path");
-
-    let rec = hard_exp()
-        .args([
-            "record",
-            "--app",
-            "water-nsquared",
-            "--file",
-            path_s,
-            "--scale",
-            "0.1",
-            "--inject",
-            "2",
-        ])
-        .output()
-        .expect("spawn record");
-    assert!(
-        rec.status.success(),
-        "{}",
-        String::from_utf8_lossy(&rec.stderr)
-    );
-    let magic = std::fs::read(&path).expect("packed file")[..8].to_vec();
-    assert_eq!(&magic, b"HARDCRP1");
-
-    // A codec recording of the same (app, scale, seed) — the import
-    // format `replay` still reads — must replay to the same reports.
-    let codec_path = dir.join(format!("hard-exp-cli-packed-{}.trc", std::process::id()));
-    let codec_s = codec_path.to_str().expect("utf8 temp path");
-    let cfg = hard_harness::CampaignConfig::reduced(0.1, 10);
-    let (trace, _) = hard_harness::injected_trace(hard_workloads::App::WaterNsquared, &cfg, 2);
-    let f = std::fs::File::create(&codec_path).expect("create codec file");
-    hard_trace::codec::encode(&trace, std::io::BufWriter::new(f)).expect("encode");
-    let replay = |p: &str| {
-        let out = hard_exp()
-            .args(["replay", "--file", p, "--detector", "hard"])
-            .output()
-            .expect("spawn replay");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    assert_eq!(replay(path_s), replay(codec_s), "streamed != materialized");
-
-    // A flipped payload bit must fail the checksum, not change results.
-    let mut bytes = std::fs::read(&path).expect("packed file");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x01;
-    std::fs::write(&path, bytes).expect("rewrite");
+/// Writes `bytes` to a per-process temp file and replays it under
+/// `detector`, returning stderr; the replay must fail.
+fn failed_replay(tag: &str, bytes: &[u8], detector: &str) -> String {
+    let path = std::env::temp_dir().join(format!("hard-exp-cli-{tag}-{}.crp", std::process::id()));
+    std::fs::write(&path, bytes).expect("write");
     let out = hard_exp()
-        .args(["replay", "--file", path_s])
+        .args(["replay", "--file", path.to_str().unwrap()])
+        .args(["--detector", detector])
         .output()
         .expect("spawn replay");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("checksum"));
-
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&codec_path).ok();
+    assert!(!out.status.success(), "{tag} replayed under {detector}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn replay_rejects_lock_violating_streams() {
+    use hard_trace::{Op, PackedTrace, Trace, TraceEvent};
+    use hard_types::{LockId, SiteId, ThreadId};
+    let (lock, site) = (LockId(0x40), SiteId(0));
+    // t1 releases an unheld lock, then acquires it while t0 holds it.
+    let ops = [
+        (0, Op::Compute { cycles: 1 }),
+        (1, Op::Unlock { lock, site }),
+        (0, Op::Lock { lock, site }),
+        (1, Op::Lock { lock, site }),
+        (0, Op::Unlock { lock, site }),
+    ];
+    let trace = Trace {
+        events: ops
+            .into_iter()
+            .map(|(t, op)| TraceEvent::Op {
+                thread: ThreadId(t),
+                op,
+            })
+            .collect(),
+        num_threads: 2,
+    };
+    let packed = PackedTrace::from_trace(&trace).expect("packs");
+    let bytes = hard_harness::corpus::encode_bytes(&packed, None);
+    for detector in ["hard", "lockset-ideal", "hb-ideal"] {
+        let err = failed_replay("malformed", &bytes, detector);
+        assert!(
+            err.contains("record 1: t1 releases unheld lock@0x40"),
+            "{detector}: {err}"
+        );
+    }
+}
+
+#[test]
+fn replay_rejects_archival_codec_magic() {
+    let bytes = [&b"HARDTRC2"[..], &[0u8; 32]].concat();
+    let err = failed_replay("archival", &bytes, "hard");
+    assert!(err.contains("bad magic"), "{err}");
 }
 
 #[test]

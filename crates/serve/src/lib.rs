@@ -43,10 +43,11 @@
 //!   handshake, length-prefixed frames reassembled by the push-style
 //!   [`hard_trace::wire::FrameAssembler`], hostile length prefixes
 //!   rejected before allocation.
-//! * **Ingest verification** — the `HARDCRP1` header checksum is
-//!   validated as soon as the header bytes arrive and the payload FNV
-//!   after replay; a corrupt upload gets a client-visible `Error`
-//!   frame at `End`, never a panic.
+//! * **Ingest verification** — the `HARDCRP1` header checksum and
+//!   thread limit are checked as soon as the header bytes arrive,
+//!   every record by [`hard_trace::Validator`] as it arrives, and the
+//!   payload FNV after replay; a corrupt or malformed upload gets a
+//!   client-visible `Error` frame at `End`, never a panic.
 //! * **Limits** — [`ServeConfig`] bounds concurrent sessions, bytes
 //!   per session, events per session, and global in-flight bytes.
 //! * **Overload shedding** — admission control: a session arriving

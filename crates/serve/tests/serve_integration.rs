@@ -7,13 +7,17 @@
 //! process-global observability recorder (first install wins), so a
 //! single test must own the whole scenario.
 
+use hard_harness::corpus::{encode_bytes, CORPUS_MAX_THREADS};
 use hard_harness::service::{request_shutdown, submit_bytes};
 use hard_harness::{CampaignConfig, Fixture, Submission};
 use hard_obs::{CounterId, GaugeId, HistId, MemoryRecorder, ObsHandle};
 use hard_serve::{ServeConfig, Server};
+use hard_trace::codec::fnv1a;
 use hard_trace::wire::{
     read_frame, read_handshake, write_frame, write_handshake, FrameKind, MAX_FRAME_BYTES,
 };
+use hard_trace::{Op, PackedTrace, Trace, TraceEvent};
+use hard_types::{LockId, SiteId, ThreadId};
 use hard_workloads::App;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -179,6 +183,64 @@ fn serve_end_to_end() {
         })
     };
 
+    // --- Hostile client 6: a well-sealed header claiming one thread
+    // over the format's limit. Rejected before any detector sizes its
+    // per-thread state from it.
+    let oversized = {
+        let addr = addr.clone();
+        let mut bytes = bytes_a.clone();
+        std::thread::spawn(move || {
+            bytes[8..12].copy_from_slice(&(CORPUS_MAX_THREADS + 1).to_le_bytes());
+            let at = 32 + u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+            let fnv = fnv1a(&bytes[..at]).to_le_bytes();
+            bytes[at..at + 8].copy_from_slice(&fnv);
+            match submit_bytes(&addr, &bytes, "hb-ideal", 64 << 10, None).expect("submit") {
+                Submission::ServerError { message, .. } => {
+                    assert!(message.contains("thread limit"), "{message}");
+                }
+                other => panic!("oversized header produced {other:?}"),
+            }
+        })
+    };
+
+    // --- Hostile client 7: an intact stream that is no execution (t1
+    // releases an unheld lock, then takes it while t0 holds it). The
+    // error names the record exactly as `hard-exp replay` does.
+    let lock_violation = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let (lock, site) = (LockId(0x40), SiteId(0));
+            let ops = [
+                (0, Op::Compute { cycles: 1 }),
+                (1, Op::Unlock { lock, site }),
+                (0, Op::Lock { lock, site }),
+                (1, Op::Lock { lock, site }),
+                (0, Op::Unlock { lock, site }),
+            ];
+            let trace = Trace {
+                events: ops
+                    .into_iter()
+                    .map(|(t, op)| TraceEvent::Op {
+                        thread: ThreadId(t),
+                        op,
+                    })
+                    .collect(),
+                num_threads: 2,
+            };
+            let packed = PackedTrace::from_trace(&trace).expect("packs");
+            let bytes = encode_bytes(&packed, None);
+            match submit_bytes(&addr, &bytes, "hb-ideal", 64 << 10, None).expect("submit") {
+                Submission::ServerError { message, .. } => {
+                    assert!(
+                        message.contains("record 1: t1 releases unheld lock@0x40"),
+                        "{message}"
+                    );
+                }
+                other => panic!("lock-violating stream produced {other:?}"),
+            }
+        })
+    };
+
     for h in good {
         h.join().expect("good client");
     }
@@ -188,6 +250,8 @@ fn serve_end_to_end() {
         ("bad_magic", bad_magic),
         ("corrupt", corrupt),
         ("idle", idle),
+        ("oversized", oversized),
+        ("lock_violation", lock_violation),
     ] {
         h.join()
             .unwrap_or_else(|_| panic!("{name} client panicked"));
@@ -221,15 +285,15 @@ fn serve_end_to_end() {
     // surfaced as an error, and the repeat upload hit the cache.
     let snap = recorder.snapshot();
     let conns = snap.counter(CounterId::ServeConnections);
-    // 8 good + 5 hostile + 2 post-abuse + 1 shutdown.
-    assert_eq!(conns, 16, "accepted connections");
+    // 8 good + 7 hostile + 2 post-abuse + 1 shutdown.
+    assert_eq!(conns, 18, "accepted connections");
     assert_eq!(
         snap.counter(CounterId::ServeSessions),
         10,
         "8 concurrent + 2 post-abuse sessions completed"
     );
     assert!(
-        snap.counter(CounterId::ServeErrors) >= 5,
+        snap.counter(CounterId::ServeErrors) >= 7,
         "each hostile client is counted"
     );
     // The 8 concurrent clients upload two distinct (detector, bytes)

@@ -1,7 +1,8 @@
 //! The globally ordered event stream a scheduler run produces.
 
 use crate::op::Op;
-use hard_types::{BarrierId, ThreadId};
+use hard_types::{BarrierId, LockId, ThreadId};
+use std::collections::HashMap;
 use std::fmt;
 
 /// One event of the global interleaving.
@@ -83,78 +84,107 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Checks that the event stream is a plausible execution: thread
-    /// ids are in range, the lock events respect mutual exclusion, and
-    /// forked threads only act after their fork. Intended for traces
-    /// decoded from untrusted files before they are replayed through a
-    /// detector (a malformed stream cannot crash a detector, but its
-    /// reports would be meaningless).
+    /// Checks that the event stream is a plausible execution by
+    /// folding a [`Validator`] over it.
     ///
-    /// Returns a description of the first violation.
+    /// Returns `event {index}: {cause}` for the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        use crate::op::Op;
-        use hard_types::LockId;
-        use std::collections::BTreeMap;
-        let mut lock_owner: BTreeMap<LockId, ThreadId> = BTreeMap::new();
-        let mut started = vec![true; self.num_threads];
-        // Threads that are fork targets start unstarted; infer them.
-        for e in &self.events {
-            if let TraceEvent::Op {
-                op: Op::Fork { child, .. },
-                ..
-            } = e
-            {
-                if child.index() < self.num_threads {
-                    started[child.index()] = false;
-                }
-            }
-        }
+        let mut v = Validator::new(self.num_threads);
         for (i, e) in self.events.iter().enumerate() {
-            let TraceEvent::Op { thread, op } = e else {
-                continue;
-            };
-            if thread.index() >= self.num_threads {
-                return Err(format!("event {i}: thread {thread} out of range"));
-            }
-            match *op {
-                Op::Lock { lock, .. } => {
-                    if let Some(owner) = lock_owner.get(&lock) {
-                        return Err(format!(
-                            "event {i}: {thread} acquires {lock} held by {owner}"
-                        ));
-                    }
-                    lock_owner.insert(lock, *thread);
+            v.check(e).map_err(|cause| format!("event {i}: {cause}"))?;
+        }
+        Ok(())
+    }
+}
+
+/// Per-thread state of a [`Validator`].
+#[derive(Clone, Copy, Default, Debug)]
+struct ThreadState {
+    /// The thread has issued an event.
+    acted: bool,
+    /// Some thread has forked it.
+    forked: bool,
+}
+
+/// The one well-formedness check for event streams, folded one event
+/// at a time so a byte stream can be checked as it arrives.
+///
+/// An event is rejected when it names a thread, fork child or join
+/// child outside `num_threads`; acquires a lock some thread holds;
+/// releases a lock its thread does not hold; forks a thread that was
+/// already forked; or forks a thread that has already acted (the
+/// early action is caught at the later fork). Every scheduler trace
+/// passes; a stream that fails leaves HARD's per-thread lock register
+/// describing no real execution, so detectors' reports on it would be
+/// meaningless.
+///
+/// The state is the owner of each held lock plus two flags per
+/// thread. After construction the check allocates only when the
+/// number of simultaneously held locks reaches a new peak.
+#[derive(Debug)]
+pub struct Validator {
+    /// Keyed by lock ids from uploaded streams, so it keeps the
+    /// default, collision-resistant hasher.
+    owners: HashMap<LockId, ThreadId>,
+    threads: Vec<ThreadState>,
+}
+
+impl Validator {
+    /// A validator for a stream of `num_threads` threads.
+    #[must_use]
+    pub fn new(num_threads: usize) -> Validator {
+        Validator {
+            owners: HashMap::new(),
+            threads: vec![ThreadState::default(); num_threads],
+        }
+    }
+
+    /// Folds in the next event.
+    ///
+    /// # Errors
+    ///
+    /// Describes why `e` cannot follow the events checked before it.
+    /// The validator state is then spent; callers stop.
+    pub fn check(&mut self, e: &TraceEvent) -> Result<(), String> {
+        let TraceEvent::Op { thread, op } = *e else {
+            return Ok(());
+        };
+        let n = self.threads.len();
+        let child = match op {
+            Op::Fork { child, .. } | Op::Join { child, .. } => Some(child),
+            _ => None,
+        };
+        if let Some(t) = std::iter::once(thread)
+            .chain(child)
+            .find(|t| t.index() >= n)
+        {
+            return Err(format!("{t} out of range for {n} threads"));
+        }
+        self.threads[thread.index()].acted = true;
+        match op {
+            Op::Lock { lock, .. } => {
+                if let Some(owner) = self.owners.insert(lock, thread) {
+                    return Err(format!("{thread} acquires {lock} held by {owner}"));
                 }
-                Op::Unlock { lock, .. } => {
-                    // Race injection removes lock/unlock *pairs*, so
-                    // even injected traces never release an unheld
-                    // lock: such a stream is corrupt.
-                    match lock_owner.get(&lock) {
-                        Some(owner) if owner == thread => {
-                            lock_owner.remove(&lock);
-                        }
-                        Some(owner) => {
-                            return Err(format!(
-                                "event {i}: {thread} releases {lock} held by {owner}"
-                            ))
-                        }
-                        None => return Err(format!("event {i}: {thread} releases unheld {lock}")),
-                    }
-                }
-                Op::Fork { child, .. } => {
-                    if child.index() >= self.num_threads {
-                        return Err(format!("event {i}: fork of unknown {child}"));
-                    }
-                    if started[child.index()] {
-                        return Err(format!("event {i}: {child} forked twice or running"));
-                    }
-                    started[child.index()] = true;
-                }
-                _ => {}
             }
-            if !started[thread.index()] {
-                return Err(format!("event {i}: {thread} acts before its fork"));
+            // Race injection removes lock/unlock *pairs*, so even
+            // injected traces never release an unheld lock.
+            Op::Unlock { lock, .. } => match self.owners.remove(&lock) {
+                Some(owner) if owner == thread => {}
+                Some(owner) => return Err(format!("{thread} releases {lock} held by {owner}")),
+                None => return Err(format!("{thread} releases unheld {lock}")),
+            },
+            Op::Fork { child, .. } => {
+                let c = &mut self.threads[child.index()];
+                if c.forked {
+                    return Err(format!("{child} forked twice"));
+                }
+                if c.acted {
+                    return Err(format!("{child} acts before its fork"));
+                }
+                c.forked = true;
             }
+            _ => {}
         }
         Ok(())
     }
@@ -188,7 +218,6 @@ mod tests {
     fn validate_accepts_scheduled_traces() {
         use crate::program::ProgramBuilder;
         use crate::sched::{SchedConfig, Scheduler};
-        use hard_types::LockId;
         let mut b = ProgramBuilder::new(2);
         for t in 0..2u32 {
             b.thread(t)
@@ -200,87 +229,62 @@ mod tests {
         assert_eq!(trace.validate(), Ok(()));
     }
 
-    #[test]
-    fn validate_rejects_double_acquire() {
-        use hard_types::LockId;
-        let t = Trace {
-            events: vec![
-                TraceEvent::Op {
-                    thread: ThreadId(0),
-                    op: Op::Lock {
-                        lock: LockId(0x40),
-                        site: SiteId(0),
-                    },
-                },
-                TraceEvent::Op {
-                    thread: ThreadId(1),
-                    op: Op::Lock {
-                        lock: LockId(0x40),
-                        site: SiteId(1),
-                    },
-                },
-            ],
-            num_threads: 2,
-        };
-        assert!(t.validate().unwrap_err().contains("acquires"));
+    /// A trace of `num_threads` threads over `(thread, op)` pairs.
+    fn ops_trace(num_threads: usize, ops: &[(u32, Op)]) -> Trace {
+        Trace {
+            events: ops
+                .iter()
+                .map(|&(t, op)| TraceEvent::Op {
+                    thread: ThreadId(t),
+                    op,
+                })
+                .collect(),
+            num_threads,
+        }
     }
 
     #[test]
-    fn validate_rejects_out_of_range_thread() {
-        let t = Trace {
-            events: vec![TraceEvent::Op {
-                thread: ThreadId(7),
-                op: Op::Compute { cycles: 1 },
-            }],
-            num_threads: 2,
+    fn validate_names_each_violation_at_its_event() {
+        let (lock, site) = (LockId(0x40), SiteId(0));
+        let (acquire, release) = (Op::Lock { lock, site }, Op::Unlock { lock, site });
+        let compute = Op::Compute { cycles: 1 };
+        let fork = |c| Op::Fork {
+            child: ThreadId(c),
+            site,
         };
-        assert!(t.validate().unwrap_err().contains("out of range"));
-    }
-
-    #[test]
-    fn validate_rejects_foreign_release() {
-        use hard_types::LockId;
-        let t = Trace {
-            events: vec![
-                TraceEvent::Op {
-                    thread: ThreadId(0),
-                    op: Op::Lock {
-                        lock: LockId(0x40),
-                        site: SiteId(0),
-                    },
-                },
-                TraceEvent::Op {
-                    thread: ThreadId(1),
-                    op: Op::Unlock {
-                        lock: LockId(0x40),
-                        site: SiteId(1),
-                    },
-                },
-            ],
-            num_threads: 2,
+        let join = Op::Join {
+            child: ThreadId(2),
+            site,
         };
-        assert!(t.validate().unwrap_err().contains("releases"));
-    }
-
-    #[test]
-    fn validate_rejects_pre_fork_activity() {
-        let t = Trace {
-            events: vec![
-                TraceEvent::Op {
-                    thread: ThreadId(1),
-                    op: Op::Compute { cycles: 1 },
-                },
-                TraceEvent::Op {
-                    thread: ThreadId(0),
-                    op: Op::Fork {
-                        child: ThreadId(1),
-                        site: SiteId(0),
-                    },
-                },
-            ],
-            num_threads: 2,
-        };
-        assert!(t.validate().unwrap_err().contains("before its fork"));
+        let cases: [(&[(u32, Op)], &str); 10] = [
+            (&[(7, compute)], "event 0: t7 out of range for 2 threads"),
+            (&[(0, fork(2))], "event 0: t2 out of range for 2 threads"),
+            (&[(0, join)], "event 0: t2 out of range for 2 threads"),
+            (
+                &[(0, acquire), (1, acquire)],
+                "event 1: t1 acquires lock@0x40 held by t0",
+            ),
+            (
+                &[(0, acquire), (0, acquire)],
+                "event 1: t0 acquires lock@0x40 held by t0",
+            ),
+            (
+                &[(0, acquire), (1, release)],
+                "event 1: t1 releases lock@0x40 held by t0",
+            ),
+            (&[(1, release)], "event 0: t1 releases unheld lock@0x40"),
+            (&[(0, fork(1)), (0, fork(1))], "event 1: t1 forked twice"),
+            // An early action is caught at the later fork; so is a
+            // thread forking itself.
+            (
+                &[(1, compute), (0, fork(1))],
+                "event 1: t1 acts before its fork",
+            ),
+            (&[(0, fork(0))], "event 0: t0 acts before its fork"),
+        ];
+        for (ops, want) in cases {
+            assert_eq!(ops_trace(2, ops).validate(), Err(want.to_string()));
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!   `(program, seed)` pair always produces the same trace, so HARD,
 //!   happens-before and the ideal detectors can be compared on
 //!   *identical executions* (paper §5.1);
-//! * [`codec`] — a small binary format for persisting traces;
+//! * [`packed_event`] — the fixed-width records traces are stored,
+//!   streamed and uploaded as, and [`event::Validator`], the one
+//!   well-formedness check every stream from outside passes through;
+//! * [`codec`] — the FNV-1a checksum those streams carry;
 //! * [`stats::TraceStats`] — summary statistics used by tests and the
 //!   harness;
 //! * [`wire`] — the length-prefixed frame protocol spoken by the
@@ -54,7 +57,7 @@ pub mod wire;
 pub use detect::{
     observe_window, run_detector, run_detector_batched, run_detector_observed, Detector, RaceReport,
 };
-pub use event::{Trace, TraceEvent};
+pub use event::{Trace, TraceEvent, Validator};
 pub use op::Op;
 pub use packed_event::{Chunk, ChunkedReader, PackError, PackedEvent, PackedTrace, BATCH_EVENTS};
 pub use program::{Program, ProgramBuilder, ThreadProgram};

@@ -1,11 +1,11 @@
 //! Fixed-width packed event records and streaming trace buffers.
 //!
-//! The variable-length [`codec`](crate::codec) is the right archival
-//! format — it is compact and survives damage — but replaying through
-//! it means materializing a `Vec<TraceEvent>` of wide enum records
-//! first. Campaign replay wants the opposite trade: a **fixed-width**
-//! encoding that a detector can consume straight out of a byte buffer,
-//! one cheap shift-and-mask decode per event, no intermediate vector.
+//! This is the one on-disk and on-wire trace format: `record` writes
+//! it, `replay` and `hard-serve` stream it, and the corpus cache
+//! persists it. The encoding is **fixed-width** so a detector can
+//! consume it straight out of a byte buffer, one cheap shift-and-mask
+//! decode per event, no intermediate vector. Byte streams are checked
+//! record by record with [`Validator`](crate::event::Validator).
 //!
 //! # Record layout
 //!
@@ -13,7 +13,8 @@
 //! `u64`-aligned):
 //!
 //! ```text
-//! w0  bits  0..4   tag (the codec's event tags, 0..=8)
+//! w0  bits  0..4   tag (0..=8: read, write, lock, unlock, barrier,
+//!                  compute, barrier complete, fork, join)
 //!     bits  4..12  access size in bytes (reads/writes; 0 otherwise)
 //!     bits 12..32  thread id (20 bits; see MAX_PACKED_THREAD)
 //!     bits 32..64  site id
@@ -24,12 +25,11 @@
 //! The only field the packing narrows is the thread id (20 bits
 //! instead of 32 — a million threads, far beyond any simulated
 //! workload); [`PackedEvent::pack`] reports the loss explicitly
-//! instead of truncating. Everything the [`codec`](crate::codec)
-//! can express within that bound round-trips bit-exactly; the property
-//! tests pin that against both the [`TraceEvent`] enum and codec v2.
+//! instead of truncating. Every [`TraceEvent`] within that bound
+//! round-trips bit-exactly; the property tests pin that.
 //!
-//! [`PackedTrace`] owns a validated record buffer (every tag checked
-//! once at construction) so its iterator — and the detector hot loop
+//! [`PackedTrace`] owns a record buffer whose tags are all checked
+//! once at construction, so its iterator — and the detector hot loop
 //! above it — decodes infallibly. [`ChunkedReader`] streams a
 //! file-backed record stream through two recycled buffers filled by a
 //! background thread, so decode and I/O overlap and the file is never

@@ -1,8 +1,6 @@
 //! Property-based tests for the program model and scheduler.
 
-use hard_trace::{
-    codec, packed_event, Op, Program, SchedConfig, Scheduler, ThreadProgram, Trace, TraceEvent,
-};
+use hard_trace::{packed_event, Op, Program, SchedConfig, Scheduler, ThreadProgram, TraceEvent};
 use hard_types::{Addr, BarrierId, LockId, SiteId, ThreadId};
 use proptest::prelude::*;
 
@@ -148,84 +146,12 @@ proptest! {
         prop_assert!(arrivals.iter().all(|&a| a < completes[0]));
     }
 
-    /// The codec is lossless on arbitrary scheduled traces.
+    /// Every scheduled trace is well-formed: the stream validator
+    /// accepts exactly what the scheduler can produce.
     #[test]
-    fn codec_roundtrips(p in arb_program(4), seed in 0u64..8) {
+    fn scheduled_traces_validate(p in arb_program(4), seed in 0u64..8) {
         let trace = Scheduler::new(SchedConfig { seed, max_quantum: 6 }).run(&p);
-        let mut buf = Vec::new();
-        codec::encode(&trace, &mut buf).unwrap();
-        let back: Trace = codec::decode(buf.as_slice()).unwrap();
-        prop_assert_eq!(trace, back);
-    }
-
-    /// On an undamaged stream the lossy decoder agrees with the strict
-    /// one and reports completeness.
-    #[test]
-    fn lossy_decode_matches_strict_on_clean_streams(p in arb_program(4), seed in 0u64..8) {
-        let trace = Scheduler::new(SchedConfig { seed, max_quantum: 6 }).run(&p);
-        let mut buf = Vec::new();
-        codec::encode(&trace, &mut buf).unwrap();
-        let lossy = codec::decode_lossy(buf.as_slice()).unwrap();
-        prop_assert!(lossy.complete);
-        prop_assert_eq!(lossy.events_lost, 0);
-        prop_assert_eq!(lossy.trace, trace);
-    }
-
-    /// Truncating the stream at any byte never panics the lossy
-    /// decoder, and whatever it returns is a verbatim prefix.
-    #[test]
-    fn truncated_streams_decode_to_a_prefix(
-        p in arb_program(4),
-        seed in 0u64..8,
-        cut in any::<u64>(),
-    ) {
-        let trace = Scheduler::new(SchedConfig { seed, max_quantum: 6 }).run(&p);
-        let mut buf = Vec::new();
-        codec::encode(&trace, &mut buf).unwrap();
-        let cut = cut as usize % (buf.len() + 1);
-        match codec::decode_lossy(&buf[..cut]) {
-            Ok(lossy) => {
-                let n = lossy.trace.events.len();
-                prop_assert!(n <= trace.events.len());
-                prop_assert_eq!(&lossy.trace.events[..], &trace.events[..n]);
-                prop_assert_eq!(lossy.trace.num_threads, trace.num_threads);
-                prop_assert_eq!(lossy.complete, cut == buf.len());
-            }
-            // Only a damaged header is allowed to fail outright
-            // (magic + thread count + event count = 20 bytes).
-            Err(_) => prop_assert!(cut < 20, "cut {} of {}", cut, buf.len()),
-        }
-    }
-
-    /// Flipping any single byte never panics either decoder; every
-    /// event the lossy decoder salvages from body corruption is a
-    /// verbatim prefix of the original trace.
-    #[test]
-    fn corrupted_streams_never_panic_and_return_a_prefix(
-        p in arb_program(4),
-        seed in 0u64..8,
-        pos in any::<u64>(),
-        mask in 1u8..=255,
-    ) {
-        let trace = Scheduler::new(SchedConfig { seed, max_quantum: 6 }).run(&p);
-        let mut buf = Vec::new();
-        codec::encode(&trace, &mut buf).unwrap();
-        let pos = pos as usize % buf.len();
-        buf[pos] ^= mask;
-        // The strict decoder may accept or reject, but must not panic.
-        let _ = codec::decode(buf.as_slice());
-        match codec::decode_lossy(buf.as_slice()) {
-            Ok(lossy) => {
-                if pos >= 20 {
-                    // Header intact: the salvage is a true prefix.
-                    let n = lossy.trace.events.len();
-                    prop_assert!(n <= trace.events.len());
-                    prop_assert_eq!(&lossy.trace.events[..], &trace.events[..n]);
-                    prop_assert_eq!(lossy.trace.num_threads, trace.num_threads);
-                }
-            }
-            Err(_) => prop_assert!(pos < 20, "pos {} of {}", pos, buf.len()),
-        }
+        prop_assert_eq!(trace.validate(), Ok(()));
     }
 }
 
@@ -353,19 +279,6 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(adopted, packed);
-    }
-
-    /// The packed encoding agrees with codec v2: a trace that has been
-    /// through the archival codec packs to the identical byte image.
-    #[test]
-    fn packed_encoding_pins_codec_v2(p in arb_program(4), seed in 0u64..8) {
-        let trace = Scheduler::new(SchedConfig { seed, max_quantum: 6 }).run(&p);
-        let mut buf = Vec::new();
-        codec::encode(&trace, &mut buf).unwrap();
-        let via_codec: Trace = codec::decode(buf.as_slice()).unwrap();
-        let direct = packed_event::PackedTrace::from_trace(&trace).unwrap();
-        let laundered = packed_event::PackedTrace::from_trace(&via_codec).unwrap();
-        prop_assert_eq!(direct, laundered);
     }
 
     /// The double-buffered chunk reader reassembles any packed stream

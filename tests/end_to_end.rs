@@ -3,11 +3,11 @@
 
 use hard_repro::core::{HardConfig, HardMachine, HbMachine, HbMachineConfig};
 use hard_repro::harness::{
-    execute, injected_trace, probes, race_free_trace, score, BugOutcome, CampaignConfig,
-    DetectorKind,
+    corpus, execute, execute_streamed, injected_trace, probes, race_free_trace, score, BugOutcome,
+    CampaignConfig, DetectorKind,
 };
 use hard_repro::lockset::{IdealLockset, IdealLocksetConfig};
-use hard_repro::trace::{codec, run_detector, Detector};
+use hard_repro::trace::{run_detector, ChunkedReader, Detector, PackedTrace};
 use hard_repro::types::Addr;
 use hard_repro::workloads::App;
 
@@ -67,18 +67,28 @@ fn ideal_lockset_dominates_hard_on_identical_traces() {
 }
 
 #[test]
-fn traces_roundtrip_through_the_codec_with_identical_detection() {
+fn traces_roundtrip_through_the_corpus_format_with_identical_detection() {
     let (trace, _) = injected_trace(App::Barnes, &cfg(), 0);
-    let mut buf = Vec::new();
-    codec::encode(&trace, &mut buf).expect("encode");
-    let back = codec::decode(buf.as_slice()).expect("decode");
-    assert_eq!(trace, back);
+    let packed = PackedTrace::from_trace(&trace).expect("pack");
+    let bytes = corpus::encode_bytes(&packed, None);
+    let (header, payload_at) = corpus::parse_header(&bytes).expect("header");
+    let payload = bytes[payload_at..].to_vec();
+    let back = PackedTrace::from_bytes(header.num_threads, payload.clone()).expect("payload");
+    assert_eq!(trace, back.to_trace());
 
-    let mut d1 = HardMachine::new(HardConfig::default());
-    let r1 = run_detector(&mut d1, &trace);
-    let mut d2 = HardMachine::new(HardConfig::default());
-    let r2 = run_detector(&mut d2, &back);
-    assert_eq!(r1, r2, "replayed traces detect identically");
+    // An odd chunk size: record and detection-window boundaries need
+    // not line up.
+    let mut reader = ChunkedReader::spawn(std::io::Cursor::new(payload), 97);
+    let (run, events, fnv) = execute_streamed(
+        &DetectorKind::hard_default(),
+        header.num_threads as usize,
+        &mut reader,
+    )
+    .expect("streamed replay");
+    assert_eq!((events, fnv), (header.events, header.payload_fnv));
+    let mut d = HardMachine::new(HardConfig::default());
+    let direct = run_detector(&mut d, &trace);
+    assert_eq!(run.reports, direct, "replayed traces detect identically");
 }
 
 #[test]
