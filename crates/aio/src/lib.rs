@@ -12,7 +12,8 @@
 //!   spawned `Future<Output = ()>` tasks from a shared queue;
 //! * **net** wrappers ([`TcpListener`], [`TcpStream`]) whose read and
 //!   write futures carry optional deadlines (the idle-timeout
-//!   primitive);
+//!   primitive), and whose reads re-arm TCP quick-ACK so a Nagle-on
+//!   peer never waits out the delayed-ACK timer;
 //! * **sync** primitives: a sticky broadcast [`Event`] (shutdown
 //!   signal) and a two-way [`race`] combinator (read-or-shutdown).
 //!
@@ -271,6 +272,69 @@ mod tests {
         });
         rx3.recv_timeout(Duration::from_secs(5))
             .expect("permit survived the abandoned waiter");
+    }
+
+    /// Reads exactly `buf.len()` bytes, or fails on EOF.
+    async fn read_exact(stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
+        let mut at = 0;
+        while at < buf.len() {
+            match stream.read(&mut buf[at..], None).await? {
+                0 => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                n => at += n,
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn small_uploads_do_not_wait_out_the_delayed_ack_timer() {
+        // The serve tier's exchange shape: an echoed 8-byte handshake,
+        // then an upload whose tail is a short frame, then a reply. A
+        // peer writing with Nagle on holds that tail until the server
+        // ACKs, and a delayed ACK would cost every round ~40 ms.
+        const UPLOAD: usize = 8 + 48 * 1024 + 8;
+        const ROUNDS: usize = 7;
+        let rt = Runtime::new(2);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let listener = TcpListener::from_std(listener).expect("nonblocking");
+        rt.spawn(async move {
+            let mut upload = vec![0u8; UPLOAD];
+            for _ in 0..ROUNDS {
+                let (stream, _) = listener.accept().await.expect("accept");
+                let mut hello = [0u8; 8];
+                read_exact(&stream, &mut hello).await.expect("handshake");
+                stream.write_all(&hello, None).await.expect("echo");
+                read_exact(&stream, &mut upload).await.expect("upload");
+                stream.write_all(&[1], None).await.expect("reply");
+            }
+        });
+        use std::io::{BufWriter, Read, Write};
+        let mut rounds: Vec<Duration> = (0..ROUNDS)
+            .map(|_| {
+                let start = Instant::now();
+                let c = std::net::TcpStream::connect(addr).expect("connect");
+                let mut r = c.try_clone().expect("clone");
+                let mut w = BufWriter::new(c);
+                w.write_all(b"HARD-aio").expect("handshake");
+                w.flush().expect("flush");
+                let mut echo = [0u8; 8];
+                r.read_exact(&mut echo).expect("echo");
+                w.write_all(&[2; 8]).expect("head");
+                w.write_all(&vec![3; 48 * 1024]).expect("body");
+                w.write_all(&[4; 8]).expect("tail");
+                w.flush().expect("flush");
+                let mut reply = [0u8; 1];
+                r.read_exact(&mut reply).expect("reply");
+                start.elapsed()
+            })
+            .collect();
+        rounds.sort();
+        let median = rounds[ROUNDS / 2];
+        assert!(
+            median < Duration::from_millis(20),
+            "median round {median:?} (all: {rounds:?})"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Nonblocking TCP wrapped in deadline-aware futures.
 
 use crate::reactor::{reactor, Dir};
+use crate::sys;
 use std::future::Future;
 use std::io::{Read, Write};
 use std::os::fd::AsRawFd;
@@ -151,7 +152,18 @@ impl Future for ReadFut<'_> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = self.get_mut();
         match (&me.stream.inner).read(me.buf) {
-            Ok(n) => Poll::Ready(Ok(n)),
+            Ok(n) => {
+                if n > 0 {
+                    // A Nagle-on peer holds its last partial segment
+                    // until this side ACKs, and Linux delays that ACK by
+                    // up to 40 ms once the connection looks interactive.
+                    // The kernel drops quick-ACK mode after each ACK, so
+                    // every read re-arms it; the mode is advisory, so a
+                    // refusal changes nothing.
+                    let _ = sys::quickack(me.stream.inner.as_raw_fd());
+                }
+                Poll::Ready(Ok(n))
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if let Some(d) = me.deadline {
                     if Instant::now() >= d {

@@ -363,7 +363,9 @@ pub(crate) fn decode_response(frame: &Frame) -> Result<Submission, String> {
 }
 
 /// Connects to `addr`, optionally bounding the connect and every
-/// subsequent read/write by the policy's deadlines.
+/// subsequent read/write by the policy's deadlines. Nagle is off: a
+/// session's last frames are short, and holding them for the server's
+/// ACK would add a round trip to every upload.
 fn connect(addr: &str, deadlines: Option<(Duration, Duration)>) -> Result<TcpStream, String> {
     let stream = match deadlines {
         None => TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?,
@@ -384,6 +386,9 @@ fn connect(addr: &str, deadlines: Option<(Duration, Duration)>) -> Result<TcpStr
             stream
         }
     };
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot disable Nagle: {e}"))?;
     Ok(stream)
 }
 
@@ -609,7 +614,7 @@ pub fn probe_health(addr: &str, io_timeout: Duration) -> Result<HealthSnapshot, 
 /// Connection and wire errors; a server that closes the connection
 /// without a `Bye` (already shutting down) is not an error.
 pub fn request_shutdown(addr: &str) -> Result<(), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    let stream = connect(addr, None)?;
     let mut w = BufWriter::new(
         stream
             .try_clone()
@@ -787,6 +792,17 @@ mod tests {
         assert_eq!(stats.attempts, 3);
         assert_eq!(stats.io_errors, 3);
         assert_eq!(stats.busy, 0);
+    }
+
+    #[test]
+    fn every_client_connection_turns_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let deadline = Duration::from_secs(2);
+        for deadlines in [None, Some((deadline, deadline))] {
+            let stream = connect(&addr, deadlines).expect("connect");
+            assert!(stream.nodelay().expect("nodelay"), "{deadlines:?}");
+        }
     }
 
     #[test]
