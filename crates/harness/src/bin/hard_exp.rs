@@ -896,12 +896,10 @@ fn main() -> ExitCode {
             // any cache state so CI can `cmp` cold vs. warm runs.
             // `--quiet` silences them entirely (errors only).
             eprintln!(
-                "trace-cache {}: {} hit(s) ({} mem, {} disk), {} miss(es), \
-                 {} corrupt, {} store(s), {} store error(s)",
+                "trace-cache {}: {} hit(s), {} miss(es), {} corrupt, {} store(s), \
+                 {} store error(s)",
                 cache.dir().display(),
-                s.hits_mem + s.hits_disk,
-                s.hits_mem,
-                s.hits_disk,
+                s.hits,
                 s.misses,
                 s.corrupt,
                 s.stores,

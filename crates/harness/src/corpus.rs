@@ -41,13 +41,12 @@
 
 use hard_trace::codec;
 use hard_trace::packed_event::{ChunkedReader, PackedTrace, DEFAULT_CHUNK_RECORDS, RECORD_BYTES};
-use hard_types::hashers::FastHashMap;
 use hard_types::{AccessKind, Addr, LockId, ThreadId};
 use hard_workloads::{CriticalSection, Injection};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Magic prefix of a corpus file.
 pub const CORPUS_MAGIC: &[u8; 8] = b"HARDCRP1";
@@ -63,7 +62,7 @@ pub const CORPUS_MAX_THREADS: u32 = 1024;
 /// truth for injected runs.
 #[derive(Clone, Debug)]
 pub struct CorpusEntry {
-    /// The packed trace, shared so concurrent cells replay one buffer.
+    /// The packed trace, shared so a cell's detectors replay one buffer.
     pub trace: Arc<PackedTrace>,
     /// The injected race's ground truth (`None` for race-free traces).
     pub injection: Option<Injection>,
@@ -72,10 +71,8 @@ pub struct CorpusEntry {
 /// Point-in-time cache statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CorpusStats {
-    /// Keys served from the in-process map.
-    pub hits_mem: u64,
     /// Keys served by reading a corpus file.
-    pub hits_disk: u64,
+    pub hits: u64,
     /// Keys that had to be generated.
     pub misses: u64,
     /// Corrupt or truncated files discarded (each also counts as a
@@ -83,7 +80,8 @@ pub struct CorpusStats {
     pub corrupt: u64,
     /// Entries written to disk.
     pub stores: u64,
-    /// Failed writes (the entry is still served from memory).
+    /// Failed writes (the entry is still returned; the next lookup of
+    /// its key regenerates it).
     pub store_errors: u64,
 }
 
@@ -91,16 +89,14 @@ impl CorpusStats {
     /// Total lookups.
     #[must_use]
     pub fn lookups(&self) -> u64 {
-        self.hits_mem + self.hits_disk + self.misses
+        self.hits + self.misses
     }
 }
 
 /// A content-addressed trace cache over one directory.
 pub struct CorpusCache {
     dir: PathBuf,
-    mem: Mutex<FastHashMap<u64, CorpusEntry>>,
-    hits_mem: AtomicU64,
-    hits_disk: AtomicU64,
+    hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
     stores: AtomicU64,
@@ -114,9 +110,7 @@ impl CorpusCache {
     pub fn new(dir: PathBuf) -> CorpusCache {
         CorpusCache {
             dir,
-            mem: Mutex::new(FastHashMap::default()),
-            hits_mem: AtomicU64::new(0),
-            hits_disk: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -141,8 +135,7 @@ impl CorpusCache {
     #[must_use]
     pub fn stats(&self) -> CorpusStats {
         CorpusStats {
-            hits_mem: self.hits_mem.load(Ordering::Relaxed),
-            hits_disk: self.hits_disk.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
@@ -150,8 +143,8 @@ impl CorpusCache {
         }
     }
 
-    /// Looks `key` up in memory, then on disk, generating (and
-    /// persisting) the trace via `build` on a miss.
+    /// Looks `key` up on disk, generating (and persisting) the trace
+    /// via `build` on a miss.
     ///
     /// `need_injection` demands an entry with ground truth: a disk
     /// entry without one (a race-free recording) is treated as a miss
@@ -167,22 +160,10 @@ impl CorpusCache {
         need_injection: bool,
         build: impl FnOnce() -> (hard_trace::Trace, Option<Injection>),
     ) -> Option<CorpusEntry> {
-        let hash = codec::fnv1a(key.as_bytes());
-        let usable = |e: &CorpusEntry| !need_injection || e.injection.is_some();
-        if let Some(entry) = self.mem.lock().expect("corpus map lock").get(&hash) {
-            if usable(entry) {
-                self.hits_mem.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.clone());
-            }
-        }
         let path = self.path_for(key);
         match load_file(&path) {
-            Ok(entry) if usable(&entry) => {
-                self.hits_disk.fetch_add(1, Ordering::Relaxed);
-                self.mem
-                    .lock()
-                    .expect("corpus map lock")
-                    .insert(hash, entry.clone());
+            Ok(entry) if !need_injection || entry.injection.is_some() => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(entry);
             }
             Ok(_) => {
@@ -208,15 +189,12 @@ impl CorpusCache {
                 self.stores.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                // A read-only or full disk degrades the cache to
-                // in-memory only; the campaign result is unaffected.
+                // A read-only or full disk makes every lookup of this
+                // key regenerate: slower, but the campaign result is
+                // unaffected.
                 self.store_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.mem
-            .lock()
-            .expect("corpus map lock")
-            .insert(hash, entry.clone());
         Some(entry)
     }
 }
@@ -566,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_misses_then_hits_in_memory_and_from_disk() {
+    fn cache_misses_then_hits_from_disk() {
         let dir = temp_dir("hits");
         let trace = small_trace();
         let cache = CorpusCache::new(dir.clone());
@@ -578,20 +556,42 @@ mod tests {
         let a = cache.get_or_create("k", false, build).unwrap();
         assert_eq!(built.get(), 1);
         let b = cache
-            .get_or_create("k", false, || unreachable!("memory hit"))
+            .get_or_create("k", false, || unreachable!("disk hit"))
             .unwrap();
         assert_eq!(a.trace, b.trace);
         let s = cache.stats();
-        assert_eq!((s.misses, s.hits_mem, s.stores), (1, 1, 1));
+        assert_eq!((s.misses, s.hits, s.stores), (1, 1, 1));
 
-        // A fresh cache over the same directory serves from disk.
+        // A fresh cache over the same directory serves from disk too.
         let cold = CorpusCache::new(dir.clone());
         let c = cold
             .get_or_create("k", false, || unreachable!("disk hit"))
             .unwrap();
         assert_eq!(c.trace, a.trace);
-        assert_eq!(cold.stats().hits_disk, 1);
+        assert_eq!(cold.stats().hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_stores_regenerate_on_every_lookup() {
+        // A regular file where the directory should be: every store
+        // fails, so nothing is ever served and each lookup rebuilds.
+        let dir = temp_dir("store-fail");
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let trace = small_trace();
+        let cache = CorpusCache::new(dir.clone());
+        let built = std::cell::Cell::new(0);
+        let build = || {
+            built.set(built.get() + 1);
+            (trace.clone(), None)
+        };
+        let a = cache.get_or_create("k", false, build).unwrap();
+        let b = cache.get_or_create("k", false, build).unwrap();
+        assert_eq!(a.trace, b.trace);
+        assert_eq!(built.get(), 2);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.store_errors, s.hits), (2, 2, 0), "{s:?}");
+        let _ = std::fs::remove_file(&dir);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! the harness scores detectors against.
 
 use hard_trace::{Op, Program};
+use hard_types::hashers::FastHashMap;
 use hard_types::{AccessKind, Addr, HardError, LockId, ThreadId, Xoshiro256};
-use std::collections::BTreeSet;
 
 /// One dynamic critical section of a thread program.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,18 +31,6 @@ pub struct CriticalSection {
     pub exposed_accesses: Vec<(Addr, u8, AccessKind)>,
 }
 
-impl CriticalSection {
-    /// The target byte ranges that become racy when this section's lock
-    /// is omitted.
-    #[must_use]
-    pub fn target_ranges(&self) -> Vec<(Addr, Addr)> {
-        self.exposed_accesses
-            .iter()
-            .map(|&(a, s, _)| (a, Addr(a.0 + u64::from(s))))
-            .collect()
-    }
-}
-
 /// Finds every dynamic critical section in `program`.
 ///
 /// Nested sections are handled: an access counts as *exposed* for the
@@ -55,15 +43,43 @@ impl CriticalSection {
 /// does not hold, and [`HardError::UnbalancedLocks`] if a thread's
 /// program ends with open sections.
 pub fn enumerate_critical_sections(program: &Program) -> Result<Vec<CriticalSection>, HardError> {
+    Ok(scan(program)?.0)
+}
+
+/// What injection eligibility needs to know about one 4-byte word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Word {
+    /// The one lock every access held: `None` once an access held no
+    /// lock, several locks, or a different lock.
+    lock: Option<LockId>,
+    /// The first thread that accessed the word.
+    first: ThreadId,
+    /// Whether a second thread accessed it.
+    shared: bool,
+}
+
+/// The 4-byte words an access of `size` bytes at `addr` covers.
+fn words(addr: Addr, size: u8) -> std::ops::RangeInclusive<u64> {
+    addr.0 >> 2..=(addr.0 + u64::from(size) - 1) >> 2
+}
+
+/// One walk over every thread: the critical sections, in
+/// [`enumerate_critical_sections`] order, plus a [`Word`] summary of
+/// every accessed word.
+fn scan(program: &Program) -> Result<(Vec<CriticalSection>, FastHashMap<u64, Word>), HardError> {
     let mut out = Vec::new();
+    let mut summary: FastHashMap<u64, Word> = FastHashMap::default();
     for (t, tp) in program.threads().iter().enumerate() {
         let thread = ThreadId(t as u32);
         // Stack of open sections: (lock, lock_index, exposed accesses).
         type OpenSection = (LockId, usize, Vec<(Addr, u8, AccessKind)>);
         let mut open: Vec<OpenSection> = Vec::new();
         for (i, op) in tp.ops().iter().enumerate() {
-            match *op {
-                Op::Lock { lock, .. } => open.push((lock, i, Vec::new())),
+            let access = match *op {
+                Op::Lock { lock, .. } => {
+                    open.push((lock, i, Vec::new()));
+                    continue;
+                }
                 Op::Unlock { lock, .. } => {
                     let pos = open
                         .iter()
@@ -77,17 +93,36 @@ pub fn enumerate_critical_sections(program: &Program) -> Result<Vec<CriticalSect
                         unlock_index: i,
                         exposed_accesses: accesses,
                     });
+                    continue;
                 }
-                // An access is exposed only for the section whose
-                // removal leaves it wholly unprotected: when exactly
-                // one lock is held, that section.
-                Op::Read { addr, size, .. } if open.len() == 1 => {
-                    open[0].2.push((addr, size, AccessKind::Read));
+                Op::Read { addr, size, .. } => (addr, size, AccessKind::Read),
+                Op::Write { addr, size, .. } => (addr, size, AccessKind::Write),
+                _ => continue,
+            };
+            // An access is exposed only for the section whose removal
+            // leaves it wholly unprotected: when exactly one lock is
+            // held, that section.
+            let only = match open.as_mut_slice() {
+                [(lock, _, exposed)] => {
+                    exposed.push(access);
+                    Some(*lock)
                 }
-                Op::Write { addr, size, .. } if open.len() == 1 => {
-                    open[0].2.push((addr, size, AccessKind::Write));
-                }
-                _ => {}
+                _ => None,
+            };
+            for w in words(access.0, access.1) {
+                summary
+                    .entry(w)
+                    .and_modify(|s| {
+                        if s.lock != only {
+                            s.lock = None;
+                        }
+                        s.shared |= s.first != thread;
+                    })
+                    .or_insert(Word {
+                        lock: only,
+                        first: thread,
+                        shared: false,
+                    });
             }
         }
         if !open.is_empty() {
@@ -97,7 +132,7 @@ pub fn enumerate_critical_sections(program: &Program) -> Result<Vec<CriticalSect
             });
         }
     }
-    Ok(out)
+    Ok((out, summary))
 }
 
 /// The ground truth of one injected race.
@@ -113,82 +148,30 @@ impl Injection {
     #[must_use]
     pub fn overlaps(&self, lo: Addr, hi: Addr) -> bool {
         self.section
-            .target_ranges()
+            .exposed_accesses
             .iter()
-            .any(|&(a, b)| a.0 < hi.0 && lo.0 < b.0)
+            .any(|&(a, s, _)| a.0 < hi.0 && lo.0 < a.0 + u64::from(s))
     }
-}
-
-/// Per-word protection summary used for injection eligibility.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct WordInfo {
-    /// Threads that read the word.
-    readers: BTreeSet<u32>,
-    /// Threads that write the word.
-    writers: BTreeSet<u32>,
-    /// The distinct held-lock sets observed across all accesses, as
-    /// sorted lock lists. A *consistently protected* word has exactly
-    /// one context: `[its lock]`.
-    contexts: BTreeSet<Vec<LockId>>,
-}
-
-fn word_map(program: &Program) -> std::collections::BTreeMap<u64, WordInfo> {
-    let word = |a: Addr| a.0 >> 2;
-    let mut map: std::collections::BTreeMap<u64, WordInfo> = Default::default();
-    for (t, tp) in program.threads().iter().enumerate() {
-        let mut held: Vec<LockId> = Vec::new();
-        for op in tp.ops() {
-            match *op {
-                Op::Lock { lock, .. } => held.push(lock),
-                Op::Unlock { lock, .. } => {
-                    if let Some(p) = held.iter().rposition(|&l| l == lock) {
-                        held.remove(p);
-                    }
-                }
-                Op::Read { addr, size, .. } | Op::Write { addr, size, .. } => {
-                    let is_write = matches!(op, Op::Write { .. });
-                    let mut ctx = held.clone();
-                    ctx.sort();
-                    for w in word(addr)..=word(Addr(addr.0 + u64::from(size) - 1)) {
-                        let info = map.entry(w).or_default();
-                        if is_write {
-                            info.writers.insert(t as u32);
-                        } else {
-                            info.readers.insert(t as u32);
-                        }
-                        info.contexts.insert(ctx.clone());
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    map
 }
 
 /// Picks one eligible critical section for injection, or explains why
 /// none qualifies.
+///
+/// A section's own exposed write holds exactly its lock, and its thread
+/// is an accessor, so a word whose summary reads `lock == Some(cs.lock)`
+/// and `shared` is consistently protected by that lock and touched by
+/// another thread — the test [`inject_race`] documents.
 fn pick_eligible(program: &Program, seed: u64) -> Result<CriticalSection, HardError> {
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    let sections = enumerate_critical_sections(program)?;
-    let words = word_map(program);
-    let word = |a: Addr| a.0 >> 2;
-
+    let (sections, summary) = scan(program)?;
     let eligible: Vec<&CriticalSection> = sections
         .iter()
         .filter(|cs| {
-            let me = cs.thread.0;
             cs.exposed_accesses.iter().any(|&(a, s, kind)| {
                 kind.is_write()
-                    && (word(a)..=word(Addr(a.0 + u64::from(s) - 1))).any(|w| {
-                        let Some(info) = words.get(&w) else {
-                            return false;
-                        };
-                        let consistent = info.contexts.len() == 1
-                            && info.contexts.iter().next() == Some(&vec![cs.lock]);
-                        let others_conflict = info.writers.iter().any(|&o| o != me)
-                            || info.readers.iter().any(|&o| o != me);
-                        consistent && others_conflict
+                    && words(a, s).any(|w| {
+                        let word = summary[&w];
+                        word.lock == Some(cs.lock) && word.shared
                     })
             })
         })
@@ -283,6 +266,7 @@ mod tests {
     use super::*;
     use hard_trace::ProgramBuilder;
     use hard_types::SiteId;
+    use std::collections::BTreeSet;
 
     fn site(n: u32) -> SiteId {
         SiteId(n)
@@ -431,12 +415,15 @@ mod tests {
         // different locks program-wide — the lockset-violating shape.
         let p = sample();
         let (inj, info) = inject_wrong_lock(&p, 5).unwrap();
-        let words = word_map(&inj);
+        let (_, summary) = scan(&inj).unwrap();
         let target = info.section.exposed_accesses[0].0;
-        let infow = words.get(&(target.0 >> 2)).expect("tracked");
-        assert!(
-            infow.contexts.len() >= 2,
-            "two distinct protection contexts must now exist: {infow:?}"
+        let word = summary[&(target.0 >> 2)];
+        assert!(word.shared, "{word:?}");
+        assert_eq!(word.lock, None, "no one lock protects the word now");
+        // Before it, one lock did.
+        assert_eq!(
+            scan(&p).unwrap().1[&(target.0 >> 2)].lock,
+            Some(info.section.lock)
         );
     }
 
