@@ -36,6 +36,74 @@ impl Default for HierarchyConfig {
     }
 }
 
+/// The metadata an L2 line carries: one slot per configured sector.
+///
+/// Table 1's L2 uses the L1's line size, so its lines have one sector
+/// and hold that sector's slot inline — an L2 line costs what one slot
+/// costs. Figure 3's L2 lines are twice the L1's; only that geometry
+/// pays for a second slot, and it keeps both slots in one heap block so
+/// the one-sector line never grows to make room for them. A slot is
+/// `None` while its sector is invalid. Every line of one hierarchy has
+/// the same arm.
+#[derive(Clone, Debug)]
+pub enum L2Sectors<M> {
+    /// One sector (Table 1).
+    One(Option<M>),
+    /// Two sectors (Figure 3).
+    Two(Box<[Option<M>; 2]>),
+}
+
+impl<M> L2Sectors<M> {
+    /// All-invalid slots for a line of `sectors` sectors (1 or 2).
+    fn vacant(sectors: usize) -> L2Sectors<M> {
+        if sectors == 1 {
+            L2Sectors::One(None)
+        } else {
+            L2Sectors::Two(Box::new([None, None]))
+        }
+    }
+
+    /// The slots, one per sector, in address order.
+    #[must_use]
+    pub fn as_slice(&self) -> &[Option<M>] {
+        match self {
+            L2Sectors::One(slot) => std::slice::from_ref(slot),
+            L2Sectors::Two(slots) => &slots[..],
+        }
+    }
+
+    /// Mutable view of the slots.
+    pub fn as_mut_slice(&mut self) -> &mut [Option<M>] {
+        match self {
+            L2Sectors::One(slot) => std::slice::from_mut(slot),
+            L2Sectors::Two(slots) => &mut slots[..],
+        }
+    }
+}
+
+impl<M> std::ops::Index<usize> for L2Sectors<M> {
+    type Output = Option<M>;
+    fn index(&self, i: usize) -> &Option<M> {
+        &self.as_slice()[i]
+    }
+}
+
+impl<M> std::ops::IndexMut<usize> for L2Sectors<M> {
+    fn index_mut(&mut self, i: usize) -> &mut Option<M> {
+        &mut self.as_mut_slice()[i]
+    }
+}
+
+/// Copies `meta` into an L2 sector slot, overwriting a valid slot in
+/// place ([`Clone::clone_from`]) so metadata that keeps its words on
+/// the heap reuses the slot's allocation.
+fn store<M: Clone>(slot: &mut Option<M>, meta: &M) {
+    match slot {
+        Some(m) => m.clone_from(meta),
+        None => *slot = Some(meta.clone()),
+    }
+}
+
 /// Where an access was served from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ServedBy {
@@ -85,10 +153,7 @@ pub struct Hierarchy<F: MetaFactory> {
     l1: Vec<SetAssocCache<F::Meta>>,
     /// The L2 line holds one metadata slot per L1-line sector
     /// (one slot in the Table 1 configuration, two in Figure 3's).
-    /// Fixed-size storage — a line never has more than two sectors, so
-    /// a `Vec` here would put one heap allocation on every L2 fill;
-    /// slots at or past `sectors` are permanently `None`.
-    l2: SetAssocCache<[Option<F::Meta>; 2]>,
+    l2: SetAssocCache<L2Sectors<F::Meta>>,
     sectors: usize,
     stats: MemStats,
     lost_meta: FastHashSet<Addr>,
@@ -270,13 +335,13 @@ impl<F: MetaFactory> Hierarchy<F> {
         for (i, l1) in self.l1.iter_mut().enumerate() {
             if i != core.index() {
                 if let Some(line) = l1.probe(addr) {
-                    line.meta = meta.clone();
+                    line.meta.clone_from(&meta);
                 }
             }
         }
         let l1_line = self.cfg.l1.line_of(addr);
         if let Some(slot) = self.l2_slot_mut(l1_line) {
-            *slot = Some(meta.clone());
+            store(slot, &meta);
         }
         self.stats.meta_broadcasts += 1;
         self.obs.counter(CounterId::BroadcastsSent, 1);
@@ -293,7 +358,7 @@ impl<F: MetaFactory> Hierarchy<F> {
             }
         }
         for line in self.l2.iter_mut() {
-            for slot in line.meta.iter_mut().flatten() {
+            for slot in line.meta.as_mut_slice().iter_mut().flatten() {
                 f(slot);
             }
         }
@@ -301,14 +366,11 @@ impl<F: MetaFactory> Hierarchy<F> {
 
     /// Handles an L2 eviction: back-invalidate every covered L1 line
     /// (inclusion) and record each valid sector's metadata loss.
-    fn l2_evicted(&mut self, victim_addr: Addr, sectors: &[Option<F::Meta>]) {
+    fn l2_evicted(&mut self, victim_addr: Addr, sectors: &L2Sectors<F::Meta>) {
         self.stats.l2_evictions += 1;
         let mut invalidated = false;
         let mut sectors_lost = 0u32;
-        // Walk only the configured sectors: in a one-sector geometry the
-        // array's second slot is permanently vacant and its computed
-        // address would belong to the *next* L2 line.
-        for (i, slot) in sectors.iter().enumerate().take(self.sectors) {
+        for (i, slot) in sectors.as_slice().iter().enumerate() {
             let l1_line = Addr(victim_addr.0 + i as u64 * self.cfg.l1.line_bytes());
             if slot.is_some() {
                 self.lost_meta.insert(l1_line);
@@ -356,7 +418,7 @@ impl<F: MetaFactory> Hierarchy<F> {
             let idx = self.sector_of(victim.addr);
             let dirty = victim.state == CState::Modified;
             if let Some(l2line) = self.l2.probe(victim.addr) {
-                l2line.meta[idx] = Some(victim.meta);
+                store(&mut l2line.meta[idx], &victim.meta);
                 if dirty {
                     l2line.state = CState::Modified;
                 }
@@ -513,7 +575,7 @@ impl<F: MetaFactory> Hierarchy<F> {
             }
             let idx = self.sector_of(line_addr);
             if let Some(l2line) = self.l2.probe(line_addr) {
-                l2line.meta[idx] = Some(peer_meta.clone());
+                store(&mut l2line.meta[idx], &peer_meta);
                 if was_modified {
                     l2line.state = CState::Modified;
                 }
@@ -571,7 +633,7 @@ impl<F: MetaFactory> Hierarchy<F> {
                     // above already charged the probe's LRU touch.)
                     l2line.meta[idx] = Some(fresh.clone());
                 } else {
-                    let mut sectors = [None, None];
+                    let mut sectors = L2Sectors::vacant(self.sectors);
                     sectors[idx] = Some(fresh.clone());
                     if let Some(victim) = self.l2.insert(line_addr, CState::Exclusive, sectors)? {
                         self.l2_evicted(victim.addr, &victim.meta);
@@ -943,7 +1005,7 @@ mod tests {
         assert!(h
             .l2
             .iter()
-            .all(|l| l.meta.iter().flatten().all(|m| *m == 1)));
+            .all(|l| l.meta.as_slice().iter().flatten().all(|m| *m == 1)));
     }
 
     #[test]
@@ -1143,6 +1205,56 @@ mod tests {
             }
         }
         assert_eq!(scalar.l2_lru_tick(), batched.l2_lru_tick());
+    }
+
+    #[test]
+    fn one_and_two_sector_lines_count_metadata_alike() {
+        // Same L1, same L2 capacity and ways; the one-sector L2 has
+        // twice the sets of 32 B lines. Touching only lines 64 B apart
+        // puts them in the even one-sector sets, which mirror the
+        // two-sector sets one for one, and leaves every second sector
+        // vacant — so the two geometries make identical decisions, and
+        // every count that walks the slots must agree too.
+        let one = HierarchyConfig {
+            num_cores: 2,
+            l1: CacheGeometry::new(128, 2, 32),
+            l2: CacheGeometry::new(512, 2, 32), // 8 sets x 2 ways
+        };
+        let two = sectored_cfg(); // 4 sets x 2 ways of 64 B lines
+        let drive = |cfg: HierarchyConfig| {
+            use hard_obs::MemoryRecorder;
+            use std::sync::Arc;
+            let rec = Arc::new(MemoryRecorder::new());
+            let mut h = Hierarchy::new(cfg, StampFactory).unwrap();
+            h.set_obs(ObsHandle::new(rec.clone()));
+            // L2 set 0 takes 0x000, 0x100, 0x200: the third displaces
+            // 0x100, the less recently used of the first two, by
+            // capacity.
+            for (core, a) in [(C0, 0x000), (C1, 0x040), (C0, 0x100), (C1, 0x000)] {
+                h.ensure(core, Addr(a), AccessKind::Write).unwrap();
+            }
+            h.ensure(C0, Addr(0x200), AccessKind::Read).unwrap();
+            let capacity_lost = rec.snapshot().counter(CounterId::MetaLossLines);
+            let mut flashed = 0u32;
+            h.flash_meta(|_| flashed += 1);
+            let mut forced = 0;
+            while h.force_displace(0).is_some() {
+                forced += 1;
+            }
+            let s = rec.snapshot();
+            (
+                capacity_lost,
+                flashed,
+                forced,
+                s.counter(CounterId::MetaLossLines),
+                *h.stats(),
+                h.drain_l2_evictions().collect::<Vec<_>>(),
+            )
+        };
+        let (one_run, two_run) = (drive(one), drive(two));
+        assert_eq!(one_run.0, 1, "one capacity displacement, one sector lost");
+        assert!(one_run.1 > 0 && one_run.2 > 0);
+        assert_eq!(one_run, two_run);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use cache::{Evicted, Line, SetAssocCache};
 pub use cstate::CState;
 pub use directory::MetaDirectory;
 pub use geometry::CacheGeometry;
-pub use hierarchy::{EnsureResult, Hierarchy, HierarchyConfig, ServedBy};
+pub use hierarchy::{EnsureResult, Hierarchy, HierarchyConfig, L2Sectors, ServedBy};
 pub use policy::MetaFactory;
 pub use stats::MemStats;
 pub use timing::{BusTimeline, LatencyModel};

@@ -13,10 +13,11 @@ use hard_lockset::PackedLineMeta;
 use hard_types::CoreId;
 
 /// HARD's per-line metadata: one candidate set + LState per granule,
-/// stored in the hardware's packed form — one `u64` word per granule in
-/// a fixed inline array ([`PackedLineMeta`]), so cloning a line's
-/// metadata for a broadcast or writeback is a memcpy, not a `Vec`
-/// allocation.
+/// stored in the hardware's packed form ([`PackedLineMeta`]) — one
+/// `u64` word per granule. At the paper's default line granularity the
+/// one word sits inline, so the metadata is 16 bytes and cloning it for
+/// a broadcast or writeback allocates nothing; only the Table 3
+/// sub-line sweeps keep their 2–8 words on the heap.
 pub type HardLineMeta = PackedLineMeta;
 
 /// Creates HARD metadata for freshly fetched lines: every granule gets
@@ -60,9 +61,9 @@ impl MetaFactory for HardMetaFactory {
 /// [`PackedLineMeta`]. The Table 3 sub-line granularity sweeps (16 B
 /// down to 4 B, two to eight granules per line) transparently fall back
 /// to the heap; the inline arm is deliberately capped at one granule
-/// because the L2 carries two metadata sectors per line and streaming
-/// workloads move every line several times per miss — each inline byte
-/// is multiplied by tens of thousands of fills per run.
+/// because streaming workloads move every line several times per miss —
+/// each inline byte is multiplied by tens of thousands of fills per
+/// run.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum HbLineMeta {
     /// One granule (the default line-granularity shape): no heap.
@@ -164,6 +165,24 @@ mod tests {
             assert_eq!(g.owner, None);
             assert_eq!(g.candidate, hard_bloom::BloomVector::full(BloomShape::B16));
         }
+    }
+
+    /// Pins the simulated lines at hardware size: a field added to the
+    /// metadata, the line or the L2 sector storage must not silently
+    /// regrow them. The streaming workloads move every line's metadata
+    /// several times per miss, and a served session's memory is mostly
+    /// its simulated L2, so each byte here is paid per line per fill
+    /// and per session.
+    #[test]
+    fn simulated_lines_stay_at_hardware_size() {
+        use hard_cache::{L2Sectors, Line};
+        use std::mem::size_of;
+        assert!(size_of::<Line<HardLineMeta>>() <= 64, "HARD L1 line");
+        assert!(
+            size_of::<Line<L2Sectors<HardLineMeta>>>() <= 64,
+            "HARD L2 line"
+        );
+        assert!(size_of::<Line<L2Sectors<HbLineMeta>>>() <= 88, "HB L2 line");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! as `Vec<GranuleMeta>`. The hardware stores none of that: a line's
 //! metadata is a handful of contiguous bits next to the tag array
 //! (paper Figure 3). This module is that storage: one `u64` word per
-//! granule, a fixed inline array of words per line, no heap.
+//! granule. At the default line granularity that one word sits inline
+//! in the line's metadata, with no heap; only the Table 3 sub-line
+//! sweeps, with 2–8 granules per line, keep their words in one heap
+//! block per line.
 //!
 //! # Word layout
 //!
@@ -63,15 +66,69 @@ pub struct SpanAccess {
 
 /// One cache line's worth of packed granule metadata.
 ///
-/// `Copy` and heap-free: cloning a line's metadata (coherence
-/// broadcast, cache-to-cache transfer, L2 writeback) is a fixed-size
-/// memcpy instead of a `Vec` allocation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PackedLineMeta {
-    shape: BloomShape,
-    len: u8,
-    words: [u64; MAX_GRANULES],
+/// Sized like the hardware's storage. At line granularity (the paper's
+/// default: one granule per line) the single word sits inline next to
+/// the shape, so a line's metadata is two words and cloning it
+/// (coherence broadcast, cache-to-cache transfer, L2 writeback) is a
+/// 16-byte copy. Only the Table 3 sub-line sweeps (2–8 granules) keep
+/// their words on the heap, in one block sized to the granule count's
+/// power-of-two class. Equality compares the shape and the live words,
+/// never the representation, and [`Clone::clone_from`] between lines of
+/// one granule count overwrites the words in place, so a broadcast or
+/// writeback into a resident copy allocates nothing.
+#[derive(Debug)]
+pub struct PackedLineMeta(Words);
+
+/// The storage arms of [`PackedLineMeta`]. The shape rides in every
+/// arm (not beside the enum) so it shares the tag's word: each arm is
+/// tag + shape + one 8-byte payload, and an `Option` of the whole
+/// takes its `None` from the spare tag values.
+#[derive(Clone, Debug)]
+enum Words {
+    /// One granule: the word itself.
+    Inline { shape: BloomShape, word: u64 },
+    /// Two granules (16 B granularity in 32 B lines).
+    Heap2 {
+        shape: BloomShape,
+        words: Box<[u64; 2]>,
+    },
+    /// Up to four granules; `len` of them live.
+    Heap4 {
+        shape: BloomShape,
+        len: u8,
+        words: Box<[u64; 4]>,
+    },
+    /// Up to [`MAX_GRANULES`] granules; `len` of them live.
+    Heap8 {
+        shape: BloomShape,
+        len: u8,
+        words: Box<[u64; MAX_GRANULES]>,
+    },
 }
+
+impl Clone for PackedLineMeta {
+    fn clone(&self) -> PackedLineMeta {
+        PackedLineMeta(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &PackedLineMeta) {
+        // The arm is a function of the granule count, so equal counts
+        // and shapes mean the words can be overwritten where they are.
+        if self.len() == source.len() && self.shape() == source.shape() {
+            self.parts_mut().1.copy_from_slice(source.words());
+        } else {
+            *self = source.clone();
+        }
+    }
+}
+
+impl PartialEq for PackedLineMeta {
+    fn eq(&self, other: &PackedLineMeta) -> bool {
+        self.shape() == other.shape() && self.words() == other.words()
+    }
+}
+
+impl Eq for PackedLineMeta {}
 
 impl PackedLineMeta {
     /// All-granules-virgin metadata (Virgin state, full candidate set),
@@ -84,10 +141,11 @@ impl PackedLineMeta {
     /// fields.
     #[must_use]
     pub fn virgin(shape: BloomShape, granules: usize) -> PackedLineMeta {
-        let mut m = PackedLineMeta::empty_line(shape, granules);
-        let w = m.pack_word(shape.full_mask(), LState::Virgin, None);
-        m.words[..granules].fill(w);
-        m
+        PackedLineMeta::filled(
+            shape,
+            granules,
+            pack_word(shape, shape.full_mask(), LState::Virgin, None),
+        )
     }
 
     /// Metadata as the hardware creates it on a fetch from memory:
@@ -99,13 +157,16 @@ impl PackedLineMeta {
     /// Panics under the same conditions as [`PackedLineMeta::virgin`].
     #[must_use]
     pub fn fetched(shape: BloomShape, granules: usize, owner: ThreadId) -> PackedLineMeta {
-        let mut m = PackedLineMeta::empty_line(shape, granules);
-        let w = m.pack_word(shape.full_mask(), LState::Exclusive, Some(owner));
-        m.words[..granules].fill(w);
-        m
+        PackedLineMeta::filled(
+            shape,
+            granules,
+            pack_word(shape, shape.full_mask(), LState::Exclusive, Some(owner)),
+        )
     }
 
-    fn empty_line(shape: BloomShape, granules: usize) -> PackedLineMeta {
+    /// `granules` copies of word `w`, in the smallest arm that holds
+    /// them.
+    fn filled(shape: BloomShape, granules: usize, w: u64) -> PackedLineMeta {
         assert!(
             granules <= MAX_GRANULES,
             "{granules} granules exceed the {MAX_GRANULES}-granule line maximum"
@@ -114,70 +175,111 @@ impl PackedLineMeta {
             shape.total_bits() + 3 <= 48,
             "a {shape} vector leaves no room for the state/parity/owner fields"
         );
-        PackedLineMeta {
-            shape,
-            len: granules as u8,
-            words: [0; MAX_GRANULES],
+        let len = granules as u8;
+        PackedLineMeta(match granules {
+            1 => Words::Inline { shape, word: w },
+            2 => Words::Heap2 {
+                shape,
+                words: Box::new([w; 2]),
+            },
+            0..=4 => {
+                let mut words = Box::new([0; 4]);
+                words[..granules].fill(w);
+                Words::Heap4 { shape, len, words }
+            }
+            _ => {
+                let mut words = Box::new([0; MAX_GRANULES]);
+                words[..granules].fill(w);
+                Words::Heap8 { shape, len, words }
+            }
+        })
+    }
+
+    /// The line's live words.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        match &self.0 {
+            Words::Inline { word, .. } => std::slice::from_ref(word),
+            Words::Heap2 { words, .. } => &words[..],
+            Words::Heap4 { len, words, .. } => &words[..usize::from(*len)],
+            Words::Heap8 { len, words, .. } => &words[..usize::from(*len)],
+        }
+    }
+
+    /// The shape and the live words, mutably: one arm dispatch for the
+    /// whole of an update.
+    #[inline]
+    fn parts_mut(&mut self) -> (BloomShape, &mut [u64]) {
+        match &mut self.0 {
+            Words::Inline { shape, word } => (*shape, std::slice::from_mut(word)),
+            Words::Heap2 { shape, words } => (*shape, &mut words[..]),
+            Words::Heap4 { shape, len, words } => (*shape, &mut words[..usize::from(*len)]),
+            Words::Heap8 { shape, len, words } => (*shape, &mut words[..usize::from(*len)]),
         }
     }
 
     /// Number of granules on this line.
     #[must_use]
     pub fn len(&self) -> usize {
-        usize::from(self.len)
+        self.words().len()
     }
 
     /// Whether the line carries no granules (never true for metadata
     /// built by the factories, present for API completeness).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.words().is_empty()
     }
 
     /// The vector layout all granules on this line share.
     #[must_use]
+    #[inline]
     pub fn shape(&self) -> BloomShape {
-        self.shape
+        match &self.0 {
+            Words::Inline { shape, .. }
+            | Words::Heap2 { shape, .. }
+            | Words::Heap4 { shape, .. }
+            | Words::Heap8 { shape, .. } => *shape,
+        }
     }
 
     /// The raw packed word of granule `gi` (tests and fault plumbing).
     #[must_use]
     pub fn word(&self, gi: usize) -> u64 {
-        assert!(gi < self.len(), "granule {gi} out of range");
-        self.words[gi]
+        let words = self.words();
+        assert!(gi < words.len(), "granule {gi} out of range");
+        words[gi]
     }
 
-    fn pack_word(&self, bits: u64, state: LState, owner: Option<ThreadId>) -> u64 {
-        let v = self.shape.total_bits();
-        debug_assert_eq!(bits & !self.shape.full_mask(), 0);
-        let payload = bits | u64::from(state.encode()) << v;
-        let parity = u64::from(payload.count_ones() & 1) << (v + 2);
-        let owner_enc = owner.map_or(0, |o| u64::from(o.0) + 1);
-        payload | parity | owner_enc << (v + 3)
+    /// Mutable word of granule `gi`, with the line's shape.
+    fn word_mut(&mut self, gi: usize) -> (BloomShape, &mut u64) {
+        let (shape, words) = self.parts_mut();
+        assert!(gi < words.len(), "granule {gi} out of range");
+        (shape, &mut words[gi])
     }
 
     /// The candidate-set bits of granule `gi`.
     #[must_use]
     pub fn candidate_bits(&self, gi: usize) -> u64 {
-        self.word(gi) & self.shape.full_mask()
+        self.word(gi) & self.shape().full_mask()
     }
 
     /// The candidate set of granule `gi` as a [`BloomVector`].
     #[must_use]
     pub fn candidate(&self, gi: usize) -> BloomVector {
-        BloomVector::from_bits(self.shape, self.candidate_bits(gi))
+        BloomVector::from_bits(self.shape(), self.candidate_bits(gi))
     }
 
     /// The [`LState`] of granule `gi`.
     #[must_use]
     pub fn state(&self, gi: usize) -> LState {
-        LState::decode(((self.word(gi) >> self.shape.total_bits()) & 3) as u8)
+        LState::decode(((self.word(gi) >> self.shape().total_bits()) & 3) as u8)
     }
 
     /// The Exclusive owner of granule `gi`, if any.
     #[must_use]
     pub fn owner(&self, gi: usize) -> Option<ThreadId> {
-        let enc = self.word(gi) >> (self.shape.total_bits() + 3);
+        let enc = self.word(gi) >> (self.shape().total_bits() + 3);
         (enc != 0).then(|| ThreadId((enc - 1) as u32))
     }
 
@@ -199,9 +301,9 @@ impl PackedLineMeta {
     /// Panics if `gi` is out of range or the candidate's shape differs
     /// from the line's.
     pub fn set_granule(&mut self, gi: usize, g: &GranuleMeta<BloomVector>) {
-        assert!(gi < self.len(), "granule {gi} out of range");
-        assert_eq!(g.candidate.shape(), self.shape, "mismatched bloom shapes");
-        self.words[gi] = self.pack_word(g.candidate.bits(), g.state, g.owner);
+        let (shape, w) = self.word_mut(gi);
+        assert_eq!(g.candidate.shape(), shape, "mismatched bloom shapes");
+        *w = pack_word(shape, g.candidate.bits(), g.state, g.owner);
     }
 
     /// Number of candidate bits set in granule `gi` (the
@@ -232,11 +334,11 @@ impl PackedLineMeta {
         kind: AccessKind,
         held: &BloomVector,
     ) -> (bool, AccessOutcome) {
-        assert!(gi < self.len(), "granule {gi} out of range");
-        assert_eq!(held.shape(), self.shape, "mismatched bloom shapes");
-        let v = self.shape.total_bits();
-        let w = self.words[gi];
-        let bits = w & self.shape.full_mask();
+        let (shape, word) = self.word_mut(gi);
+        assert_eq!(held.shape(), shape, "mismatched bloom shapes");
+        let v = shape.total_bits();
+        let w = *word;
+        let bits = w & shape.full_mask();
         let state = LState::decode(((w >> v) & 3) as u8);
         let owner_enc = w >> (v + 3);
         let owner = (owner_enc != 0).then(|| ThreadId((owner_enc - 1) as u32));
@@ -250,10 +352,10 @@ impl PackedLineMeta {
         if t.update_candidate {
             new_bits = bits & held.bits();
             outcome.candidate_changed = new_bits != bits;
-            outcome.race = t.report_if_empty && self.shape.has_empty_part(new_bits);
+            outcome.race = t.report_if_empty && shape.has_empty_part(new_bits);
         }
-        let nw = self.pack_word(new_bits, t.next, t.next_owner);
-        self.words[gi] = nw;
+        let nw = pack_word(shape, new_bits, t.next, t.next_owner);
+        *word = nw;
         let parity_bit = 1u64 << (v + 2);
         ((nw ^ w) & !parity_bit != 0, outcome)
     }
@@ -286,13 +388,18 @@ impl PackedLineMeta {
         held: &BloomVector,
         kernel: LaneKernel,
     ) -> SpanAccess {
-        assert!(g0 <= g1 && g1 <= self.len(), "span {g0}..{g1} out of range");
-        assert_eq!(held.shape(), self.shape, "mismatched bloom shapes");
-        let v = self.shape.total_bits();
-        let full = self.shape.full_mask();
+        let (shape, words) = self.parts_mut();
+        assert!(
+            g0 <= g1 && g1 <= words.len(),
+            "span {g0}..{g1} out of range"
+        );
+        assert_eq!(held.shape(), shape, "mismatched bloom shapes");
+        let words = &mut words[g0..g1];
+        let v = shape.total_bits();
+        let full = shape.full_mask();
         let parity_bit = 1u64 << (v + 2);
         let held_bits = held.bits();
-        let n = g1 - g0;
+        let n = words.len();
         if n == 0 {
             return SpanAccess {
                 changed: false,
@@ -306,8 +413,7 @@ impl PackedLineMeta {
         let mut next = [(LState::Virgin, None::<ThreadId>); MAX_GRANULES];
         let mut update = 0u8;
         let mut report = 0u8;
-        for i in 0..n {
-            let w = self.words[g0 + i];
+        for (i, &w) in words.iter().enumerate() {
             cand[i] = w & full;
             let state = LState::decode(((w >> v) & 3) as u8);
             let owner_enc = w >> (v + 3);
@@ -323,13 +429,13 @@ impl PackedLineMeta {
         let all = if n >= 8 { u8::MAX } else { (1u8 << n) - 1 };
         let mut race_mask = 0u8;
         if update == all {
-            let empty = lanes::intersect_empty(kernel, self.shape, &mut cand[..n], held_bits);
+            let empty = lanes::intersect_empty(kernel, shape, &mut cand[..n], held_bits);
             race_mask = (empty as u8) & report;
         } else if update != 0 {
             for (i, c) in cand.iter_mut().enumerate().take(n) {
                 if update & (1 << i) != 0 {
                     *c &= held_bits;
-                    if report & (1 << i) != 0 && self.shape.has_empty_part(*c) {
+                    if report & (1 << i) != 0 && shape.has_empty_part(*c) {
                         race_mask |= 1 << i;
                     }
                 }
@@ -339,14 +445,11 @@ impl PackedLineMeta {
         // Phase 3 — repack with fresh parity and fold the logical
         // change detection (parity bit masked out, as in `access`).
         let mut changed_bits = 0u64;
-        for i in 0..n {
+        for (i, w) in words.iter_mut().enumerate() {
             let (state, owner) = next[i];
-            let payload = cand[i] | u64::from(state.encode()) << v;
-            let parity = u64::from(payload.count_ones() & 1) << (v + 2);
-            let owner_enc = owner.map_or(0, |o| u64::from(o.0) + 1);
-            let nw = payload | parity | owner_enc << (v + 3);
-            changed_bits |= (nw ^ self.words[g0 + i]) & !parity_bit;
-            self.words[g0 + i] = nw;
+            let nw = pack_word(shape, cand[i], state, owner);
+            changed_bits |= (nw ^ *w) & !parity_bit;
+            *w = nw;
         }
         SpanAccess {
             changed: changed_bits != 0,
@@ -358,22 +461,21 @@ impl PackedLineMeta {
     /// Virgin state, no owner — [`GranuleMeta::barrier_reset`] as one
     /// word store per granule.
     pub fn barrier_reset_all(&mut self) {
-        let w = self.pack_word(self.shape.full_mask(), LState::Virgin, None);
-        let n = self.len();
-        self.words[..n].fill(w);
+        let (shape, words) = self.parts_mut();
+        words.fill(pack_word(shape, shape.full_mask(), LState::Virgin, None));
     }
 
     /// The §3.1 fork-time ownership transfer over every granule:
     /// granules exclusively owned by `parent` return to Virgin with
     /// their candidate set preserved ([`crate::fork_transfer`]).
     pub fn fork_transfer_all(&mut self, parent: ThreadId) {
-        for gi in 0..self.len() {
-            let w = self.words[gi];
-            let v = self.shape.total_bits();
-            let state = ((w >> v) & 3) as u8;
-            let owner_enc = w >> (v + 3);
+        let (shape, words) = self.parts_mut();
+        let v = shape.total_bits();
+        for w in words {
+            let state = ((*w >> v) & 3) as u8;
+            let owner_enc = *w >> (v + 3);
             if state == LState::Exclusive.encode() && owner_enc == u64::from(parent.0) + 1 {
-                self.words[gi] = self.pack_word(w & self.shape.full_mask(), LState::Virgin, None);
+                *w = pack_word(shape, *w & shape.full_mask(), LState::Virgin, None);
             }
         }
     }
@@ -382,8 +484,8 @@ impl PackedLineMeta {
     /// candidate set to all-ones, state to Virgin, owner cleared — the
     /// paper-safe "missed detections, never invented evidence" value.
     pub fn degrade(&mut self, gi: usize) {
-        assert!(gi < self.len(), "granule {gi} out of range");
-        self.words[gi] = self.pack_word(self.shape.full_mask(), LState::Virgin, None);
+        let (shape, w) = self.word_mut(gi);
+        *w = pack_word(shape, shape.full_mask(), LState::Virgin, None);
     }
 
     /// Fault injection: flips one stored bit of granule `gi` without
@@ -395,21 +497,33 @@ impl PackedLineMeta {
     ///
     /// Panics if `gi` is out of range or `bit >= V + 2`.
     pub fn flip_bit(&mut self, gi: usize, bit: u32) {
-        assert!(gi < self.len(), "granule {gi} out of range");
-        let v = self.shape.total_bits();
+        let (shape, w) = self.word_mut(gi);
+        let v = shape.total_bits();
         assert!(bit < v + 2, "bit {bit} outside the {v}+2 payload bits");
-        self.words[gi] ^= 1u64 << bit;
+        *w ^= 1u64 << bit;
     }
 
     /// Whether granule `gi`'s stored parity bit is consistent with its
     /// payload (false after an unrepaired [`PackedLineMeta::flip_bit`]).
     #[must_use]
     pub fn parity_ok(&self, gi: usize) -> bool {
-        let v = self.shape.total_bits();
+        let v = self.shape().total_bits();
         let w = self.word(gi);
         let payload_and_parity = w & ((1u64 << (v + 3)) - 1);
         payload_and_parity.count_ones() & 1 == 0
     }
+}
+
+/// Packs one granule's fields into the word layout of the
+/// [module docs](self), with a consistent parity bit.
+#[inline]
+fn pack_word(shape: BloomShape, bits: u64, state: LState, owner: Option<ThreadId>) -> u64 {
+    let v = shape.total_bits();
+    debug_assert_eq!(bits & !shape.full_mask(), 0);
+    let payload = bits | u64::from(state.encode()) << v;
+    let parity = u64::from(payload.count_ones() & 1) << (v + 2);
+    let owner_enc = owner.map_or(0, |o| u64::from(o.0) + 1);
+    payload | parity | owner_enc << (v + 3)
 }
 
 #[cfg(test)]
@@ -534,7 +648,7 @@ mod tests {
                     let g0 = (lcg(&mut rng) as usize) % granules;
                     let g1 = g0 + 1 + (lcg(&mut rng) as usize) % (granules - g0);
 
-                    let mut scalar = m;
+                    let mut scalar = m.clone();
                     let mut expect_changed = false;
                     let mut expect_mask = 0u8;
                     for gi in g0..g1 {
@@ -556,10 +670,46 @@ mod tests {
     }
 
     #[test]
+    fn every_granule_count_round_trips_and_clones_between_arms() {
+        // Counts 1, 2, 3–4 and 5–8 take the four storage arms; every
+        // pair of counts and shapes must clone (fresh and in place) to
+        // an equal line, so `clone_from` is as exact as `clone`.
+        let lines: Vec<PackedLineMeta> = [BloomShape::B16, BloomShape::B32]
+            .into_iter()
+            .flat_map(|shape| {
+                (0..=MAX_GRANULES).map(move |n| {
+                    let mut m = PackedLineMeta::fetched(shape, n, ThreadId(1));
+                    for gi in 0..n {
+                        m.access(
+                            gi,
+                            ThreadId(gi as u32),
+                            AccessKind::Write,
+                            &BloomVector::empty(shape),
+                        );
+                    }
+                    m
+                })
+            })
+            .collect();
+        for src in &lines {
+            assert_eq!(&src.clone(), src);
+            for dst in &lines {
+                let mut d = dst.clone();
+                d.clone_from(src);
+                assert_eq!(&d, src);
+                assert_eq!((d.len(), d.shape()), (src.len(), src.shape()));
+                for gi in 0..src.len() {
+                    assert_eq!(d.word(gi), src.word(gi));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn access_span_empty_span_is_a_noop() {
         let shape = BloomShape::B16;
         let mut m = PackedLineMeta::fetched(shape, 4, ThreadId(0));
-        let before = m;
+        let before = m.clone();
         let out = m.access_span(
             2,
             2,
@@ -593,7 +743,7 @@ mod tests {
             packed.set_granule(gi, g);
         }
 
-        let mut forked = packed;
+        let mut forked = packed.clone();
         let mut forked_ref = reference.clone();
         forked.fork_transfer_all(ThreadId(0));
         for g in &mut forked_ref {

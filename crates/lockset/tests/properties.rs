@@ -219,12 +219,15 @@ proptest! {
 
     /// The batched span access is bit-identical to granule-at-a-time
     /// [`PackedLineMeta::access`] over arbitrary operation sequences,
-    /// for every lane kernel: same words, same broadcast-on-change
-    /// flag, same race mask, at every step.
+    /// for every lane kernel and every granule count — the inline
+    /// one-granule line production runs at the default granularity as
+    /// well as each heap size class: same words, same
+    /// broadcast-on-change flag, same race mask, at every step.
     #[test]
     fn access_span_is_bit_identical_to_scalar_sequences(
         shape_is_32 in any::<bool>(),
         kernel_sel in 0u8..3,
+        granules in 1usize..=MAX_GRANULES,
         seq in prop::collection::vec(
             (0u32..4, any::<bool>(), 0u8..4, 0usize..MAX_GRANULES, 1usize..=MAX_GRANULES),
             1..60,
@@ -233,11 +236,11 @@ proptest! {
         let shape = if shape_is_32 { BloomShape::B32 } else { BloomShape::B16 };
         let kernel = [LaneKernel::Scalar, LaneKernel::Unroll4, LaneKernel::Simd]
             [kernel_sel as usize];
-        let mut batched = PackedLineMeta::fetched(shape, MAX_GRANULES, ThreadId(0));
-        let mut scalar = batched;
+        let mut batched = PackedLineMeta::fetched(shape, granules, ThreadId(0));
+        let mut scalar = batched.clone();
         for (t, w, mask, start, span) in seq {
-            let g0 = start.min(MAX_GRANULES - 1);
-            let g1 = (g0 + span).min(MAX_GRANULES);
+            let g0 = start % granules;
+            let g1 = (g0 + span).min(granules);
             let kind = if w { AccessKind::Write } else { AccessKind::Read };
             let mut held = BloomVector::empty(shape);
             if mask & 1 != 0 {
