@@ -5,30 +5,25 @@ use crate::geometry::CacheGeometry;
 use hard_types::{Addr, HardError};
 use std::mem::MaybeUninit;
 
-/// One cache line: identity, coherence state and attached metadata.
+/// One cache line: coherence state, holder bits and attached metadata.
+///
+/// The line's address and LRU stamp are not stored here: the cache's
+/// packed `tags`/`lrus` mirrors hold them, once, for every slot.
 #[derive(Clone, Debug)]
 pub struct Line<M> {
-    /// Line-aligned base address (we store the full address rather than
-    /// the tag; the simulator favours clarity over bit-packing).
-    pub addr: Addr,
     /// Coherence state (always [`CState::Modified`] or a plain
     /// valid/dirty notion in the L2, which is not a coherence
     /// participant).
     pub state: CState,
+    /// Which L1s hold a copy of this line, one bit per (sector, core)
+    /// pair. Kept by the hierarchy for the lines of its shared L2 (the
+    /// core-valid bits of an inclusive last-level cache) and read
+    /// through [`Hierarchy::holders`](crate::Hierarchy::holders); zero
+    /// in an L1 line, and never interpreted by the cache itself.
+    pub(crate) holders: u32,
     /// The attached metadata (candidate set + LState for HARD,
     /// timestamps for happens-before).
     pub meta: M,
-    lru: u64,
-}
-
-impl<M> Line<M> {
-    /// The line's LRU stamp (the cache tick of its last touch).
-    /// Exposed read-only so parity tests can pin replacement state
-    /// across the scalar and batched probe paths.
-    #[must_use]
-    pub fn lru(&self) -> u64 {
-        self.lru
-    }
 }
 
 /// A line evicted to make room for an insertion.
@@ -36,10 +31,9 @@ impl<M> Line<M> {
 pub struct Evicted<M> {
     /// The victim's line address.
     pub addr: Addr,
-    /// The victim's coherence state at eviction.
-    pub state: CState,
-    /// The victim's metadata (to be written back or dropped).
-    pub meta: M,
+    /// The victim itself, as it was at eviction (its metadata is to be
+    /// written back or dropped).
+    pub line: Line<M>,
 }
 
 /// The tag value of an empty slot. Never collides with a real line:
@@ -59,14 +53,12 @@ const TAG_EMPTY: u64 = u64::MAX;
 /// `swap_remove` exactly, so victim choice and global iteration order
 /// are bit-identical to the nested representation.
 ///
-/// Line identity and recency are mirrored into two dense `u64` arrays
+/// Line identity and recency live only in two dense `u64` arrays
 /// (`tags`, `lrus`) kept in lockstep with the slots: a probe resolves
 /// the tag match and a full-set insert resolves its LRU victim by
 /// scanning one CPU cache line of packed words instead of striding
-/// across `Line<M>` structs that can span hundreds of bytes each once
-/// detection metadata is attached. `Line::lru` remains the
-/// authoritative stamp (the parity tests pin it); the mirror is pure
-/// acceleration and carries no independent state.
+/// across `Line<M>` structs, and a `Line` carries neither field. The
+/// parity tests read a line's stamp through [`SetAssocCache::lru_of`].
 ///
 /// The slot array itself is *uninitialized capacity*: a slot holds a
 /// live line **iff** its mirror tag is not `TAG_EMPTY` (equivalently,
@@ -157,15 +149,32 @@ impl<M> SetAssocCache<M> {
         base..base + self.lens[set] as usize
     }
 
-    /// Looks up the line containing `addr` without touching LRU state.
+    /// The slot holding the line containing `addr`, without touching
+    /// LRU state.
     #[must_use]
-    pub fn peek(&self, addr: Addr) -> Option<&Line<M>> {
-        let line_addr = self.geom.line_of(addr);
-        let range = self.set_range(self.geom.set_index(line_addr));
+    #[inline]
+    pub fn slot_of(&self, addr: Addr) -> Option<usize> {
+        let (line_addr, set) = self.geom.line_and_set(addr);
+        let range = self.set_range(set);
         let i = self.tags[range.clone()]
             .iter()
             .position(|&t| t == line_addr.0)?;
-        Some(self.slot_ref(range.start + i))
+        Some(range.start + i)
+    }
+
+    /// Looks up the line containing `addr` without touching LRU state.
+    #[must_use]
+    pub fn peek(&self, addr: Addr) -> Option<&Line<M>> {
+        self.slot_of(addr).map(|slot| self.slot_ref(slot))
+    }
+
+    /// The LRU stamp (the cache tick of its last touch) of the line
+    /// containing `addr`, if resident. Tick-neutral; the parity tests
+    /// pin replacement state across the scalar and batched probe paths
+    /// with it.
+    #[must_use]
+    pub fn lru_of(&self, addr: Addr) -> Option<u64> {
+        self.slot_of(addr).map(|slot| self.lrus[slot])
     }
 
     /// Looks up the line containing `addr`, refreshing its LRU age.
@@ -190,9 +199,7 @@ impl<M> SetAssocCache<M> {
             .position(|&t| t == line_addr.0)?;
         let slot = range.start + i;
         self.lrus[slot] = tick;
-        let line = self.slot_mut(slot);
-        line.lru = tick;
-        Some(line)
+        Some(self.slot_mut(slot))
     }
 
     /// [`SetAssocCache::probe`] returning the hit slot index instead
@@ -202,15 +209,9 @@ impl<M> SetAssocCache<M> {
     /// ([`SetAssocCache::peek_slot`],
     /// [`SetAssocCache::slot_line_mut`]) without paying a second scan.
     pub fn probe_slot(&mut self, addr: Addr) -> Option<usize> {
-        let (line_addr, set) = self.geom.line_and_set(addr);
         let tick = self.bump();
-        let range = self.set_range(set);
-        let i = self.tags[range.clone()]
-            .iter()
-            .position(|&t| t == line_addr.0)?;
-        let slot = range.start + i;
+        let slot = self.slot_of(addr)?;
         self.lrus[slot] = tick;
-        self.slot_mut(slot).lru = tick;
         Some(slot)
     }
 
@@ -247,9 +248,7 @@ impl<M> SetAssocCache<M> {
                 let tick = self.tick;
                 let slot = range.start + i;
                 self.lrus[slot] = tick;
-                let line = self.slot_mut(slot);
-                line.lru = tick;
-                Some((slot, line))
+                Some((slot, self.slot_mut(slot)))
             }
             None => {
                 self.tick += 1;
@@ -258,13 +257,14 @@ impl<M> SetAssocCache<M> {
         }
     }
 
-    /// Reads slot `slot` without touching LRU state — the validation
-    /// half of the hot-slot fast path (`None` past the dense prefix or
-    /// out of range).
+    /// Reads slot `slot` if it holds the line containing `addr`,
+    /// without touching LRU state — also the validation half of the
+    /// hot-slot fast path.
     #[must_use]
     #[inline]
-    pub fn peek_slot(&self, slot: usize) -> Option<&Line<M>> {
-        if *self.tags.get(slot)? == TAG_EMPTY {
+    pub fn peek_slot(&self, slot: usize, addr: Addr) -> Option<&Line<M>> {
+        let tag = *self.tags.get(slot)?;
+        if tag != self.geom.line_of(addr).0 || tag == TAG_EMPTY {
             return None;
         }
         Some(self.slot_ref(slot))
@@ -283,9 +283,7 @@ impl<M> SetAssocCache<M> {
         self.tick += 2;
         let tick = self.tick;
         self.lrus[slot] = tick;
-        let line = self.slot_mut(slot);
-        line.lru = tick;
-        line
+        self.slot_mut(slot)
     }
 
     /// Mutable access to a slot without any LRU charge (re-borrowing a
@@ -298,8 +296,10 @@ impl<M> SetAssocCache<M> {
         Some(self.slot_mut(slot))
     }
 
-    /// Inserts a line (which must not already be present), evicting the
-    /// LRU victim if the set is full.
+    /// Inserts a line (which must not already be present) with no
+    /// holder bits, evicting the LRU victim if the set is full. Returns
+    /// the new line's slot alongside the victim, so the caller can reach
+    /// the line again through the tick-neutral slot accessors.
     ///
     /// # Errors
     ///
@@ -310,7 +310,7 @@ impl<M> SetAssocCache<M> {
         addr: Addr,
         state: CState,
         meta: M,
-    ) -> Result<Option<Evicted<M>>, HardError> {
+    ) -> Result<(usize, Option<Evicted<M>>), HardError> {
         let line_addr = self.geom.line_of(addr);
         let ways = self.geom.ways() as usize;
         let tick = self.bump();
@@ -329,12 +329,8 @@ impl<M> SetAssocCache<M> {
                 .min_by_key(|&(_, &lru)| lru)
                 .map(|(vi, _)| vi)
                 .map(|vi| {
-                    let v = self.swap_remove(set, vi);
-                    Evicted {
-                        addr: v.addr,
-                        state: v.state,
-                        meta: v.meta,
-                    }
+                    let (addr, line) = self.swap_remove(set, vi);
+                    Evicted { addr, line }
                 })
         } else {
             None
@@ -346,34 +342,35 @@ impl<M> SetAssocCache<M> {
         // this slot was vacant (past the prefix), so there is nothing
         // to drop.
         self.slots[slot] = MaybeUninit::new(Line {
-            addr: line_addr,
             state,
+            holders: 0,
             meta,
-            lru: tick,
         });
         self.lens[set] += 1;
-        Ok(victim)
+        Ok((slot, victim))
     }
 
     /// Removes position `i` of `set`'s prefix, backfilling with the
     /// last valid line — the `Vec::swap_remove` dance on the flat
-    /// window.
-    fn swap_remove(&mut self, set: usize, i: usize) -> Line<M> {
+    /// window. Returns the removed line with its address.
+    fn swap_remove(&mut self, set: usize, i: usize) -> (Addr, Line<M>) {
         let base = set * self.geom.ways() as usize;
         let last = self.lens[set] as usize - 1;
         self.slots.swap(base + i, base + last);
         self.tags.swap(base + i, base + last);
         self.lrus.swap(base + i, base + last);
-        debug_assert_ne!(self.tags[base + last], TAG_EMPTY);
+        let addr = Addr(self.tags[base + last]);
+        debug_assert_ne!(addr.0, TAG_EMPTY);
         self.tags[base + last] = TAG_EMPTY;
         self.lrus[base + last] = 0;
         self.lens[set] -= 1;
         // SAFETY: both positions were inside the dense prefix (live),
         // and the vacated slot's tag is now TAG_EMPTY, so ownership of
         // the line moves out exactly once.
-        unsafe {
+        let line = unsafe {
             std::mem::replace(&mut self.slots[base + last], MaybeUninit::uninit()).assume_init()
-        }
+        };
+        (addr, line)
     }
 
     /// Removes the line containing `addr`, returning it.
@@ -382,19 +379,20 @@ impl<M> SetAssocCache<M> {
         let set = self.geom.set_index(line_addr);
         let range = self.set_range(set);
         let i = self.tags[range].iter().position(|&t| t == line_addr.0)?;
-        Some(self.swap_remove(set, i))
+        Some(self.swap_remove(set, i).1)
     }
 
-    /// Iterates over all valid lines (in flat slot order, exactly the
-    /// order the former `Option`-based array yielded).
-    pub fn iter(&self) -> impl Iterator<Item = &Line<M>> {
+    /// Iterates over all valid lines with their addresses (in flat slot
+    /// order, exactly the order the former `Option`-based array
+    /// yielded).
+    pub fn iter(&self) -> impl Iterator<Item = (Addr, &Line<M>)> {
         self.slots
             .iter()
             .zip(&self.tags)
             .filter(|(_, t)| **t != TAG_EMPTY)
             // SAFETY: a non-empty tag marks a live slot (struct
             // invariant).
-            .map(|(s, _)| unsafe { s.assume_init_ref() })
+            .map(|(s, t)| (Addr(*t), unsafe { s.assume_init_ref() }))
     }
 
     /// Mutably iterates over all valid lines (for metadata flash
@@ -469,6 +467,7 @@ mod tests {
         assert!(c
             .insert(Addr(0x20), CState::Exclusive, 7)
             .unwrap()
+            .1
             .is_none());
         assert_eq!(c.occupancy(), 1);
         let line = c.probe(Addr(0x24)).expect("same line");
@@ -489,9 +488,10 @@ mod tests {
         let ev = c
             .insert(Addr(0x80), CState::Exclusive, 3)
             .unwrap()
+            .1
             .expect("eviction");
         assert_eq!(ev.addr, Addr(0x40));
-        assert_eq!(ev.meta, 2);
+        assert_eq!(ev.line.meta, 2);
         assert!(c.peek(Addr(0x00)).is_some());
         assert!(c.peek(Addr(0x80)).is_some());
     }
@@ -535,10 +535,11 @@ mod tests {
         for addr in [0x00u64, 0x20, 0x40, 0x24, 0x80, 0x00] {
             let _ = a.insert(Addr(addr), CState::Exclusive, addr as u32);
             let _ = b.insert(Addr(addr), CState::Exclusive, addr as u32);
-            let got = a.probe(Addr(addr + 4)).map(|l| (l.addr, l.meta, l.lru));
+            let got = a.probe(Addr(addr + 4)).map(|l| l.meta);
             let (line, set) = b.geometry().line_and_set(Addr(addr + 4));
-            let want = b.probe_prepared(line, set).map(|l| (l.addr, l.meta, l.lru));
+            let want = b.probe_prepared(line, set).map(|l| l.meta);
             assert_eq!(got, want, "divergence at {addr:#x}");
+            assert_eq!(a.lru_of(line), b.lru_of(line), "stamp at {addr:#x}");
         }
         assert_eq!(a.tick, b.tick, "LRU tick sequences must be identical");
     }
@@ -552,16 +553,15 @@ mod tests {
             let _ = b.insert(Addr(addr), CState::Exclusive, addr as u32);
             let (line, set) = a.geometry().line_and_set(Addr(addr + 4));
             // Scalar recipe: the ensure probe then the metadata probe.
-            let first = a.probe_prepared(line, set).map(|l| l.addr);
-            let got = if first.is_some() {
-                a.probe_prepared(line, set).map(|l| (l.addr, l.meta, l.lru))
+            let first = a.probe_prepared(line, set).is_some();
+            let got = if first {
+                a.probe_prepared(line, set).map(|l| l.meta)
             } else {
                 None
             };
-            let want = b
-                .probe_fused(line, set)
-                .map(|(_, l)| (l.addr, l.meta, l.lru));
+            let want = b.probe_fused(line, set).map(|(_, l)| l.meta);
             assert_eq!(got, want, "divergence at {addr:#x}");
+            assert_eq!(a.lru_of(line), b.lru_of(line), "stamp at {addr:#x}");
             // On a miss the scalar path's second probe only happens
             // after a fill; model that by skipping it above, so the
             // tick must match probe-for-probe here.
@@ -579,10 +579,13 @@ mod tests {
         let (slot, _) = b.probe_fused(line, set).expect("hit");
         a.probe_fused(line, set);
         // Re-touch: scan path vs memoized hot-slot path.
-        let la = a.probe_fused(line, set).map(|(_, l)| l.lru).expect("hit");
-        assert_eq!(b.peek_slot(slot).map(|l| l.addr), Some(line));
-        let lb = b.touch_slot_fused(slot).lru;
-        assert_eq!(la, lb);
+        assert!(a.probe_fused(line, set).is_some());
+        assert!(b.peek_slot(slot, line).is_some());
+        assert!(b.peek_slot(slot, Addr(0x1F)).is_some(), "any address in it");
+        assert!(b.peek_slot(slot, Addr(0x20)).is_none(), "wrong line");
+        assert!(b.peek_slot(1, Addr(TAG_EMPTY)).is_none(), "empty slot");
+        b.touch_slot_fused(slot);
+        assert_eq!(a.lru_of(line), b.lru_of(line));
         assert_eq!(a.tick, b.tick);
     }
 
@@ -594,6 +597,8 @@ mod tests {
         for line in c.iter_mut() {
             line.meta = 0;
         }
-        assert!(c.iter().all(|l| l.meta == 0));
+        assert!(c.iter().all(|(_, l)| l.meta == 0));
+        let addrs: Vec<Addr> = c.iter().map(|(a, _)| a).collect();
+        assert_eq!(addrs, [Addr(0x00), Addr(0x20)]);
     }
 }

@@ -6,8 +6,13 @@
 //! configuration each L2 line holds one metadata slot per L1-line
 //! sector, sectors validate independently, and an L2 displacement
 //! loses the metadata of every valid sector at once.
+//!
+//! Snoops go through the inclusive L2, as a real CMP's core-valid bits
+//! let them: every L2 line keeps a holder word recording which L1s hold
+//! each of its sectors, so a miss finds its peer copies with the one L2
+//! probe it makes anyway instead of searching every L1.
 
-use crate::cache::SetAssocCache;
+use crate::cache::{Line, SetAssocCache};
 use crate::cstate::CState;
 use crate::geometry::CacheGeometry;
 use crate::policy::MetaFactory;
@@ -132,6 +137,11 @@ pub struct EnsureResult {
     /// lost to an earlier L2 displacement — the cause of HARD's missed
     /// races (paper §3.6).
     pub refetch_after_loss: bool,
+    /// The L2 line this access's fill displaced, if any. Its L1 copies
+    /// were back-invalidated and the metadata of its valid sectors lost
+    /// (their L1 lines now read [`Hierarchy::was_meta_lost`]); the
+    /// directory variant retires its entries for the line here.
+    pub displaced: Option<Addr>,
 }
 
 impl EnsureResult {
@@ -141,8 +151,28 @@ impl EnsureResult {
             bus_data: 0,
             bus_control: 0,
             refetch_after_loss: false,
+            displaced: None,
         }
     }
+
+    fn upgrade() -> EnsureResult {
+        EnsureResult {
+            served_by: ServedBy::L1Upgrade,
+            bus_control: 1,
+            ..EnsureResult::hit()
+        }
+    }
+}
+
+/// The cores in a core mask, lowest first.
+fn cores(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let core = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            core
+        })
+    })
 }
 
 /// The simulated memory system. See the [module docs](self).
@@ -152,12 +182,18 @@ pub struct Hierarchy<F: MetaFactory> {
     factory: F,
     l1: Vec<SetAssocCache<F::Meta>>,
     /// The L2 line holds one metadata slot per L1-line sector
-    /// (one slot in the Table 1 configuration, two in Figure 3's).
+    /// (one slot in the Table 1 configuration, two in Figure 3's), and
+    /// its `Line::holders` word has bit `sector * num_cores + core`
+    /// set iff that core's L1 holds that sector.
     l2: SetAssocCache<L2Sectors<F::Meta>>,
     sectors: usize,
+    /// `log2` of the L1 line size: a line's sector is
+    /// `(addr >> l1_shift) & (sectors - 1)`.
+    l1_shift: u32,
+    /// One bit per core: the width of a sector's holder group.
+    all_cores: u32,
     stats: MemStats,
     lost_meta: FastHashSet<Addr>,
-    eviction_log: Vec<Addr>,
     /// Same-core/same-line memo for the batched access path: the L1
     /// slot that served the previous [`Hierarchy::access_prepared`]
     /// hit. Validated (address + state) before every use, so it is a
@@ -176,9 +212,11 @@ impl<F: MetaFactory> Hierarchy<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`HardError::InvalidConfig`] if there are no cores or if
+    /// Returns [`HardError::InvalidConfig`] if there are no cores, if
     /// the L2 line size is not the L1's (Table 1) or twice it
-    /// (Figure 3) — the simulator keeps one machine-wide line size.
+    /// (Figure 3) — the simulator keeps one machine-wide line size — or
+    /// if cores × sectors exceed the 32 bits of an L2 line's holder
+    /// word.
     pub fn new(cfg: HierarchyConfig, factory: F) -> Result<Hierarchy<F>, HardError> {
         if cfg.num_cores == 0 {
             return Err(HardError::InvalidConfig {
@@ -191,17 +229,28 @@ impl<F: MetaFactory> Hierarchy<F> {
                 what: "the L2 line must equal the L1 line (Table 1) or twice it (Figure 3)".into(),
             });
         }
+        let sectors = factor as usize;
+        if cfg.num_cores * sectors > u32::BITS as usize {
+            return Err(HardError::InvalidConfig {
+                what: format!(
+                    "{} cores x {sectors} sectors exceed the {}-bit L2 holder word",
+                    cfg.num_cores,
+                    u32::BITS
+                ),
+            });
+        }
         Ok(Hierarchy {
             l1: (0..cfg.num_cores)
                 .map(|_| SetAssocCache::new(cfg.l1))
                 .collect(),
             l2: SetAssocCache::new(cfg.l2),
-            sectors: factor as usize,
+            sectors,
+            l1_shift: cfg.l1.line_bytes().trailing_zeros(),
+            all_cores: u32::MAX >> (u32::BITS as usize - cfg.num_cores),
             cfg,
             factory,
             stats: MemStats::default(),
             lost_meta: FastHashSet::default(),
-            eviction_log: Vec::new(),
             hot: None,
             deferred_l1_hits: 0,
             obs: ObsHandle::off(),
@@ -209,8 +258,21 @@ impl<F: MetaFactory> Hierarchy<F> {
     }
 
     /// The sector index of an L1 line within its L2 line.
+    #[inline]
     fn sector_of(&self, l1_line: Addr) -> usize {
-        ((l1_line.0 / self.cfg.l1.line_bytes()) % self.sectors as u64) as usize
+        (l1_line.0 >> self.l1_shift) as usize & (self.sectors - 1)
+    }
+
+    /// `core`'s bit for `sector` in an L2 line's holder word.
+    #[inline]
+    fn holder_bit(&self, core: usize, sector: usize) -> u32 {
+        1 << (sector * self.cfg.num_cores + core)
+    }
+
+    /// The cores a holder word records for `sector`, as a core mask.
+    #[inline]
+    fn holders_of(&self, holders: u32, sector: usize) -> u32 {
+        (holders >> (sector * self.cfg.num_cores)) & self.all_cores
     }
 
     /// Mutable access to the L2 metadata slot for an L1 line, if the
@@ -245,10 +307,22 @@ impl<F: MetaFactory> Hierarchy<F> {
         self.obs = obs;
     }
 
+    /// The cores whose L1 holds a copy of `addr`'s line, as a core
+    /// mask (bit `i` for core `i`) read from the line's L2 holder word;
+    /// 0 when the L2 does not hold the line. Pure: no LRU or
+    /// statistics effects.
+    #[must_use]
+    pub fn holders(&self, addr: Addr) -> u32 {
+        let line = self.cfg.l1.line_of(addr);
+        self.l2
+            .peek(line)
+            .map_or(0, |l| self.holders_of(l.holders, self.sector_of(line)))
+    }
+
     /// Number of L1 caches holding a valid copy of `addr`'s line.
     #[must_use]
     pub fn sharers(&self, addr: Addr) -> usize {
-        self.l1.iter().filter(|c| c.peek(addr).is_some()).count()
+        self.holders(addr).count_ones() as usize
     }
 
     /// True iff a copy of `addr`'s line exists in an L1 *other than*
@@ -256,8 +330,8 @@ impl<F: MetaFactory> Hierarchy<F> {
     /// ensured it). MESI grants Exclusive only when no peer holds a
     /// copy and Modified only after invalidating them, so when `core`'s
     /// copy is not Shared the answer is `false` after a single tag
-    /// probe — the detectors use this to skip the all-cores
-    /// [`Hierarchy::sharers`] scan on the (dominant) exclusive paths.
+    /// probe — the detectors use this to skip the L2 lookup of
+    /// [`Hierarchy::sharers`] on the (dominant) exclusive paths.
     /// Pure: no LRU or statistics effects.
     #[must_use]
     pub fn shared_beyond(&self, core: CoreId, addr: Addr) -> bool {
@@ -272,25 +346,6 @@ impl<F: MetaFactory> Hierarchy<F> {
     #[must_use]
     pub fn was_meta_lost(&self, addr: Addr) -> bool {
         self.lost_meta.contains(&self.cfg.l1.line_of(addr))
-    }
-
-    /// Drains the line addresses displaced from the L2 since the last
-    /// call. The directory-protocol variant uses this to retire its
-    /// directory-resident metadata exactly when the paper's in-cache
-    /// variant would lose it. Returns a draining iterator over the
-    /// hierarchy-owned log rather than a fresh `Vec`, so the (very hot)
-    /// nothing-pending case and the steady state both allocate nothing:
-    /// the log's capacity is retained across drains.
-    pub fn drain_l2_evictions(&mut self) -> std::vec::Drain<'_, Addr> {
-        self.eviction_log.drain(..)
-    }
-
-    /// True if at least one L2 displacement is waiting to be drained.
-    /// Lets callers skip the drain call entirely on the (dominant)
-    /// no-eviction path.
-    #[must_use]
-    pub fn l2_evictions_pending(&self) -> bool {
-        !self.eviction_log.is_empty()
     }
 
     /// Mutable access to `core`'s copy of the metadata for `addr`'s
@@ -364,29 +419,28 @@ impl<F: MetaFactory> Hierarchy<F> {
         }
     }
 
-    /// Handles an L2 eviction: back-invalidate every covered L1 line
-    /// (inclusion) and record each valid sector's metadata loss.
-    fn l2_evicted(&mut self, victim_addr: Addr, sectors: &L2Sectors<F::Meta>) {
+    /// Handles an L2 eviction: back-invalidate the L1 copies the
+    /// victim's holder word records (inclusion) and record each valid
+    /// sector's metadata loss.
+    fn l2_evicted(&mut self, victim_addr: Addr, victim: &Line<L2Sectors<F::Meta>>) {
         self.stats.l2_evictions += 1;
-        let mut invalidated = false;
         let mut sectors_lost = 0u32;
-        for (i, slot) in sectors.as_slice().iter().enumerate() {
+        for (i, slot) in victim.meta.as_slice().iter().enumerate() {
             let l1_line = Addr(victim_addr.0 + i as u64 * self.cfg.l1.line_bytes());
             if slot.is_some() {
                 self.lost_meta.insert(l1_line);
-                self.eviction_log.push(l1_line);
                 sectors_lost += 1;
             }
-            for l1 in &mut self.l1 {
-                if let Some(line) = l1.remove(l1_line) {
-                    invalidated = true;
-                    if line.state == CState::Modified {
-                        self.stats.writebacks += 1;
-                    }
+            for p in cores(self.holders_of(victim.holders, i)) {
+                if self.l1[p]
+                    .remove(l1_line)
+                    .is_some_and(|l| l.state == CState::Modified)
+                {
+                    self.stats.writebacks += 1;
                 }
             }
         }
-        if invalidated {
+        if victim.holders != 0 {
             self.stats.l2_back_invalidations += 1;
         }
         self.obs.counter(CounterId::L2Displacements, 1);
@@ -400,31 +454,58 @@ impl<F: MetaFactory> Hierarchy<F> {
         });
     }
 
-    /// Inserts a line into an L1, handling the victim writeback.
+    /// Inserts a line into `core`'s L1 and records the core among the
+    /// holders of its L2 line (at `l2_slot`), handling the victim
+    /// writeback.
     fn l1_insert(
         &mut self,
         core: CoreId,
         addr: Addr,
         state: CState,
         meta: F::Meta,
+        l2_slot: usize,
     ) -> Result<(), HardError> {
-        if let Some(victim) = self.l1[core.index()].insert(addr, state, meta)? {
+        let c = core.index();
+        if let (_, Some(victim)) = self.l1[c].insert(addr, state, meta)? {
             self.stats.l1_evictions += 1;
-            if victim.state == CState::Modified {
+            let dirty = victim.line.state == CState::Modified;
+            if dirty {
                 self.stats.writebacks += 1;
             }
-            // Inclusion: the L2 still holds the victim unless it was
-            // just displaced; push the freshest metadata down.
+            // Inclusion: the L2 still holds the victim; push the
+            // freshest metadata down and drop the core from its holders.
             let idx = self.sector_of(victim.addr);
-            let dirty = victim.state == CState::Modified;
+            let bit = self.holder_bit(c, idx);
             if let Some(l2line) = self.l2.probe(victim.addr) {
-                store(&mut l2line.meta[idx], &victim.meta);
+                store(&mut l2line.meta[idx], &victim.line.meta);
+                l2line.holders &= !bit;
                 if dirty {
                     l2line.state = CState::Modified;
                 }
             }
         }
+        let bit = self.holder_bit(c, self.sector_of(addr));
+        if let Some(l2line) = self.l2.slot_line_mut(l2_slot) {
+            l2line.holders |= bit;
+        }
         Ok(())
+    }
+
+    /// Invalidates every copy of the L1 line `line_addr` held by a core
+    /// other than `c` — the BusRdX / bus-upgrade broadcast — visiting
+    /// only the holders recorded in its L2 line at `l2_slot`, and
+    /// clears their bits there.
+    fn invalidate_peers(&mut self, c: usize, line_addr: Addr, l2_slot: Option<usize>) {
+        let shift = self.sector_of(line_addr) * self.cfg.num_cores;
+        let mask = self.all_cores & !(1 << c);
+        let Some(l2line) = l2_slot.and_then(|s| self.l2.slot_line_mut(s)) else {
+            return;
+        };
+        let peers = (l2line.holders >> shift) & mask;
+        l2line.holders &= !(peers << shift);
+        for p in cores(peers) {
+            self.l1[p].remove(line_addr);
+        }
     }
 
     /// Makes the line containing `addr` resident in `core`'s L1 with
@@ -491,17 +572,9 @@ impl<F: MetaFactory> Hierarchy<F> {
                         self.stats.l1_hits += 1;
                         self.stats.upgrades += 1;
                         self.stats.bus_control += 1;
-                        for (i, l1) in self.l1.iter_mut().enumerate() {
-                            if i != c {
-                                l1.remove(line_addr);
-                            }
-                        }
-                        return Ok(EnsureResult {
-                            served_by: ServedBy::L1Upgrade,
-                            bus_data: 0,
-                            bus_control: 1,
-                            refetch_after_loss: false,
-                        });
+                        let l2_slot = self.l2.slot_of(line_addr);
+                        self.invalidate_peers(c, line_addr, l2_slot);
+                        return Ok(EnsureResult::upgrade());
                     }
                     CState::Invalid => {
                         return Err(HardError::CoherenceViolation {
@@ -532,127 +605,112 @@ impl<F: MetaFactory> Hierarchy<F> {
         self.obs.counter(CounterId::CacheFills, 1);
         let mut result = EnsureResult {
             served_by: ServedBy::L2,
-            bus_data: 0,
-            bus_control: 0,
-            refetch_after_loss: false,
+            bus_data: 1,
+            ..EnsureResult::hit()
         };
+        self.stats.bus_data += 1;
+        let idx = self.sector_of(line_addr);
 
-        // Snoop: find a peer owner (M/E) or sharers.
-        let owner = (0..self.cfg.num_cores).find(|&i| {
-            i != c
-                && self.l1[i]
-                    .peek(line_addr)
-                    .is_some_and(|l| l.state.is_exclusive_kind())
-        });
+        // Snoop through the inclusive L2: the line's holder word names
+        // every peer copy. This is the miss's one charged L2 probe,
+        // whether a peer, the L2 or memory then supplies the line; the
+        // line is reached again through tick-neutral slot accessors.
+        let mut l2_slot = self.l2.probe_slot(line_addr);
+        let peers = l2_slot
+            .and_then(|s| self.l2.peek_slot(s, line_addr))
+            .map_or(0, |l| self.holders_of(l.holders, idx))
+            & !(1 << c);
+        // MESI: an M/E copy is the only copy, so only a lone peer can
+        // own the line.
+        let owner = if peers.is_power_of_two() {
+            let o = peers.trailing_zeros() as usize;
+            self.l1[o]
+                .peek(line_addr)
+                .is_some_and(|l| l.state.is_exclusive_kind())
+                .then_some(o)
+        } else {
+            None
+        };
 
         let meta = if let Some(o) = owner {
             // Cache-to-cache transfer from the owning peer.
             self.stats.c2c_transfers += 1;
-            self.stats.bus_data += 1;
-            result.bus_data += 1;
             result.served_by = ServedBy::Peer;
-            let (peer_meta, was_modified) = {
-                let line = self.l1[o]
-                    .probe(line_addr)
-                    .ok_or(HardError::CoherenceViolation {
-                        core: CoreId(o as u32),
-                        line: line_addr,
-                        what: "snooped owner no longer holds the line",
-                    })?;
-                let m = line.meta.clone();
-                let dirty = line.state == CState::Modified;
-                if kind.is_write() {
-                    // BusRdX: the owner's copy is invalidated.
-                    self.l1[o].remove(line_addr);
-                } else {
-                    line.state = CState::Shared;
-                }
-                (m, dirty)
-            };
+            let line = self.l1[o]
+                .probe(line_addr)
+                .ok_or(HardError::CoherenceViolation {
+                    core: CoreId(o as u32),
+                    line: line_addr,
+                    what: "snooped owner no longer holds the line",
+                })?;
+            let peer_meta = line.meta.clone();
+            let was_modified = line.state == CState::Modified;
+            // A read downgrades the owner; a write's BusRdX invalidates
+            // it below with the other peers.
+            line.state = CState::Shared;
             // The owner's (freshest) metadata and data flow to the L2.
             if was_modified {
                 self.stats.writebacks += 1;
             }
-            let idx = self.sector_of(line_addr);
-            if let Some(l2line) = self.l2.probe(line_addr) {
+            if let Some(l2line) = l2_slot.and_then(|s| self.l2.slot_line_mut(s)) {
                 store(&mut l2line.meta[idx], &peer_meta);
                 if was_modified {
                     l2line.state = CState::Modified;
                 }
             }
             peer_meta
+        } else if let Some(m) = l2_slot
+            .and_then(|s| self.l2.peek_slot(s, line_addr))
+            .and_then(|l| l.meta[idx].as_ref())
+        {
+            // The L2 holds a valid sector; sharers (if any) are clean
+            // and consistent with it.
+            self.stats.l2_hits += 1;
+            m.clone()
         } else {
-            // Sharers (if any) are clean and consistent with the L2.
-            if kind.is_write() {
-                for (i, l1) in self.l1.iter_mut().enumerate() {
-                    if i != c {
-                        l1.remove(line_addr);
-                    }
-                }
+            // Fetch from memory: fresh metadata (paper §3.1).
+            self.stats.l2_misses += 1;
+            result.served_by = ServedBy::Memory;
+            result.refetch_after_loss = self.lost_meta.contains(&line_addr);
+            if result.refetch_after_loss {
+                self.obs.counter(CounterId::RefetchesAfterLoss, 1);
+                self.obs
+                    .emit(|| Event::RefetchAfterLoss { line: line_addr.0 });
             }
-            let idx = self.sector_of(line_addr);
-            // One tag scan serves the sector test and the LRU touch:
-            // the scalar recipe was a tick-neutral peek followed by a
-            // single charged probe, which collapses into `probe_slot`
-            // (same one bump, same stamp) with the line reached again
-            // through tick-neutral slot accessors. On the streaming
-            // workloads three out of four accesses take this path, so
-            // the saved scan is per-miss, not per-corner-case.
-            let l2_slot = self.l2.probe_slot(line_addr);
-            let sector_hit = l2_slot
-                .is_some_and(|s| self.l2.peek_slot(s).is_some_and(|l| l.meta[idx].is_some()));
-            if sector_hit {
-                self.stats.l2_hits += 1;
-                self.stats.bus_data += 1;
-                result.bus_data += 1;
-                result.served_by = ServedBy::L2;
-                l2_slot
-                    .and_then(|s| self.l2.peek_slot(s))
-                    .and_then(|l| l.meta[idx].clone())
-                    .ok_or(HardError::CoherenceViolation {
-                        core,
-                        line: line_addr,
-                        what: "a valid L2 sector vanished during the fill",
-                    })?
+            let fresh = self.factory.fresh(core);
+            if let Some(l2line) = l2_slot.and_then(|s| self.l2.slot_line_mut(s)) {
+                // The L2 line exists but this sector was invalid:
+                // validate it in place, no eviction.
+                l2line.meta[idx] = Some(fresh.clone());
             } else {
-                // Fetch from memory: fresh metadata (paper §3.1).
-                self.stats.l2_misses += 1;
-                self.stats.bus_data += 1;
-                result.bus_data += 1;
-                result.served_by = ServedBy::Memory;
-                result.refetch_after_loss = self.lost_meta.contains(&line_addr);
-                if result.refetch_after_loss {
-                    self.obs.counter(CounterId::RefetchesAfterLoss, 1);
-                    self.obs
-                        .emit(|| Event::RefetchAfterLoss { line: line_addr.0 });
+                let mut sectors = L2Sectors::vacant(self.sectors);
+                sectors[idx] = Some(fresh.clone());
+                let (slot, victim) = self.l2.insert(line_addr, CState::Exclusive, sectors)?;
+                l2_slot = Some(slot);
+                if let Some(victim) = victim {
+                    result.displaced = Some(victim.addr);
+                    self.l2_evicted(victim.addr, &victim.line);
                 }
-                let fresh = self.factory.fresh(core);
-                if let Some(l2line) = l2_slot.and_then(|s| self.l2.slot_line_mut(s)) {
-                    // The L2 line exists but this sector was invalid:
-                    // validate it in place, no eviction. (`probe_slot`
-                    // above already charged the probe's LRU touch.)
-                    l2line.meta[idx] = Some(fresh.clone());
-                } else {
-                    let mut sectors = L2Sectors::vacant(self.sectors);
-                    sectors[idx] = Some(fresh.clone());
-                    if let Some(victim) = self.l2.insert(line_addr, CState::Exclusive, sectors)? {
-                        self.l2_evicted(victim.addr, &victim.meta);
-                    }
-                }
-                fresh
             }
+            fresh
         };
 
-        let others_hold =
-            (0..self.cfg.num_cores).any(|i| i != c && self.l1[i].peek(line_addr).is_some());
         let new_state = if kind.is_write() {
+            // BusRdX: every peer copy, an owner's included, goes.
+            self.invalidate_peers(c, line_addr, l2_slot);
             CState::Modified
-        } else if others_hold {
+        } else if peers != 0 {
+            // A read leaves every peer copy (a downgraded owner's too).
             CState::Shared
         } else {
             CState::Exclusive
         };
-        self.l1_insert(core, line_addr, new_state, meta)?;
+        let l2_slot = l2_slot.ok_or(HardError::CoherenceViolation {
+            core,
+            line: line_addr,
+            what: "a filled line has no L2 line to record its holder",
+        })?;
+        self.l1_insert(core, line_addr, new_state, meta, l2_slot)?;
         Ok(result)
     }
 
@@ -691,10 +749,8 @@ impl<F: MetaFactory> Hierarchy<F> {
         if let Some((hc, haddr, hslot)) = self.hot {
             if hc == core.0 && haddr == line_addr {
                 let slot = hslot as usize;
-                let ok = self.l1[c].peek_slot(slot).is_some_and(|l| {
-                    l.addr == line_addr
-                        && (!kind.is_write()
-                            || matches!(l.state, CState::Modified | CState::Exclusive))
+                let ok = self.l1[c].peek_slot(slot, line_addr).is_some_and(|l| {
+                    !kind.is_write() || matches!(l.state, CState::Modified | CState::Exclusive)
                 });
                 if ok {
                     self.deferred_l1_hits += 1;
@@ -721,11 +777,8 @@ impl<F: MetaFactory> Hierarchy<F> {
                     self.deferred_l1_hits += 1;
                     self.stats.upgrades += 1;
                     self.stats.bus_control += 1;
-                    for (i, l1) in self.l1.iter_mut().enumerate() {
-                        if i != c {
-                            l1.remove(line_addr);
-                        }
-                    }
+                    let l2_slot = self.l2.slot_of(line_addr);
+                    self.invalidate_peers(c, line_addr, l2_slot);
                     self.hot = Some((core.0, line_addr, slot as u32));
                     let line = self.l1[c].slot_line_mut(slot).ok_or({
                         HardError::CoherenceViolation {
@@ -735,15 +788,7 @@ impl<F: MetaFactory> Hierarchy<F> {
                         }
                     })?;
                     line.state = CState::Modified;
-                    return Ok((
-                        EnsureResult {
-                            served_by: ServedBy::L1Upgrade,
-                            bus_data: 0,
-                            bus_control: 1,
-                            refetch_after_loss: false,
-                        },
-                        &mut line.meta,
-                    ));
+                    return Ok((EnsureResult::upgrade(), &mut line.meta));
                 }
                 (AccessKind::Write, CState::Invalid) => {
                     return Err(HardError::CoherenceViolation {
@@ -812,7 +857,7 @@ impl<F: MetaFactory> Hierarchy<F> {
     /// Tick-neutral (peek-based), for parity tests.
     #[must_use]
     pub fn l1_lru_of(&self, core: CoreId, addr: Addr) -> Option<u64> {
-        self.l1[core.index()].peek(addr).map(|l| l.lru())
+        self.l1[core.index()].lru_of(addr)
     }
 
     /// The line addresses currently resident in `core`'s L1, in set
@@ -820,7 +865,7 @@ impl<F: MetaFactory> Hierarchy<F> {
     /// called when a (rare) fault actually fires.
     #[must_use]
     pub fn resident_lines(&self, core: CoreId) -> Vec<Addr> {
-        self.l1[core.index()].iter().map(|l| l.addr).collect()
+        self.l1[core.index()].iter().map(|(addr, _)| addr).collect()
     }
 
     /// Number of valid L2 lines (victim pool for spurious
@@ -836,10 +881,10 @@ impl<F: MetaFactory> Hierarchy<F> {
     /// recorded. Models a spurious displacement fault. Returns the
     /// displaced L2 line address, or `None` if `n` is out of range.
     pub fn force_displace(&mut self, n: usize) -> Option<Addr> {
-        let victim_addr = self.l2.iter().nth(n).map(|l| l.addr)?;
+        let (victim_addr, _) = self.l2.iter().nth(n)?;
         let victim = self.l2.remove(victim_addr)?;
-        self.l2_evicted(victim.addr, &victim.meta);
-        Some(victim.addr)
+        self.l2_evicted(victim_addr, &victim);
+        Some(victim_addr)
     }
 }
 
@@ -1005,7 +1050,7 @@ mod tests {
         assert!(h
             .l2
             .iter()
-            .all(|l| l.meta.as_slice().iter().flatten().all(|m| *m == 1)));
+            .all(|(_, l)| l.meta.as_slice().iter().flatten().all(|m| *m == 1)));
     }
 
     #[test]
@@ -1081,6 +1126,39 @@ mod tests {
         assert!(none.is_err(), "zero cores must be rejected");
     }
 
+    #[test]
+    fn holder_word_bounds_cores_times_sectors() {
+        let cfg = |num_cores, l2_line| HierarchyConfig {
+            num_cores,
+            l1: CacheGeometry::new(128, 2, 32),
+            l2: CacheGeometry::new(512, 2, l2_line),
+        };
+        assert!(Hierarchy::new(cfg(32, 32), NullFactory).is_ok());
+        assert!(Hierarchy::new(cfg(16, 64), NullFactory).is_ok());
+        for (cores, line) in [(33, 32), (17, 64)] {
+            let err = Hierarchy::new(cfg(cores, line), NullFactory).expect_err("too wide");
+            assert!(
+                matches!(err, hard_types::HardError::InvalidConfig { .. }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn holder_word_tracks_every_l1_copy() {
+        let mut h = Hierarchy::new(tiny_cfg(), StampFactory).unwrap();
+        h.ensure(C0, Addr(0x100), AccessKind::Read).unwrap();
+        assert_eq!(h.holders(Addr(0x100)), 0b01);
+        h.ensure(C1, Addr(0x100), AccessKind::Read).unwrap();
+        assert_eq!(h.holders(Addr(0x104)), 0b11);
+        h.ensure(C1, Addr(0x100), AccessKind::Write).unwrap(); // upgrade
+        assert_eq!(h.holders(Addr(0x100)), 0b10);
+        h.ensure(C0, Addr(0x100), AccessKind::Write).unwrap(); // BusRdX
+        assert_eq!(h.holders(Addr(0x100)), 0b01);
+        assert_eq!(h.sharers(Addr(0x100)), 1);
+        assert_eq!(h.holders(Addr(0x040)), 0, "never fetched");
+    }
+
     fn sectored_cfg() -> HierarchyConfig {
         HierarchyConfig {
             num_cores: 2,
@@ -1112,14 +1190,16 @@ mod tests {
         *h.meta_mut(C0, Addr(0x20)).unwrap() = 6;
         // Thrash L2 set 0: with 512B/2-way/64B lines there are 4 sets;
         // L2 set of 0x00 is shared by 0x100, 0x200, ...
-        h.ensure(C0, Addr(0x100), AccessKind::Read).unwrap();
-        h.ensure(C0, Addr(0x200), AccessKind::Read).unwrap();
-        assert!(h.stats().l2_evictions >= 1);
+        let displaced: Vec<Addr> = [0x100, 0x200]
+            .into_iter()
+            .filter_map(|a| h.ensure(C0, Addr(a), AccessKind::Read).unwrap().displaced)
+            .collect();
+        assert_eq!(displaced, [Addr(0x00)], "the access reports its victim");
+        assert_eq!(h.stats().l2_evictions, 1);
         assert!(h.was_meta_lost(Addr(0x00)));
         assert!(h.was_meta_lost(Addr(0x20)), "the sibling sector died too");
-        let lost: Vec<Addr> = h.drain_l2_evictions().collect();
-        assert!(lost.contains(&Addr(0x00)) && lost.contains(&Addr(0x20)));
-        assert!(!h.l2_evictions_pending(), "drain leaves nothing pending");
+        assert_eq!(h.holders(Addr(0x20)), 0, "both sectors back-invalidated");
+        assert!(h.meta(C0, Addr(0x20)).is_none());
     }
 
     #[test]
@@ -1164,10 +1244,6 @@ mod tests {
             assert_eq!(scalar.l1_lru_tick(c), batched.l1_lru_tick(c));
         }
         assert_eq!(scalar.l2_lru_tick(), batched.l2_lru_tick());
-        assert_eq!(
-            scalar.drain_l2_evictions().collect::<Vec<_>>(),
-            batched.drain_l2_evictions().collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -1230,16 +1306,25 @@ mod tests {
             // L2 set 0 takes 0x000, 0x100, 0x200: the third displaces
             // 0x100, the less recently used of the first two, by
             // capacity.
+            let mut displaced = Vec::new();
             for (core, a) in [(C0, 0x000), (C1, 0x040), (C0, 0x100), (C1, 0x000)] {
-                h.ensure(core, Addr(a), AccessKind::Write).unwrap();
+                displaced.extend(
+                    h.ensure(core, Addr(a), AccessKind::Write)
+                        .unwrap()
+                        .displaced,
+                );
             }
-            h.ensure(C0, Addr(0x200), AccessKind::Read).unwrap();
+            displaced.extend(
+                h.ensure(C0, Addr(0x200), AccessKind::Read)
+                    .unwrap()
+                    .displaced,
+            );
             let capacity_lost = rec.snapshot().counter(CounterId::MetaLossLines);
             let mut flashed = 0u32;
             h.flash_meta(|_| flashed += 1);
-            let mut forced = 0;
-            while h.force_displace(0).is_some() {
-                forced += 1;
+            let mut forced = Vec::new();
+            while let Some(victim) = h.force_displace(0) {
+                forced.push(victim);
             }
             let s = rec.snapshot();
             (
@@ -1248,12 +1333,13 @@ mod tests {
                 forced,
                 s.counter(CounterId::MetaLossLines),
                 *h.stats(),
-                h.drain_l2_evictions().collect::<Vec<_>>(),
+                displaced,
             )
         };
         let (one_run, two_run) = (drive(one), drive(two));
         assert_eq!(one_run.0, 1, "one capacity displacement, one sector lost");
-        assert!(one_run.1 > 0 && one_run.2 > 0);
+        assert!(one_run.1 > 0 && !one_run.2.is_empty());
+        assert_eq!(one_run.5, [Addr(0x100)]);
         assert_eq!(one_run, two_run);
     }
 

@@ -174,6 +174,7 @@ mod tests {
             bus_data: 0,
             bus_control: 0,
             refetch_after_loss: false,
+            displaced: None,
         };
         assert_eq!(m.service_latency(&mk(ServedBy::L1)), 3);
         assert_eq!(m.service_latency(&mk(ServedBy::L2)), 10);

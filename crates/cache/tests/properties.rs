@@ -25,6 +25,14 @@ fn tiny() -> HierarchyConfig {
     }
 }
 
+/// [`tiny`] with Figure 3's L2 lines: two sectors per L2 line.
+fn tiny_sectored() -> HierarchyConfig {
+    HierarchyConfig {
+        l2: CacheGeometry::new(512, 2, 64),
+        ..tiny()
+    }
+}
+
 fn arb_accesses() -> impl Strategy<Value = Vec<(u32, u64, bool)>> {
     // (core, line index over a small hot range, is_write)
     prop::collection::vec((0u32..3, 0u64..24, any::<bool>()), 1..200)
@@ -103,18 +111,22 @@ proptest! {
     }
 
     /// Displacement marking is sound: `was_meta_lost` is set for every
-    /// line reported through the eviction log, and refetching such a
-    /// line yields factory-fresh metadata.
+    /// line an access reports as displaced, and refetching such a line
+    /// yields factory-fresh metadata.
     #[test]
     fn displacement_resets_metadata(stream in prop::collection::vec(0u64..64, 30..120)) {
         let mut h = Hierarchy::new(tiny(), SeqFactory).unwrap();
         let probe = Addr(0);
         h.ensure(CoreId(0), probe, AccessKind::Write).unwrap();
         *h.meta_mut(CoreId(0), probe).unwrap() = 0xFFFF;
+        let mut evicted = Vec::new();
         for l in stream {
-            h.ensure(CoreId(0), Addr((1 + l) * 32), AccessKind::Read).unwrap();
+            let r = h.ensure(CoreId(0), Addr((1 + l) * 32), AccessKind::Read).unwrap();
+            evicted.extend(r.displaced);
         }
-        let evicted: Vec<Addr> = h.drain_l2_evictions().collect();
+        for &line in &evicted {
+            prop_assert!(h.was_meta_lost(line));
+        }
         if evicted.contains(&probe) {
             prop_assert!(h.was_meta_lost(probe));
             let r = h.ensure(CoreId(0), probe, AccessKind::Read).unwrap();
@@ -128,8 +140,9 @@ proptest! {
     /// machines' batched recipe — `access_prepared` per access, one
     /// `flush_deferred_stats` per window — must reproduce a fold of
     /// per-access `ensure` + `meta_mut` calls exactly: `EnsureResult`
-    /// sequence, `MemStats`, per-copy MESI states and LRU stamps, every
-    /// cache's LRU tick, and the L2 eviction order.
+    /// sequence (whose `displaced` field pins the L2 eviction order),
+    /// `MemStats`, per-copy MESI states and LRU stamps, and every
+    /// cache's LRU tick.
     #[test]
     fn prepared_window_is_the_scalar_fold(
         accs in prop::collection::vec(
@@ -182,15 +195,12 @@ proptest! {
             }
         }
         prop_assert_eq!(scalar.l2_lru_tick(), batched.l2_lru_tick());
-        let scalar_ev: Vec<Addr> = scalar.drain_l2_evictions().collect();
-        let batched_ev: Vec<Addr> = batched.drain_l2_evictions().collect();
-        prop_assert_eq!(scalar_ev, batched_ev, "L2 eviction order diverged");
     }
 
     /// The prepared single-probe path (`ensure_prepared`, the directory
     /// machine's batched entry point) is the unprepared `ensure` —
-    /// identical results, MESI states, LRU stamps and ticks, stats, and
-    /// eviction order for any access sequence.
+    /// identical results (eviction order included), MESI states, LRU
+    /// stamps and ticks, and stats for any access sequence.
     #[test]
     fn ensure_prepared_is_the_unprepared_ensure(accs in arb_accesses()) {
         let cfg = tiny();
@@ -216,9 +226,58 @@ proptest! {
             }
         }
         prop_assert_eq!(plain.l2_lru_tick(), prepared.l2_lru_tick());
-        let plain_ev: Vec<Addr> = plain.drain_l2_evictions().collect();
-        let prepared_ev: Vec<Addr> = prepared.drain_l2_evictions().collect();
-        prop_assert_eq!(plain_ev, prepared_ev);
+    }
+
+    /// The L2 holder words are exact: after every operation of an
+    /// arbitrary sequence of scalar and batched accesses with spurious
+    /// displacements interleaved, the holders recorded for each line
+    /// are precisely the L1s that hold it (and none when the L2 does
+    /// not), and an M/E copy is the only copy — on the one-sector and
+    /// the two-sector geometry alike.
+    #[test]
+    fn holder_words_are_the_l1_residency(
+        ops in prop::collection::vec((0u32..3, 0u64..48, 0u8..9), 1..250),
+        sectored in any::<bool>(),
+    ) {
+        let cfg = if sectored { tiny_sectored() } else { tiny() };
+        let mut h = Hierarchy::new(cfg, SeqFactory).unwrap();
+        for (c, l, sel) in ops {
+            let core = CoreId(c);
+            let kind = if sel % 2 == 0 { AccessKind::Write } else { AccessKind::Read };
+            match sel {
+                0 => {
+                    let n = h.l2_occupancy();
+                    if n > 0 {
+                        h.force_displace(l as usize % n);
+                    }
+                }
+                1..=4 => {
+                    h.ensure(core, Addr(l * 32), kind).unwrap();
+                }
+                _ => {
+                    let (line, set) = cfg.l1.line_and_set(Addr(l * 32));
+                    h.access_prepared(core, line, set, kind).unwrap();
+                }
+            }
+            for la in 0u64..48 {
+                let addr = Addr(la * 32);
+                let resident = (0..3u32)
+                    .filter(|&cc| h.l1_state(CoreId(cc), addr).is_some())
+                    .fold(0u32, |m, cc| m | 1 << cc);
+                prop_assert_eq!(
+                    h.holders(addr), resident,
+                    "holder word of {:?} diverged from the L1s", addr
+                );
+                // The snoops read the word: an M/E copy stays the only one.
+                let exclusive = (0..3u32).any(|cc| {
+                    h.l1_state(CoreId(cc), addr).is_some_and(|s| s.is_exclusive_kind())
+                });
+                prop_assert!(
+                    !exclusive || resident.count_ones() == 1,
+                    "M/E copy of {:?} coexists with others", addr
+                );
+            }
+        }
     }
 
     /// The slab-and-hot-slot [`MetaDirectory`] is observationally the

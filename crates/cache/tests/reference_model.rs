@@ -92,6 +92,7 @@ proptest! {
                         let got = sut
                             .insert(addr, CState::Exclusive, m)
                             .unwrap()
+                            .1
                             .map(|e| e.addr);
                         let want = reference.insert(addr, m);
                         prop_assert_eq!(got, want, "victim choice must match LRU");

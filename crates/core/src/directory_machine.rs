@@ -126,10 +126,11 @@ impl DirectoryHardMachine {
             debug_assert!(false, "coherence invariant broken on a fault-free machine");
             return;
         };
-        // Metadata entries die with the line's L2 residency. Guarded:
-        // the common no-eviction access skips the drain construction.
-        if self.hierarchy.l2_evictions_pending() {
-            for line in self.hierarchy.drain_l2_evictions() {
+        // Metadata entries die with the line's L2 residency: retire
+        // every L1 line of a displaced L2 line.
+        if let Some(victim) = r.displaced {
+            let h = self.cfg.hierarchy;
+            for line in h.l1.lines_in(victim, h.l2.line_bytes()) {
                 self.directory.retire(line);
             }
         }

@@ -172,17 +172,20 @@ mod tests {
     /// regrow them. The streaming workloads move every line's metadata
     /// several times per miss, and a served session's memory is mostly
     /// its simulated L2, so each byte here is paid per line per fill
-    /// and per session.
+    /// and per session. A line carries its state, the L2's holder bits
+    /// and its metadata; its tag and LRU stamp live only in the cache's
+    /// packed mirrors.
     #[test]
     fn simulated_lines_stay_at_hardware_size() {
         use hard_cache::{L2Sectors, Line};
         use std::mem::size_of;
-        assert!(size_of::<Line<HardLineMeta>>() <= 64, "HARD L1 line");
+        assert!(size_of::<Line<HardLineMeta>>() <= 24, "HARD L1 line");
         assert!(
-            size_of::<Line<L2Sectors<HardLineMeta>>>() <= 64,
+            size_of::<Line<L2Sectors<HardLineMeta>>>() <= 24,
             "HARD L2 line"
         );
-        assert!(size_of::<Line<L2Sectors<HbLineMeta>>>() <= 88, "HB L2 line");
+        assert!(size_of::<Line<L2Sectors<HbLineMeta>>>() <= 72, "HB L2 line");
+        assert!(size_of::<Line<L2Sectors<()>>>() <= 24, "baseline L2 line");
     }
 
     #[test]

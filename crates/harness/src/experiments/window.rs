@@ -77,7 +77,10 @@ fn measure(app: App, cfg: &CampaignConfig, l2_bytes: u64) -> WindowRow {
                 if r.served_by == ServedBy::Memory {
                     fetched_at.insert(line_of(line), ordinal);
                 }
-                for evicted in h.drain_l2_evictions() {
+                let Some(victim) = r.displaced else {
+                    continue;
+                };
+                for evicted in hcfg.l1.lines_in(victim, hcfg.l2.line_bytes()) {
                     if let Some(f) = fetched_at.remove(&evicted) {
                         lifetimes.push(ordinal - f);
                     }
