@@ -6,43 +6,59 @@
 //! algorithm". [`ExactSet`] is that representation: either the universe
 //! of all possible locks (the initial candidate set) or a finite set of
 //! lock addresses.
+//!
+//! The ideal detector keeps one set per tracked 4-byte granule, so the
+//! set is 16 bytes: a finite set is a sorted, deduplicated boxed slice,
+//! and the universe sits in the pointer's niche. The empty set
+//! allocates nothing, and the in-place intersection allocates only
+//! when the set shrinks to a non-empty proper subset.
 
 use hard_types::LockId;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// An exact lock set: the universe, or a finite set.
 #[derive(Clone, PartialEq, Eq)]
-pub enum ExactSet {
+pub struct ExactSet(Repr);
+
+/// The representation. Equality is structural, which is set equality
+/// because a finite set is kept sorted and deduplicated.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
     /// "All possible locks" — the initial candidate set C(v).
     Universe,
-    /// A concrete, possibly empty, set of locks.
-    Finite(BTreeSet<LockId>),
+    /// A concrete, possibly empty, set of locks in ascending order.
+    Finite(Box<[LockId]>),
 }
 
 impl ExactSet {
     /// The universe ("all possible locks").
     #[must_use]
     pub fn full() -> ExactSet {
-        ExactSet::Universe
+        ExactSet(Repr::Universe)
     }
 
     /// The empty set.
     #[must_use]
     pub fn empty() -> ExactSet {
-        ExactSet::Finite(BTreeSet::new())
+        ExactSet(Repr::Finite(Box::default()))
     }
 
     /// A finite set from a list of locks.
     #[must_use]
     pub fn from_locks(locks: &[LockId]) -> ExactSet {
-        ExactSet::Finite(locks.iter().copied().collect())
+        locks.iter().copied().collect()
     }
 
     /// Adds a lock. Adding to the universe is a no-op.
     pub fn insert(&mut self, lock: LockId) {
-        if let ExactSet::Finite(s) = self {
-            s.insert(lock);
+        if let Repr::Finite(s) = &mut self.0 {
+            if let Err(i) = s.binary_search(&lock) {
+                let mut v = Vec::with_capacity(s.len() + 1);
+                v.extend_from_slice(&s[..i]);
+                v.push(lock);
+                v.extend_from_slice(&s[i..]);
+                *s = v.into_boxed_slice();
+            }
         }
     }
 
@@ -54,10 +70,12 @@ impl ExactSet {
     /// locks" is never meaningful in the algorithm, so reaching it is a
     /// logic error.
     pub fn remove(&mut self, lock: LockId) {
-        match self {
-            ExactSet::Universe => panic!("cannot remove a lock from the universe set"),
-            ExactSet::Finite(s) => {
-                s.remove(&lock);
+        match &mut self.0 {
+            Repr::Universe => panic!("cannot remove a lock from the universe set"),
+            Repr::Finite(s) => {
+                if s.binary_search(&lock).is_ok() {
+                    *s = s.iter().copied().filter(|&l| l != lock).collect();
+                }
             }
         }
     }
@@ -65,40 +83,41 @@ impl ExactSet {
     /// Membership test (exact; no false positives).
     #[must_use]
     pub fn contains(&self, lock: LockId) -> bool {
-        match self {
-            ExactSet::Universe => true,
-            ExactSet::Finite(s) => s.contains(&lock),
+        match &self.0 {
+            Repr::Universe => true,
+            Repr::Finite(s) => s.binary_search(&lock).is_ok(),
         }
     }
 
     /// Exact set intersection.
     #[must_use]
     pub fn intersect(&self, other: &ExactSet) -> ExactSet {
-        match (self, other) {
-            (ExactSet::Universe, o) => o.clone(),
-            (s, ExactSet::Universe) => s.clone(),
-            (ExactSet::Finite(a), ExactSet::Finite(b)) => {
-                ExactSet::Finite(a.intersection(b).copied().collect())
-            }
-        }
+        let mut out = self.clone();
+        out.intersect_assign(other);
+        out
     }
 
     /// In-place intersection; returns whether `self` changed.
     ///
-    /// Equivalent to `*self = self.intersect(other)` but allocates
-    /// nothing in the common case where `self ⊆ other` (e.g. the same
-    /// lock set protects the variable on every access).
+    /// Equivalent to `*self = self.intersect(other)`, but allocates
+    /// nothing when `self ⊆ other` (e.g. the same lock set protects the
+    /// variable on every access) or when the result is empty.
     pub fn intersect_assign(&mut self, other: &ExactSet) -> bool {
-        match (&mut *self, other) {
-            (_, ExactSet::Universe) => false,
-            (ExactSet::Universe, finite) => {
-                *self = finite.clone();
+        match (&mut self.0, &other.0) {
+            (_, Repr::Universe) => false,
+            (Repr::Universe, Repr::Finite(_)) => {
+                self.0 = other.0.clone();
                 true
             }
-            (ExactSet::Finite(a), ExactSet::Finite(b)) => {
-                let before = a.len();
-                a.retain(|l| b.contains(l));
-                a.len() != before
+            (Repr::Finite(a), Repr::Finite(b)) => {
+                let kept = a.iter().filter(|l| b.binary_search(l).is_ok()).count();
+                if kept == a.len() {
+                    return false;
+                }
+                let mut v = Vec::with_capacity(kept);
+                v.extend(a.iter().filter(|l| b.binary_search(l).is_ok()));
+                *a = v.into_boxed_slice();
+                true
             }
         }
     }
@@ -106,10 +125,7 @@ impl ExactSet {
     /// True iff the set is empty (the universe never is).
     #[must_use]
     pub fn is_empty_set(&self) -> bool {
-        match self {
-            ExactSet::Universe => false,
-            ExactSet::Finite(s) => s.is_empty(),
-        }
+        matches!(&self.0, Repr::Finite(s) if s.is_empty())
     }
 
     /// Number of locks, or `None` for the universe.
@@ -119,16 +135,16 @@ impl ExactSet {
     #[allow(clippy::len_without_is_empty)]
     #[must_use]
     pub fn len(&self) -> Option<usize> {
-        match self {
-            ExactSet::Universe => None,
-            ExactSet::Finite(s) => Some(s.len()),
+        match &self.0 {
+            Repr::Universe => None,
+            Repr::Finite(s) => Some(s.len()),
         }
     }
 
     /// True iff this is the universe value.
     #[must_use]
     pub fn is_universe(&self) -> bool {
-        matches!(self, ExactSet::Universe)
+        matches!(self.0, Repr::Universe)
     }
 }
 
@@ -140,9 +156,9 @@ impl Default for ExactSet {
 
 impl fmt::Debug for ExactSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExactSet::Universe => write!(f, "ExactSet(U)"),
-            ExactSet::Finite(s) => {
+        match &self.0 {
+            Repr::Universe => write!(f, "ExactSet(U)"),
+            Repr::Finite(s) => {
                 write!(f, "ExactSet{{")?;
                 for (i, l) in s.iter().enumerate() {
                     if i > 0 {
@@ -158,7 +174,10 @@ impl fmt::Debug for ExactSet {
 
 impl FromIterator<LockId> for ExactSet {
     fn from_iter<T: IntoIterator<Item = LockId>>(iter: T) -> Self {
-        ExactSet::Finite(iter.into_iter().collect())
+        let mut v: Vec<LockId> = iter.into_iter().collect();
+        v.sort_unstable();
+        v.dedup();
+        ExactSet(Repr::Finite(v.into_boxed_slice()))
     }
 }
 
@@ -172,7 +191,7 @@ mod tests {
         let s = ExactSet::from_locks(&[LockId(1), LockId(2)]);
         assert_eq!(u.intersect(&s), s);
         assert_eq!(s.intersect(&u), s);
-        assert_eq!(u.intersect(&ExactSet::full()), ExactSet::Universe);
+        assert!(u.intersect(&ExactSet::full()).is_universe());
     }
 
     #[test]
@@ -221,6 +240,13 @@ mod tests {
         let s: ExactSet = [LockId(1), LockId(2), LockId(2)].into_iter().collect();
         assert_eq!(s.len(), Some(2));
         assert_eq!(ExactSet::full().len(), None);
+    }
+
+    /// The ideal lockset keeps one set per tracked granule: two words,
+    /// the universe in the pointer niche.
+    #[test]
+    fn set_is_two_words() {
+        assert_eq!(std::mem::size_of::<ExactSet>(), 16);
     }
 
     #[test]

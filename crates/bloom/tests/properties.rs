@@ -3,6 +3,7 @@
 use hard_bloom::{lanes, BloomShape, BloomVector, ExactSet, LaneKernel, LockRegister};
 use hard_types::LockId;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_lock() -> impl Strategy<Value = LockId> {
     // Word-aligned addresses, as lock objects are in practice.
@@ -13,7 +14,107 @@ fn arb_shape() -> impl Strategy<Value = BloomShape> {
     prop_oneof![Just(BloomShape::B16), Just(BloomShape::B32)]
 }
 
+/// One step of the `ExactSet` model check.
+#[derive(Clone, Debug)]
+enum SetOp {
+    Insert(LockId),
+    Remove(LockId),
+    /// Intersect with a finite set (`Some`) or the universe (`None`).
+    Intersect(Option<Vec<LockId>>),
+}
+
+/// Locks from a small domain, so inserts, removals and intersections
+/// hit the same locks often.
+fn arb_small_lock() -> impl Strategy<Value = LockId> {
+    (0u64..8).prop_map(|v| LockId(0x40 + v * 4))
+}
+
+fn arb_set_ops() -> impl Strategy<Value = Vec<SetOp>> {
+    let op = prop_oneof![
+        arb_small_lock().prop_map(SetOp::Insert),
+        arb_small_lock().prop_map(SetOp::Remove),
+        prop::collection::vec(arb_small_lock(), 0..6).prop_map(|v| SetOp::Intersect(Some(v))),
+        Just(SetOp::Intersect(None)),
+    ];
+    prop::collection::vec(op, 0..24)
+}
+
+/// The `ExactSet` a `BTreeSet` model (`None` = the universe) stands for.
+fn exact_of(model: &Option<BTreeSet<LockId>>) -> ExactSet {
+    match model {
+        None => ExactSet::full(),
+        Some(s) => s.iter().copied().collect(),
+    }
+}
+
 proptest! {
+    /// `ExactSet` agrees with a `BTreeSet` model after every operation:
+    /// membership, length, emptiness, universality, equality, the
+    /// `Debug` listing (ascending) and the change flag of the in-place
+    /// intersection, with `intersect` equal to `intersect_assign`.
+    #[test]
+    fn exact_set_matches_btreeset_model(
+        init in (any::<bool>(), prop::collection::vec(arb_small_lock(), 0..6))
+            .prop_map(|(universe, v)| (!universe).then_some(v)),
+        ops in arb_set_ops(),
+    ) {
+        let mut model: Option<BTreeSet<LockId>> =
+            init.as_ref().map(|v| v.iter().copied().collect());
+        let mut set = match &init {
+            None => ExactSet::full(),
+            Some(v) => ExactSet::from_locks(v),
+        };
+        for op in ops {
+            match op {
+                SetOp::Insert(l) => {
+                    set.insert(l);
+                    if let Some(m) = &mut model {
+                        m.insert(l);
+                    }
+                }
+                SetOp::Remove(l) => {
+                    // Removal from the universe is a logic error (it
+                    // panics), so the model only removes from finite sets.
+                    if let Some(m) = &mut model {
+                        set.remove(l);
+                        m.remove(&l);
+                    }
+                }
+                SetOp::Intersect(other) => {
+                    let other_model: Option<BTreeSet<LockId>> =
+                        other.map(|v| v.into_iter().collect());
+                    let other_set = exact_of(&other_model);
+                    let next = match (&model, &other_model) {
+                        (None, o) => o.clone(),
+                        (m, None) => m.clone(),
+                        (Some(a), Some(b)) => Some(a.intersection(b).copied().collect()),
+                    };
+                    let pure = set.intersect(&other_set);
+                    let changed = set.intersect_assign(&other_set);
+                    prop_assert_eq!(changed, next != model, "change flag");
+                    prop_assert_eq!(&pure, &set, "intersect == intersect_assign");
+                    model = next;
+                }
+            }
+            prop_assert_eq!(&set, &exact_of(&model));
+            prop_assert_eq!(set.is_universe(), model.is_none());
+            prop_assert_eq!(set.len(), model.as_ref().map(BTreeSet::len));
+            prop_assert_eq!(set.is_empty_set(), model.as_ref().is_some_and(BTreeSet::is_empty));
+            for v in 0..10u64 {
+                let l = LockId(0x40 + v * 4);
+                prop_assert_eq!(set.contains(l), model.as_ref().is_none_or(|m| m.contains(&l)));
+            }
+            let listed = match &model {
+                None => "ExactSet(U)".to_string(),
+                Some(m) => format!(
+                    "ExactSet{{{}}}",
+                    m.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
+                ),
+            };
+            prop_assert_eq!(format!("{set:?}"), listed);
+        }
+    }
+
     /// One-sided error: a member is always reported as contained.
     #[test]
     fn member_always_contained(shape in arb_shape(), locks in prop::collection::vec(arb_lock(), 1..8)) {

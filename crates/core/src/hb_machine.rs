@@ -221,14 +221,14 @@ fn check_granules(
     for g in gran.granules_in(lo, len) {
         let gi = ((g.0 - line.0) / gran.bytes()) as usize;
         let m = &mut meta[gi];
-        // `hb_access` writes `last_write = (thread, epoch)` and zeroes
+        // `hb_access` records the write `(thread, epoch)` and zeroes
         // the thread's read epoch on a write, or sets the read epoch on
         // a read; the record changed iff those slots held different
         // values before.
         changed |= if kind.is_write() {
-            m.last_write != Some((thread, epoch)) || m.read_epochs[thread.index()] != 0
+            m.last_write() != Some((thread, epoch)) || m.read_epoch(thread) != 0
         } else {
-            m.read_epochs[thread.index()] != epoch
+            m.read_epoch(thread) != epoch
         };
         if hb_access(m, thread, clock, kind).is_race() {
             racy |= 1 << gi;

@@ -56,14 +56,14 @@ impl MetaFactory for HardMetaFactory {
 /// has exactly one granule per line, which lives inline — the hierarchy
 /// clones line metadata on every cache-to-cache transfer, L2 writeback
 /// and broadcast, and with an inline record (whose [`LineClocks`] also
-/// holds its epochs inline for the paper's thread counts) those clones
-/// are memcpys instead of heap allocations, exactly like HARD's
-/// [`PackedLineMeta`]. The Table 3 sub-line granularity sweeps (16 B
-/// down to 4 B, two to eight granules per line) transparently fall back
-/// to the heap; the inline arm is deliberately capped at one granule
-/// because streaming workloads move every line several times per miss —
-/// each inline byte is multiplied by tens of thousands of fills per
-/// run.
+/// holds its 32-bit epochs inline for the paper's thread counts) those
+/// clones are 32-byte memcpys instead of heap allocations, exactly like
+/// HARD's [`PackedLineMeta`]. The Table 3 sub-line granularity sweeps
+/// (16 B down to 4 B, two to eight granules per line) transparently
+/// fall back to the heap; the inline arm is deliberately capped at one
+/// granule because streaming workloads move every line several times
+/// per miss — each inline byte is multiplied by tens of thousands of
+/// fills per run.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum HbLineMeta {
     /// One granule (the default line-granularity shape): no heap.
@@ -184,7 +184,8 @@ mod tests {
             size_of::<Line<L2Sectors<HardLineMeta>>>() <= 24,
             "HARD L2 line"
         );
-        assert!(size_of::<Line<L2Sectors<HbLineMeta>>>() <= 72, "HB L2 line");
+        assert!(size_of::<HbLineMeta>() <= 32, "HB line metadata");
+        assert!(size_of::<Line<L2Sectors<HbLineMeta>>>() <= 40, "HB L2 line");
         assert!(size_of::<Line<L2Sectors<()>>>() <= 24, "baseline L2 line");
     }
 

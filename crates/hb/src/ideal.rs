@@ -45,8 +45,11 @@ impl IdealHappensBefore {
             sync: SyncClocks::new(cfg.num_threads),
             // Sized for the largest reduced-scale workloads (~100k live
             // granules): growing from empty would re-hash the whole
-            // table ~15 times, and untouched buckets cost no resident
-            // memory, so over-reserving is free for the small apps.
+            // table ~15 times. The reservation is not free: hashing
+            // scatters even a few thousand granules over most of the
+            // table's pages, so all 2^18 buckets are resident for every
+            // app, and the record size sets the footprint (a 40 B
+            // bucket: 10 MiB).
             granules: FastHashMap::with_capacity_and_hasher(1 << 17, Default::default()),
             reports: Vec::new(),
             reported: FastHashSet::default(),

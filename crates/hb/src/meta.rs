@@ -4,24 +4,51 @@
 //! timestamps in the cache; this module is that metadata plus the check
 //! itself, shared by the ideal detector (unbounded store) and the
 //! hardware policy (in-cache only).
+//!
+//! A record stores 32-bit epochs. Thread clocks start at epoch 1 and a
+//! component advances only at a release, a fork or a barrier, at most
+//! once per trace event, so no epoch of a trace within
+//! [`MAX_TRACE_EVENTS`] events passes `u32::MAX`; the
+//! [`Validator`](hard_trace::Validator) rejects longer streams. The
+//! vector clocks themselves stay 64-bit: only the per-granule records,
+//! of which there is one per cached line or tracked granule, narrow.
 
 use crate::clock::VectorClock;
+use hard_trace::MAX_TRACE_EVENTS;
 use hard_types::{AccessKind, ThreadId};
 
 /// Inline capacity of [`ReadEpochs`]: histories for up to this many
 /// threads live in the record itself. The hardware machines create one
 /// history per cached granule and clone it on every coherence transfer
-/// and metadata broadcast, so a heap `Vec` here would put one
+/// and metadata broadcast, so a heap allocation here would put one
 /// allocation on every fill and several on every broadcast; the paper's
 /// configurations run 4 threads (one per core), exactly the inline
 /// bound. Wider programs transparently fall back to the heap. The bound
-/// is deliberately tight: streaming workloads (ocean) move every cached
+/// is deliberately tight: four 32-bit epochs keep a one-granule record
+/// at 32 bytes, and streaming workloads (ocean) move every cached
 /// line's record several times per miss, so each inline word is paid
 /// for in memcpy volume on tens of thousands of fills per run.
 pub const INLINE_EPOCHS: usize = 4;
 
+/// Narrows a clock component to a record epoch.
+///
+/// # Panics
+///
+/// Panics, naming the bound, if `e` does not fit in 32 bits — only an
+/// unvalidated trace longer than [`MAX_TRACE_EVENTS`] events can get
+/// there. The epoch never wraps.
+#[inline]
+fn epoch32(e: u64) -> u32 {
+    #[cold]
+    #[inline(never)]
+    fn overflow(e: u64) -> ! {
+        panic!("epoch {e} exceeds 32 bits: a trace may hold at most {MAX_TRACE_EVENTS} events")
+    }
+    u32::try_from(e).unwrap_or_else(|_| overflow(e))
+}
+
 /// Per-thread read epochs (0 = never read), stored inline for up to
-/// [`INLINE_EPOCHS`] threads. Logically a fixed-length `[u64]`; the
+/// [`INLINE_EPOCHS`] threads. Logically a fixed-length `[u32]`; the
 /// representation is invisible to equality (two stores compare by
 /// contents).
 #[derive(Clone, Debug)]
@@ -31,10 +58,10 @@ pub enum ReadEpochs {
         /// Number of threads (logical length).
         len: u8,
         /// The epochs; entries at or past `len` are unused and zero.
-        epochs: [u64; INLINE_EPOCHS],
+        epochs: [u32; INLINE_EPOCHS],
     },
     /// Wider programs: heap storage, one entry per thread.
-    Heap(Vec<u64>),
+    Heap(Box<[u32]>),
 }
 
 impl ReadEpochs {
@@ -47,13 +74,13 @@ impl ReadEpochs {
                 epochs: [0; INLINE_EPOCHS],
             }
         } else {
-            ReadEpochs::Heap(vec![0; num_threads])
+            ReadEpochs::Heap(vec![0; num_threads].into_boxed_slice())
         }
     }
 
     /// The epochs as a slice of length `num_threads`.
     #[must_use]
-    pub fn as_slice(&self) -> &[u64] {
+    pub fn as_slice(&self) -> &[u32] {
         match self {
             ReadEpochs::Inline { len, epochs } => &epochs[..*len as usize],
             ReadEpochs::Heap(v) => v,
@@ -61,7 +88,7 @@ impl ReadEpochs {
     }
 
     /// Mutable view of the epochs.
-    pub fn as_mut_slice(&mut self) -> &mut [u64] {
+    pub fn as_mut_slice(&mut self) -> &mut [u32] {
         match self {
             ReadEpochs::Inline { len, epochs } => &mut epochs[..*len as usize],
             ReadEpochs::Heap(v) => v,
@@ -69,20 +96,20 @@ impl ReadEpochs {
     }
 
     /// Iterates the per-thread epochs in thread order.
-    pub fn iter(&self) -> std::slice::Iter<'_, u64> {
+    pub fn iter(&self) -> std::slice::Iter<'_, u32> {
         self.as_slice().iter()
     }
 }
 
 impl std::ops::Index<usize> for ReadEpochs {
-    type Output = u64;
-    fn index(&self, i: usize) -> &u64 {
+    type Output = u32;
+    fn index(&self, i: usize) -> &u32 {
         &self.as_slice()[i]
     }
 }
 
 impl std::ops::IndexMut<usize> for ReadEpochs {
-    fn index_mut(&mut self, i: usize) -> &mut u64 {
+    fn index_mut(&mut self, i: usize) -> &mut u32 {
         &mut self.as_mut_slice()[i]
     }
 }
@@ -95,14 +122,21 @@ impl PartialEq for ReadEpochs {
 
 impl Eq for ReadEpochs {}
 
+/// The `writer` of a [`LineClocks`] that records no write. No thread
+/// has this id: a clock of `u32::MAX` components could not be built.
+const NO_WRITER: u32 = u32::MAX;
+
 /// Access history of one granule: the epoch of the last write and, per
-/// thread, the epoch of its last read.
+/// thread, the epoch of its last read. 32 bytes for up to
+/// [`INLINE_EPOCHS`] threads.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LineClocks {
-    /// `(writer, epoch)` of the most recent write, if any.
-    pub last_write: Option<(ThreadId, u64)>,
+    /// Thread of the most recent write, or [`NO_WRITER`].
+    writer: u32,
+    /// That write's epoch (0 while `writer` is [`NO_WRITER`]).
+    write_epoch: u32,
     /// Per-thread epoch of each thread's most recent read (0 = never).
-    pub read_epochs: ReadEpochs,
+    read_epochs: ReadEpochs,
 }
 
 impl LineClocks {
@@ -110,15 +144,32 @@ impl LineClocks {
     #[must_use]
     pub fn new(num_threads: usize) -> LineClocks {
         LineClocks {
-            last_write: None,
+            writer: NO_WRITER,
+            write_epoch: 0,
             read_epochs: ReadEpochs::new(num_threads),
         }
+    }
+
+    /// `(writer, epoch)` of the most recent write, if any.
+    #[must_use]
+    pub fn last_write(&self) -> Option<(ThreadId, u64)> {
+        (self.writer != NO_WRITER).then(|| (ThreadId(self.writer), u64::from(self.write_epoch)))
+    }
+
+    /// The epoch of `thread`'s most recent read (0 = never).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread` is out of range for the record.
+    #[must_use]
+    pub fn read_epoch(&self, thread: ThreadId) -> u64 {
+        u64::from(self.read_epochs[thread.index()])
     }
 
     /// True iff no access has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.last_write.is_none() && self.read_epochs.iter().all(|&e| e == 0)
+        self.writer == NO_WRITER && self.read_epochs.iter().all(|&e| e == 0)
     }
 }
 
@@ -146,6 +197,11 @@ impl HbOutcome {
 /// * a write must additionally be ordered after every recorded read.
 ///
 /// The history is then updated with the new access.
+///
+/// # Panics
+///
+/// Panics if `thread`'s own epoch exceeds 32 bits (see the
+/// [module docs](self)).
 pub fn hb_access(
     meta: &mut LineClocks,
     thread: ThreadId,
@@ -153,25 +209,27 @@ pub fn hb_access(
     kind: AccessKind,
 ) -> HbOutcome {
     let mut out = HbOutcome::default();
-    if let Some((wt, we)) = meta.last_write {
+    if let Some((wt, we)) = meta.last_write() {
         if wt != thread && !clock.epoch_before(wt, we) {
             out.race_with_write = true;
         }
     }
+    let epoch = epoch32(clock.get(thread));
     if kind.is_write() {
         for (u, &re) in meta.read_epochs.iter().enumerate() {
             let ut = ThreadId(u as u32);
-            if re != 0 && ut != thread && !clock.epoch_before(ut, re) {
+            if re != 0 && ut != thread && !clock.epoch_before(ut, u64::from(re)) {
                 out.race_with_read = true;
             }
         }
-        meta.last_write = Some((thread, clock.get(thread)));
+        meta.writer = thread.0;
+        meta.write_epoch = epoch;
         // A write supersedes older reads for future write checks ONLY
         // if they are ordered before it; keeping them all is safe and
         // matches full-vector-clock detectors.
         meta.read_epochs[thread.index()] = 0;
     } else {
-        meta.read_epochs[thread.index()] = clock.get(thread);
+        meta.read_epochs[thread.index()] = epoch;
     }
     out
 }
@@ -248,6 +306,29 @@ mod tests {
         assert!(!o.is_race());
         let o = hb_access(&mut m, T0, &clock(1, 0), AccessKind::Read);
         assert!(!o.is_race());
+    }
+
+    #[test]
+    fn records_stay_at_hardware_size() {
+        use std::mem::size_of;
+        assert!(size_of::<LineClocks>() <= 32, "one-granule HB record");
+    }
+
+    #[test]
+    fn epochs_narrow_exactly_up_to_32_bits() {
+        assert_eq!(epoch32(u64::from(u32::MAX)), u32::MAX);
+        let mut m = LineClocks::new(2);
+        hb_access(&mut m, T1, &clock(0, 3), AccessKind::Write);
+        assert_eq!(m.last_write(), Some((T1, 3)));
+        assert_eq!(m.read_epoch(T1), 0);
+        hb_access(&mut m, T0, &clock(2, 3), AccessKind::Read);
+        assert_eq!(m.read_epoch(T0), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "a trace may hold at most 4294967294 events")]
+    fn epoch_past_32_bits_panics_naming_the_bound() {
+        let _ = epoch32(u64::from(u32::MAX) + 1);
     }
 
     #[test]

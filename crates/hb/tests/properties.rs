@@ -1,6 +1,6 @@
 //! Property-based tests of the happens-before machinery.
 
-use hard_hb::{hb_access, LineClocks, SyncClocks, VectorClock};
+use hard_hb::{hb_access, HbOutcome, LineClocks, SyncClocks, VectorClock};
 use hard_types::{AccessKind, LockId, ThreadId};
 use proptest::prelude::*;
 
@@ -37,8 +37,89 @@ fn arb_sync_ops() -> impl Strategy<Value = Vec<SyncOp>> {
     prop::collection::vec(op, 0..40)
 }
 
+/// The access record with 64-bit epochs, as `LineClocks` stored it
+/// before epochs narrowed to 32 bits: the reference model for the
+/// equivalence property below.
+#[derive(Clone, Debug)]
+struct WideClocks {
+    last_write: Option<(ThreadId, u64)>,
+    read_epochs: Vec<u64>,
+}
+
+/// `hb_access` over [`WideClocks`], unchanged from the 64-bit record.
+fn wide_access(
+    meta: &mut WideClocks,
+    thread: ThreadId,
+    clock: &VectorClock,
+    kind: AccessKind,
+) -> HbOutcome {
+    let mut out = HbOutcome::default();
+    if let Some((wt, we)) = meta.last_write {
+        if wt != thread && !clock.epoch_before(wt, we) {
+            out.race_with_write = true;
+        }
+    }
+    if kind.is_write() {
+        for (u, &re) in meta.read_epochs.iter().enumerate() {
+            let ut = ThreadId(u as u32);
+            if re != 0 && ut != thread && !clock.epoch_before(ut, re) {
+                out.race_with_read = true;
+            }
+        }
+        meta.last_write = Some((thread, clock.get(thread)));
+        meta.read_epochs[thread.index()] = 0;
+    } else {
+        meta.read_epochs[thread.index()] = clock.get(thread);
+    }
+    out
+}
+
+/// A program width (1–7 threads, so both the inline and the heap read
+/// epochs run) and a sequence of `(thread, is_write, clock)` accesses.
+fn arb_accesses() -> impl Strategy<Value = (usize, Vec<(u32, bool, Vec<u64>)>)> {
+    (1usize..8).prop_flat_map(|width| {
+        let access = (
+            0u32..width as u32,
+            any::<bool>(),
+            prop::collection::vec(0u64..6, width..=width),
+        );
+        prop::collection::vec(access, 0..32).prop_map(move |accs| (width, accs))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `hb_access` on the 32-bit record reports exactly what it
+    /// reported on the 64-bit one, and leaves the same history, for
+    /// random clocks, threads and access kinds.
+    #[test]
+    fn narrow_records_match_the_wide_reference(program in arb_accesses()) {
+        let (width, accesses) = program;
+        let mut narrow = LineClocks::new(width);
+        let mut wide = WideClocks { last_write: None, read_epochs: vec![0; width] };
+        for (t, is_write, comps) in accesses {
+            let thread = ThreadId(t);
+            let mut clock = VectorClock::new(width);
+            for (u, &c) in comps.iter().enumerate() {
+                for _ in 0..c {
+                    clock.tick(ThreadId(u as u32));
+                }
+            }
+            let kind = if is_write { AccessKind::Write } else { AccessKind::Read };
+            let got = hb_access(&mut narrow, thread, &clock, kind);
+            let want = wide_access(&mut wide, thread, &clock, kind);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(narrow.last_write(), wide.last_write);
+            for u in 0..width {
+                prop_assert_eq!(narrow.read_epoch(ThreadId(u as u32)), wide.read_epochs[u]);
+            }
+            prop_assert_eq!(
+                narrow.is_empty(),
+                wide.last_write.is_none() && wide.read_epochs.iter().all(|&e| e == 0)
+            );
+        }
+    }
 
     /// Join is the lattice supremum: both operands happen-before it.
     #[test]

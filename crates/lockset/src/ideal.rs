@@ -84,8 +84,11 @@ impl IdealLockset {
             cfg,
             // Sized for the largest reduced-scale workloads (~100k live
             // granules): growing from empty would re-hash the whole
-            // table ~15 times, and untouched buckets cost no resident
-            // memory, so over-reserving is free for the small apps.
+            // table ~15 times. The reservation is not free: hashing
+            // scatters even a few thousand granules over most of the
+            // table's pages, so all 2^18 buckets are resident for every
+            // app, and the record size sets the footprint (a 48 B
+            // bucket: 12 MiB).
             granules: FastHashMap::with_capacity_and_hasher(1 << 17, Default::default()),
             flash_ops: Vec::new(),
             held: Vec::new(),
@@ -385,6 +388,13 @@ mod tests {
             "ten dynamic instances at site 2 collapse to one alarm"
         );
         assert!(reports.len() <= 2, "at most one alarm per involved site");
+    }
+
+    /// Pins the per-granule record: with 2^18 buckets resident, each
+    /// byte of it is 256 KiB of every run's footprint.
+    #[test]
+    fn tracked_record_stays_small() {
+        assert!(std::mem::size_of::<Tracked>() <= 40);
     }
 
     #[test]

@@ -106,27 +106,40 @@ struct ThreadState {
     forked: bool,
 }
 
+/// The most events a trace may hold: `u32::MAX - 1`.
+///
+/// Happens-before thread clocks start at epoch 1, and an event
+/// advances any clock component at most once (a release or fork ticks
+/// its thread, a barrier completion ticks every thread once). So after
+/// this many events every epoch still fits the 32 bits the detectors'
+/// per-granule records store. The [`Validator`] rejects the event that
+/// would pass the bound.
+pub const MAX_TRACE_EVENTS: u64 = u32::MAX as u64 - 1;
+
 /// The one well-formedness check for event streams, folded one event
 /// at a time so a byte stream can be checked as it arrives.
 ///
 /// An event is rejected when it names a thread, fork child or join
 /// child outside `num_threads`; acquires a lock some thread holds;
 /// releases a lock its thread does not hold; forks a thread that was
-/// already forked; or forks a thread that has already acted (the
-/// early action is caught at the later fork). Every scheduler trace
-/// passes; a stream that fails leaves HARD's per-thread lock register
-/// describing no real execution, so detectors' reports on it would be
+/// already forked; forks a thread that has already acted (the early
+/// action is caught at the later fork); or would make the stream
+/// longer than [`MAX_TRACE_EVENTS`]. Every scheduler trace passes; a
+/// stream that fails leaves HARD's per-thread lock register describing
+/// no real execution, so detectors' reports on it would be
 /// meaningless.
 ///
-/// The state is the owner of each held lock plus two flags per
-/// thread. After construction the check allocates only when the
-/// number of simultaneously held locks reaches a new peak.
+/// The state is the owner of each held lock, two flags per thread and
+/// an event count. After construction the check allocates only when
+/// the number of simultaneously held locks reaches a new peak.
 #[derive(Debug)]
 pub struct Validator {
     /// Keyed by lock ids from uploaded streams, so it keeps the
     /// default, collision-resistant hasher.
     owners: HashMap<LockId, ThreadId>,
     threads: Vec<ThreadState>,
+    /// Events checked so far.
+    events: u64,
 }
 
 impl Validator {
@@ -136,6 +149,7 @@ impl Validator {
         Validator {
             owners: HashMap::new(),
             threads: vec![ThreadState::default(); num_threads],
+            events: 0,
         }
     }
 
@@ -146,6 +160,12 @@ impl Validator {
     /// Describes why `e` cannot follow the events checked before it.
     /// The validator state is then spent; callers stop.
     pub fn check(&mut self, e: &TraceEvent) -> Result<(), String> {
+        if self.events == MAX_TRACE_EVENTS {
+            return Err(format!(
+                "trace passes the {MAX_TRACE_EVENTS}-event bound of 32-bit epochs"
+            ));
+        }
+        self.events += 1;
         let TraceEvent::Op { thread, op } = *e else {
             return Ok(());
         };
@@ -285,6 +305,28 @@ mod tests {
         for (ops, want) in cases {
             assert_eq!(ops_trace(2, ops).validate(), Err(want.to_string()));
         }
+    }
+
+    /// The epoch bound, checked from just below it: the last event
+    /// that fits passes, the next is rejected, barrier markers count.
+    #[test]
+    fn validator_rejects_the_event_past_the_epoch_bound() {
+        let mut v = Validator::new(1);
+        v.events = MAX_TRACE_EVENTS - 2;
+        let compute = TraceEvent::Op {
+            thread: ThreadId(0),
+            op: Op::Compute { cycles: 1 },
+        };
+        let marker = TraceEvent::BarrierComplete {
+            barrier: BarrierId(0),
+        };
+        assert_eq!(v.check(&compute), Ok(()));
+        assert_eq!(v.check(&marker), Ok(()));
+        assert_eq!(v.events, MAX_TRACE_EVENTS);
+        assert_eq!(
+            v.check(&compute),
+            Err("trace passes the 4294967294-event bound of 32-bit epochs".to_string())
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod wire;
 pub use detect::{
     observe_window, run_detector, run_detector_batched, run_detector_observed, Detector, RaceReport,
 };
-pub use event::{Trace, TraceEvent, Validator};
+pub use event::{Trace, TraceEvent, Validator, MAX_TRACE_EVENTS};
 pub use op::Op;
 pub use packed_event::{Chunk, ChunkedReader, PackError, PackedEvent, PackedTrace, BATCH_EVENTS};
 pub use program::{Program, ProgramBuilder, ThreadProgram};
