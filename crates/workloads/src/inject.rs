@@ -43,7 +43,7 @@ pub struct CriticalSection {
 /// does not hold, and [`HardError::UnbalancedLocks`] if a thread's
 /// program ends with open sections.
 pub fn enumerate_critical_sections(program: &Program) -> Result<Vec<CriticalSection>, HardError> {
-    Ok(scan(program)?.0)
+    sections(program)
 }
 
 /// What injection eligibility needs to know about one 4-byte word.
@@ -58,17 +58,26 @@ struct Word {
     shared: bool,
 }
 
-/// The 4-byte words an access of `size` bytes at `addr` covers.
+/// The 4-byte words an access of `size` bytes at `addr` covers. A
+/// zero-size access covers its base word, as in
+/// `Granularity::granules_in`.
 fn words(addr: Addr, size: u8) -> std::ops::RangeInclusive<u64> {
-    addr.0 >> 2..=(addr.0 + u64::from(size) - 1) >> 2
+    let last = addr.0.saturating_add(u64::from(size.max(1) - 1));
+    addr.0 >> 2..=last >> 2
 }
 
-/// One walk over every thread: the critical sections, in
-/// [`enumerate_critical_sections`] order, plus a [`Word`] summary of
-/// every accessed word.
+/// The critical sections, in [`enumerate_critical_sections`] order,
+/// plus a [`Word`] summary of every word some section's exposed write
+/// covers — the only words [`pick_eligible`] reads.
 fn scan(program: &Program) -> Result<(Vec<CriticalSection>, FastHashMap<u64, Word>), HardError> {
+    let sections = sections(program)?;
+    let summary = summarize(program, &sections);
+    Ok((sections, summary))
+}
+
+/// One walk over every thread that pairs each `Lock` with its `Unlock`.
+fn sections(program: &Program) -> Result<Vec<CriticalSection>, HardError> {
     let mut out = Vec::new();
-    let mut summary: FastHashMap<u64, Word> = FastHashMap::default();
     for (t, tp) in program.threads().iter().enumerate() {
         let thread = ThreadId(t as u32);
         // Stack of open sections: (lock, lock_index, exposed accesses).
@@ -102,27 +111,8 @@ fn scan(program: &Program) -> Result<(Vec<CriticalSection>, FastHashMap<u64, Wor
             // An access is exposed only for the section whose removal
             // leaves it wholly unprotected: when exactly one lock is
             // held, that section.
-            let only = match open.as_mut_slice() {
-                [(lock, _, exposed)] => {
-                    exposed.push(access);
-                    Some(*lock)
-                }
-                _ => None,
-            };
-            for w in words(access.0, access.1) {
-                summary
-                    .entry(w)
-                    .and_modify(|s| {
-                        if s.lock != only {
-                            s.lock = None;
-                        }
-                        s.shared |= s.first != thread;
-                    })
-                    .or_insert(Word {
-                        lock: only,
-                        first: thread,
-                        shared: false,
-                    });
+            if let [(_, _, exposed)] = open.as_mut_slice() {
+                exposed.push(access);
             }
         }
         if !open.is_empty() {
@@ -132,7 +122,79 @@ fn scan(program: &Program) -> Result<(Vec<CriticalSection>, FastHashMap<u64, Wor
             });
         }
     }
-    Ok((out, summary))
+    Ok(out)
+}
+
+/// A second walk over every access of `program` (whose lock nesting
+/// [`sections`] has already checked) that folds an access into a word's
+/// [`Word`] only if some section's exposed write covers that word.
+///
+/// Held locks follow the same stack rule as [`sections`], so an
+/// access's `only` lock is the one section it is exposed for.
+fn summarize(program: &Program, sections: &[CriticalSection]) -> FastHashMap<u64, Word> {
+    let mut summary: FastHashMap<u64, Option<Word>> = FastHashMap::default();
+    for cs in sections {
+        for &(a, s, kind) in &cs.exposed_accesses {
+            if kind.is_write() {
+                summary.extend(words(a, s).map(|w| (w, None)));
+            }
+        }
+    }
+    let (Some(&lo), Some(&hi)) = (summary.keys().min(), summary.keys().max()) else {
+        return FastHashMap::default();
+    };
+    for (t, tp) in program.threads().iter().enumerate() {
+        let thread = ThreadId(t as u32);
+        let mut held: Vec<LockId> = Vec::new();
+        for op in tp.ops() {
+            let (addr, size) = match *op {
+                Op::Lock { lock, .. } => {
+                    held.push(lock);
+                    continue;
+                }
+                Op::Unlock { lock, .. } => {
+                    if let Some(pos) = held.iter().rposition(|&l| l == lock) {
+                        held.remove(pos);
+                    }
+                    continue;
+                }
+                Op::Read { addr, size, .. } | Op::Write { addr, size, .. } => (addr, size),
+                _ => continue,
+            };
+            let range = words(addr, size);
+            // Most accesses miss the candidates' span: skip the table.
+            if *range.end() < lo || *range.start() > hi {
+                continue;
+            }
+            let only = match held.as_slice() {
+                [lock] => Some(*lock),
+                _ => None,
+            };
+            for w in range {
+                match summary.get_mut(&w) {
+                    Some(Some(s)) => {
+                        if s.lock != only {
+                            s.lock = None;
+                        }
+                        s.shared |= s.first != thread;
+                    }
+                    Some(slot) => {
+                        *slot = Some(Word {
+                            lock: only,
+                            first: thread,
+                            shared: false,
+                        });
+                    }
+                    None => {}
+                }
+            }
+        }
+    }
+    // Every key is filled: the exposed write that seeded it visits it.
+    summary
+        .into_iter()
+        .filter_map(|(w, s)| Some((w, s?)))
+        .collect()
 }
 
 /// The ground truth of one injected race.
@@ -425,6 +487,54 @@ mod tests {
             scan(&p).unwrap().1[&(target.0 >> 2)].lock,
             Some(info.section.lock)
         );
+    }
+
+    #[test]
+    fn zero_size_access_covers_its_base_word() {
+        assert_eq!(words(Addr(0), 0), 0..=0);
+        assert_eq!(words(Addr(13), 0), 3..=3);
+        assert_eq!(words(Addr(6), 4), 1..=2);
+        assert_eq!(words(Addr(u64::MAX), 8), u64::MAX >> 2..=u64::MAX >> 2);
+        // Both threads write word 0 under one lock: eligible, and the
+        // summary holds word 0 alone.
+        let mut b = ProgramBuilder::new(2);
+        for t in 0..2u32 {
+            b.thread(t)
+                .lock(LockId(0x40), site(t))
+                .write(Addr(0), 0, site(10 + t))
+                .unlock(LockId(0x40), site(20 + t));
+        }
+        let p = b.build();
+        let (_, info) = inject_race(&p, 0).unwrap();
+        assert_eq!(
+            info.section.exposed_accesses,
+            vec![(Addr(0), 0, AccessKind::Write)]
+        );
+        let (_, summary) = scan(&p).unwrap();
+        assert_eq!(summary.keys().copied().collect::<Vec<_>>(), vec![0]);
+        assert!(summary[&0].shared);
+    }
+
+    #[test]
+    fn summary_keys_are_the_words_exposed_writes_cover() {
+        let mut programs = vec![sample()];
+        programs.extend(
+            crate::App::all()
+                .into_iter()
+                .map(|app| app.generate(&crate::WorkloadConfig::reduced(0.05))),
+        );
+        for p in &programs {
+            let (sections, summary) = scan(p).unwrap();
+            let covered: BTreeSet<u64> = sections
+                .iter()
+                .flat_map(|cs| &cs.exposed_accesses)
+                .filter(|&&(_, _, kind)| kind.is_write())
+                .flat_map(|&(a, s, _)| words(a, s))
+                .collect();
+            assert!(!covered.is_empty());
+            // So `summary[&w]` in `pick_eligible` cannot panic.
+            assert_eq!(summary.keys().copied().collect::<BTreeSet<_>>(), covered);
+        }
     }
 
     #[test]

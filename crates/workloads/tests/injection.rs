@@ -8,7 +8,7 @@
 //! documented eligibility rule.
 
 use hard_trace::{Op, Program, ProgramBuilder};
-use hard_types::{Addr, HardError, LockId, SiteId, Xoshiro256};
+use hard_types::{Addr, BarrierId, HardError, LockId, SiteId, Xoshiro256};
 use hard_workloads::apps::server;
 use hard_workloads::{
     enumerate_critical_sections, inject_race, App, CriticalSection, Scale, WorkloadConfig,
@@ -173,10 +173,13 @@ fn server_picks_match_the_goldens() {
 }
 
 /// A small random program: 2–4 threads, 1–3 locks taken and released
-/// in any order (so sections nest and interleave), and 1/2/4/8-byte
+/// in any order (so sections nest and interleave), and 0/1/2/4/8-byte
 /// accesses at unaligned addresses, so some span two words. Accesses
 /// under a lock mostly land in that lock's 12-byte home region; the
-/// rest, and every bare access, land anywhere.
+/// rest, and every bare access, land in any home region — or, for a
+/// quarter of bare accesses, in a cold region that no section writes.
+/// Threads also issue `Barrier` and `Compute` ops, which carry no
+/// access.
 fn random_program(seed: u64) -> Program {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let threads = 2 + rng.gen_index(3);
@@ -186,6 +189,14 @@ fn random_program(seed: u64) -> Program {
         let tp = b.thread(t);
         let mut held: Vec<u64> = Vec::new();
         for _ in 0..rng.gen_index(20) {
+            if rng.gen_range(8) == 0 {
+                if rng.gen_range(2) == 0 {
+                    tp.barrier(BarrierId(0), SiteId(4));
+                } else {
+                    tp.compute(1 + rng.gen_range(4) as u32);
+                }
+                continue;
+            }
             let free: Vec<u64> = (0..locks).filter(|l| !held.contains(l)).collect();
             let r = rng.gen_range(10);
             if !free.is_empty() && (r < 2 || (held.is_empty() && r < 7)) {
@@ -196,13 +207,17 @@ fn random_program(seed: u64) -> Program {
                 let l = held.remove(rng.gen_index(held.len()));
                 tp.unlock(LockId(0x40 + 4 * l), SiteId(1));
             } else {
-                let home = if held.is_empty() || rng.gen_range(8) == 0 {
-                    rng.gen_range(locks)
+                let addr = if held.is_empty() && rng.gen_range(4) == 0 {
+                    Addr(0x2000 + rng.gen_range(16))
                 } else {
-                    held[rng.gen_index(held.len())]
+                    let home = if held.is_empty() || rng.gen_range(8) == 0 {
+                        rng.gen_range(locks)
+                    } else {
+                        held[rng.gen_index(held.len())]
+                    };
+                    Addr(0x1000 + 12 * home + rng.gen_range(12))
                 };
-                let addr = Addr(0x1000 + 12 * home + rng.gen_range(12));
-                let size = [1u8, 2, 4, 8][rng.gen_index(4)];
+                let size = [0u8, 1, 2, 4, 8][rng.gen_index(5)];
                 if rng.gen_range(2) == 0 {
                     tp.read(addr, size, SiteId(2));
                 } else {
@@ -216,6 +231,16 @@ fn random_program(seed: u64) -> Program {
         }
     }
     b.build()
+}
+
+/// The last 4-byte word an access covers: a zero-size access covers
+/// its base word.
+fn last_word(addr: Addr, size: u8) -> u64 {
+    if size == 0 {
+        addr.0 / 4
+    } else {
+        (addr.0 + u64::from(size) - 1) / 4
+    }
 }
 
 /// `inject_race`'s rule, by brute force: a section qualifies when it
@@ -236,8 +261,7 @@ fn oracle(p: &Program, seed: u64) -> Option<CriticalSection> {
                     held.remove(at);
                 }
                 Op::Read { addr, size, .. } | Op::Write { addr, size, .. } => {
-                    let last = (addr.0 + u64::from(size) - 1) / 4;
-                    accesses.push((t as u32, addr.0 / 4, last, held.clone()));
+                    accesses.push((t as u32, addr.0 / 4, last_word(addr, size), held.clone()));
                 }
                 _ => {}
             }
@@ -249,7 +273,7 @@ fn oracle(p: &Program, seed: u64) -> Option<CriticalSection> {
         .filter(|cs| {
             cs.exposed_accesses.iter().any(|&(a, s, kind)| {
                 kind.is_write()
-                    && (a.0 / 4..=(a.0 + u64::from(s) - 1) / 4).any(|w| {
+                    && (a.0 / 4..=last_word(a, s)).any(|w| {
                         let on_w = accesses
                             .iter()
                             .filter(|&&(_, lo, hi, _)| lo <= w && w <= hi);
