@@ -116,13 +116,14 @@ impl CacheGeometry {
     }
 
     /// Iterates over the line base addresses overlapped by the byte
-    /// range `[addr, addr + len)`.
+    /// range `[addr, addr + len)`, clipped at the top of the address
+    /// space.
     pub fn lines_in(self, addr: Addr, len: u64) -> impl Iterator<Item = Addr> {
         let first = self.line_of(addr).0;
         let last = if len == 0 {
             first
         } else {
-            self.line_of(Addr(addr.0 + len - 1)).0
+            self.line_of(Addr(addr.0.saturating_add(len - 1))).0
         };
         (first..=last).step_by(self.line_bytes as usize).map(Addr)
     }
@@ -187,6 +188,16 @@ mod tests {
         assert_eq!(v, vec![Addr(0), Addr(32)]);
         let single: Vec<Addr> = g.lines_in(Addr(32), 32).collect();
         assert_eq!(single, vec![Addr(32)]);
+    }
+
+    #[test]
+    fn lines_in_stops_at_the_top_of_the_address_space() {
+        let g = CacheGeometry::new(1024, 2, 32);
+        let top = u64::MAX - 31;
+        let v: Vec<Addr> = g.lines_in(Addr(u64::MAX - 33), 4).collect();
+        assert_eq!(v, vec![Addr(top - 32), Addr(top)]);
+        let past: Vec<Addr> = g.lines_in(Addr(u64::MAX - 1), 4).collect();
+        assert_eq!(past, vec![Addr(top)]);
     }
 
     #[test]

@@ -151,10 +151,14 @@ impl Access {
         })
     }
 
-    /// One past the last byte accessed.
+    /// One past the last byte accessed. The stream [`Validator`] rejects
+    /// accesses whose end does not fit in a `u64`; a materialized trace
+    /// that skipped it is clipped at the top of the address space.
+    ///
+    /// [`Validator`]: hard_trace::Validator
     #[inline]
     pub(crate) fn end(&self) -> u64 {
-        self.addr.0 + u64::from(self.size)
+        self.addr.0.saturating_add(u64::from(self.size))
     }
 
     /// The part of the access inside `line` (of `line_bytes` bytes), as
@@ -162,8 +166,10 @@ impl Access {
     /// one line.
     #[inline]
     pub(crate) fn clip(&self, line: Addr, line_bytes: u64) -> (Addr, u64) {
+        // Measured from the line base, so the top line of the address
+        // space does not overflow.
         let lo = self.addr.0.max(line.0);
-        let hi = self.end().min(line.0 + line_bytes);
+        let hi = line.0 + (self.end() - line.0).min(line_bytes);
         (Addr(lo), hi - lo)
     }
 }
@@ -200,7 +206,7 @@ pub(crate) fn dispatch_window<M: Windowed>(m: &mut M, index: usize, events: &[Tr
     prep.extend(events.iter().map(|e| {
         let a = Access::of(e)?;
         let (line, set) = geom.line_and_set(a.addr);
-        (a.end() <= line.0 + line_bytes).then_some((line, set))
+        (a.end() - line.0 <= line_bytes).then_some((line, set))
     }));
     for (i, (e, p)) in events.iter().zip(&prep).enumerate() {
         match (Access::of(e), *p) {

@@ -81,7 +81,11 @@ const RACE_ADDR: Addr = Addr(0x9000);
 /// this working-set size) never displaced out of the cache.
 fn arb_racy_program() -> impl Strategy<Value = Program> {
     arb_program().prop_map(|p| {
-        let mut threads: Vec<ThreadProgram> = p.threads().to_vec();
+        let mut threads: Vec<ThreadProgram> = p
+            .threads()
+            .iter()
+            .map(|t| ThreadProgram::clone(t))
+            .collect();
         for (t, tp) in threads.iter_mut().enumerate().take(2) {
             tp.push(hard_trace::Op::Write {
                 addr: RACE_ADDR,

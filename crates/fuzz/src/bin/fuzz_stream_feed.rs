@@ -16,7 +16,7 @@
 use hard_harness::{execute_streamed, DetectorKind, StreamFeeder};
 use hard_trace::packed_event::RECORD_BYTES;
 use hard_trace::{ChunkedReader, Op, PackedTrace, RaceReport, Trace, TraceEvent};
-use hard_types::{LockId, SiteId, ThreadId, Xoshiro256};
+use hard_types::{Addr, LockId, SiteId, ThreadId, Xoshiro256};
 use std::process::ExitCode;
 
 /// Threads the stream claims; mutated records may name others.
@@ -98,25 +98,21 @@ fn seeds() -> Vec<Vec<u8>> {
     let head = &bytes[..bytes.len().min(600 * RECORD_BYTES)];
     (0..5u8)
         .map(|k| [&[k][..], head].concat())
-        .chain([vec![0u8; 1 + 2 * RECORD_BYTES + 5], lock_violation()])
+        .chain([
+            vec![0u8; 1 + 2 * RECORD_BYTES + 5],
+            lock_violation(),
+            top_of_address_space(),
+        ])
         .collect()
 }
 
-/// t1 releases an unheld lock, then acquires it while t0 holds it:
-/// the mutator starts one seed inside the validator's rejections.
-fn lock_violation() -> Vec<u8> {
-    let (lock, site) = (LockId(0x40), SiteId(0));
-    let ops = [
-        (0, Op::Compute { cycles: 1 }),
-        (1, Op::Unlock { lock, site }),
-        (0, Op::Lock { lock, site }),
-        (1, Op::Lock { lock, site }),
-        (0, Op::Unlock { lock, site }),
-    ];
+/// Packs `(thread, op)` pairs as one `THREADS`-thread stream behind
+/// control byte `ctl`.
+fn seed_stream(ctl: u8, ops: &[(u32, Op)]) -> Vec<u8> {
     let trace = Trace {
         events: ops
-            .into_iter()
-            .map(|(t, op)| TraceEvent::Op {
+            .iter()
+            .map(|&(t, op)| TraceEvent::Op {
                 thread: ThreadId(t),
                 op,
             })
@@ -124,7 +120,42 @@ fn lock_violation() -> Vec<u8> {
         num_threads: THREADS,
     };
     let packed = PackedTrace::from_trace(&trace).expect("hand-built trace packs");
-    [&[1u8][..], packed.bytes()].concat()
+    [&[ctl][..], packed.bytes()].concat()
+}
+
+/// t1 releases an unheld lock, then acquires it while t0 holds it:
+/// the mutator starts one seed inside the validator's rejections.
+fn lock_violation() -> Vec<u8> {
+    let (lock, site) = (LockId(0x40), SiteId(0));
+    seed_stream(
+        1,
+        &[
+            (0, Op::Compute { cycles: 1 }),
+            (1, Op::Unlock { lock, site }),
+            (0, Op::Lock { lock, site }),
+            (1, Op::Lock { lock, site }),
+            (0, Op::Unlock { lock, site }),
+        ],
+    )
+}
+
+/// Two threads race on the highest bytes an access may cover, then t1
+/// runs past the top of the address space: mutated sizes and addresses
+/// land on both sides of the bound.
+fn top_of_address_space() -> Vec<u8> {
+    let write = |addr: u64, size: u8| Op::Write {
+        addr: Addr(addr),
+        size,
+        site: SiteId(0),
+    };
+    seed_stream(
+        3,
+        &[
+            (0, write(u64::MAX - 4, 4)),
+            (1, write(u64::MAX - 7, 8)),
+            (1, write(u64::MAX - 1, 4)),
+        ],
+    )
 }
 
 fn main() -> ExitCode {

@@ -931,6 +931,61 @@ mod tests {
     }
 
     #[test]
+    fn stream_feeder_rejects_accesses_past_the_top_of_the_address_space() {
+        let write = Op::Write {
+            addr: Addr(u64::MAX - 1),
+            size: 4,
+            site: SiteId(1),
+        };
+        assert_eq!(
+            malformed_stream_error(&[(1, write)]),
+            "record 300: t1 access of 4 bytes at 0xfffffffffffffffe runs past the top of the address space"
+        );
+    }
+
+    /// The highest four bytes an access may cover (its end, one past
+    /// the last byte, must still fit in a `u64`), written by two
+    /// threads holding no lock: every detector streams the trace
+    /// without overflowing and reports the race.
+    #[test]
+    fn races_at_the_top_of_the_address_space_are_reported() {
+        let mut b = ProgramBuilder::new(2);
+        for t in 0..2u32 {
+            b.thread(t).write(Addr(u64::MAX - 4), 4, SiteId(t));
+        }
+        let packed =
+            PackedTrace::from_trace(&Scheduler::new(SchedConfig::default()).run(&b.build()))
+                .unwrap();
+        for kind in all_kinds() {
+            let mut reader = ChunkedReader::spawn(std::io::Cursor::new(packed.bytes().to_vec()), 1);
+            let (run, events, _) = execute_streamed(&kind, 2, &mut reader).unwrap();
+            assert_eq!(events, 2);
+            assert!(!run.reports.is_empty(), "{kind:?} missed the race");
+        }
+    }
+
+    /// A materialized trace skips the stream validator, so an access
+    /// running past the top of the address space reaches the
+    /// detectors: they clip it there instead of overflowing, and still
+    /// report the race on the bytes below the top.
+    #[test]
+    fn unvalidated_accesses_past_the_top_are_clipped() {
+        let mut b = ProgramBuilder::new(2);
+        for t in 0..2u32 {
+            b.thread(t).write(Addr(u64::MAX - 1), 4, SiteId(t));
+        }
+        let trace = Scheduler::new(SchedConfig::default()).run(&b.build());
+        for kind in all_kinds() {
+            match hardened(&kind, &trace, &[], RunLimits::unlimited()) {
+                RunOutcome::Ok(run, _) => {
+                    assert!(!run.reports.is_empty(), "{kind:?} missed the race");
+                }
+                other => panic!("{kind:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn panics_are_contained_and_reported() {
         let caught = catch_unwind(|| panic!("boom")).is_err();
         assert!(caught);

@@ -120,7 +120,8 @@ pub const MAX_TRACE_EVENTS: u64 = u32::MAX as u64 - 1;
 /// at a time so a byte stream can be checked as it arrives.
 ///
 /// An event is rejected when it names a thread, fork child or join
-/// child outside `num_threads`; acquires a lock some thread holds;
+/// child outside `num_threads`; accesses bytes whose end address does
+/// not fit in a `u64`; acquires a lock some thread holds;
 /// releases a lock its thread does not hold; forks a thread that was
 /// already forked; forks a thread that has already acted (the early
 /// action is caught at the later fork); or would make the stream
@@ -182,6 +183,13 @@ impl Validator {
         }
         self.threads[thread.index()].acted = true;
         match op {
+            Op::Read { addr, size, .. } | Op::Write { addr, size, .. }
+                if addr.0.checked_add(u64::from(size)).is_none() =>
+            {
+                return Err(format!(
+                    "{thread} access of {size} bytes at {addr} runs past the top of the address space"
+                ));
+            }
             Op::Lock { lock, .. } => {
                 if let Some(owner) = self.owners.insert(lock, thread) {
                     return Err(format!("{thread} acquires {lock} held by {owner}"));
@@ -276,7 +284,12 @@ mod tests {
             child: ThreadId(2),
             site,
         };
-        let cases: [(&[(u32, Op)], &str); 10] = [
+        let top = |addr, size| Op::Write {
+            addr: Addr(addr),
+            size,
+            site,
+        };
+        let cases: [(&[(u32, Op)], &str); 12] = [
             (&[(7, compute)], "event 0: t7 out of range for 2 threads"),
             (&[(0, fork(2))], "event 0: t2 out of range for 2 threads"),
             (&[(0, join)], "event 0: t2 out of range for 2 threads"),
@@ -301,6 +314,14 @@ mod tests {
                 "event 1: t1 acts before its fork",
             ),
             (&[(0, fork(0))], "event 0: t0 acts before its fork"),
+            (
+                &[(0, top(u64::MAX - 4, 4)), (1, top(u64::MAX - 1, 4))],
+                "event 1: t1 access of 4 bytes at 0xfffffffffffffffe runs past the top of the address space",
+            ),
+            (
+                &[(1, top(u64::MAX, 1))],
+                "event 0: t1 access of 1 bytes at 0xffffffffffffffff runs past the top of the address space",
+            ),
         ];
         for (ops, want) in cases {
             assert_eq!(ops_trace(2, ops).validate(), Err(want.to_string()));
@@ -327,6 +348,38 @@ mod tests {
             v.check(&compute),
             Err("trace passes the 4294967294-event bound of 32-bit epochs".to_string())
         );
+    }
+
+    /// An access may end exactly at the top of the address space, and
+    /// a read is bounded like a write.
+    #[test]
+    fn accesses_must_end_inside_the_address_space() {
+        let access = |read: bool, addr: u64, size: u8| TraceEvent::Op {
+            thread: ThreadId(0),
+            op: if read {
+                Op::Read {
+                    addr: Addr(addr),
+                    size,
+                    site: SiteId(0),
+                }
+            } else {
+                Op::Write {
+                    addr: Addr(addr),
+                    size,
+                    site: SiteId(0),
+                }
+            },
+        };
+        for read in [false, true] {
+            let mut v = Validator::new(1);
+            assert_eq!(v.check(&access(read, u64::MAX - 4, 4)), Ok(()));
+            assert_eq!(v.check(&access(read, u64::MAX, 0)), Ok(()));
+            let err = v.check(&access(read, u64::MAX - 2, 4)).unwrap_err();
+            assert!(
+                err.ends_with("runs past the top of the address space"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

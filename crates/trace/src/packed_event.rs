@@ -35,6 +35,7 @@
 //! background thread, so decode and I/O overlap and the file is never
 //! resident in memory at once.
 
+use crate::codec;
 use crate::event::{Trace, TraceEvent};
 use crate::op::Op;
 use hard_types::{Addr, BarrierId, LockId, SiteId, ThreadId};
@@ -235,11 +236,15 @@ impl PackedEvent {
 ///
 /// Invariants (established by every constructor): the buffer is a
 /// whole number of records and every record's tag is valid, so
-/// [`PackedTrace::iter`] decodes infallibly.
+/// [`PackedTrace::iter`] decodes infallibly. Each constructor also
+/// records the FNV-1a of the buffer in the same loop that writes or
+/// checks the records; the buffer is private and never changes, so
+/// [`PackedTrace::payload_fnv`] cannot go stale.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PackedTrace {
     num_threads: u32,
     bytes: Vec<u8>,
+    payload_fnv: u64,
 }
 
 impl PackedTrace {
@@ -251,12 +256,16 @@ impl PackedTrace {
     /// exceeds [`MAX_PACKED_THREAD`].
     pub fn from_trace(trace: &Trace) -> Result<PackedTrace, PackError> {
         let mut bytes = Vec::with_capacity(trace.events.len() * RECORD_BYTES);
+        let mut payload_fnv = codec::FNV1A_INIT;
         for e in &trace.events {
-            bytes.extend_from_slice(&PackedEvent::pack(e)?.to_bytes());
+            let rec = PackedEvent::pack(e)?.to_bytes();
+            payload_fnv = codec::fnv1a_update(payload_fnv, &rec);
+            bytes.extend_from_slice(&rec);
         }
         Ok(PackedTrace {
             num_threads: trace.num_threads as u32,
             bytes,
+            payload_fnv,
         })
     }
 
@@ -272,6 +281,7 @@ impl PackedTrace {
         if !bytes.len().is_multiple_of(RECORD_BYTES) {
             return Err(PackError::Misaligned { len: bytes.len() });
         }
+        let mut payload_fnv = codec::FNV1A_INIT;
         for rec in bytes.chunks_exact(RECORD_BYTES) {
             let tag = rec[0] & 0xF;
             if u64::from(tag) > TAG_JOIN {
@@ -279,8 +289,13 @@ impl PackedTrace {
             }
             // Tag bits 4..8 of the first byte belong to the size field;
             // only the low nibble is the tag, checked above.
+            payload_fnv = codec::fnv1a_update(payload_fnv, rec);
         }
-        Ok(PackedTrace { num_threads, bytes })
+        Ok(PackedTrace {
+            num_threads,
+            bytes,
+            payload_fnv,
+        })
     }
 
     /// Number of threads in the program that produced the trace.
@@ -305,6 +320,13 @@ impl PackedTrace {
     #[must_use]
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// FNV-1a over [`PackedTrace::bytes`], recorded at construction:
+    /// the payload checksum a `HARDCRP1` header carries.
+    #[must_use]
+    pub fn payload_fnv(&self) -> u64 {
+        self.payload_fnv
     }
 
     /// Decodes the whole buffer back into a materialized trace.
@@ -567,6 +589,7 @@ mod tests {
         // And back through the raw-bytes constructor.
         let q = PackedTrace::from_bytes(4, p.bytes().to_vec()).unwrap();
         assert_eq!(q, p);
+        assert_eq!(q.payload_fnv(), codec::fnv1a(p.bytes()));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::op::Op;
 use hard_types::{Addr, BarrierId, LockId, SiteId, ThreadId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The operation list of one simulated thread.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -104,10 +105,13 @@ impl ThreadProgram {
 
 /// A complete multithreaded program: one [`ThreadProgram`] per thread.
 ///
-/// Thread *i* is [`ThreadId`]`(i)` and is pinned to core *i*.
+/// Thread *i* is [`ThreadId`]`(i)` and is pinned to core *i*. Thread
+/// programs are copy-on-write: a clone shares every thread with its
+/// source, and [`Program::thread_mut`] copies only the thread it hands
+/// out, so a race injector editing one thread copies one thread.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Program {
-    threads: Vec<ThreadProgram>,
+    threads: Vec<Arc<ThreadProgram>>,
 }
 
 impl Program {
@@ -119,7 +123,9 @@ impl Program {
     #[must_use]
     pub fn new(threads: Vec<ThreadProgram>) -> Program {
         assert!(!threads.is_empty(), "a program needs at least one thread");
-        Program { threads }
+        Program {
+            threads: threads.into_iter().map(Arc::new).collect(),
+        }
     }
 
     /// Number of threads.
@@ -130,13 +136,14 @@ impl Program {
 
     /// The per-thread programs, indexed by thread id.
     #[must_use]
-    pub fn threads(&self) -> &[ThreadProgram] {
+    pub fn threads(&self) -> &[Arc<ThreadProgram>] {
         &self.threads
     }
 
-    /// Mutable access for the race injector.
+    /// Mutable access for the race injector. Copies the thread first
+    /// when another program still shares it.
     pub fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadProgram {
-        &mut self.threads[t.index()]
+        Arc::make_mut(&mut self.threads[t.index()])
     }
 
     /// The thread program of `t`.
@@ -148,7 +155,7 @@ impl Program {
     /// Total operation count across threads.
     #[must_use]
     pub fn total_ops(&self) -> usize {
-        self.threads.iter().map(ThreadProgram::len).sum()
+        self.threads.iter().map(|t| t.len()).sum()
     }
 
     /// Threads that only start when some other thread forks them.
@@ -415,14 +422,20 @@ mod tests {
 
     #[test]
     fn remove_op_for_injection() {
-        let mut b = ProgramBuilder::new(1);
+        let mut b = ProgramBuilder::new(2);
         b.thread(0)
             .lock(LockId(4), site(0))
             .write(Addr(0x10), 4, site(1))
             .unlock(LockId(4), site(2));
-        let mut p = b.build();
-        let removed = p.thread_mut(ThreadId(0)).remove(0);
+        b.thread(1).compute(1);
+        let p = b.build();
+        // The clone shares both threads until one is edited.
+        let mut q = p.clone();
+        let removed = q.thread_mut(ThreadId(0)).remove(0);
         assert!(matches!(removed, Op::Lock { .. }));
-        assert_eq!(p.thread(ThreadId(0)).len(), 2);
+        assert_eq!(q.thread(ThreadId(0)).len(), 2);
+        assert_eq!(p.thread(ThreadId(0)).len(), 3, "the source is untouched");
+        assert!(!Arc::ptr_eq(&p.threads()[0], &q.threads()[0]));
+        assert!(Arc::ptr_eq(&p.threads()[1], &q.threads()[1]));
     }
 }

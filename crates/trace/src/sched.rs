@@ -15,7 +15,6 @@ use crate::event::{Trace, TraceEvent};
 use crate::op::Op;
 use crate::program::Program;
 use hard_types::{BarrierId, LockId, ThreadId, Xoshiro256};
-use std::collections::BTreeMap;
 
 /// Scheduler parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,33 +69,40 @@ impl Scheduler {
     /// rejects the structural causes beforehand.
     #[must_use]
     pub fn run(&self, program: &Program) -> Trace {
-        let n = program.num_threads();
+        let threads: Vec<&[Op]> = program.threads().iter().map(|t| t.ops()).collect();
+        let n = threads.len();
         let mut rng = Xoshiro256::seed_from_u64(self.cfg.seed);
         let mut pc = vec![0usize; n];
         let mut blocked = vec![Blocked::No; n];
         for &t in &program.fork_targets() {
             blocked[t.index()] = Blocked::NotStarted;
         }
-        let mut lock_owner: BTreeMap<LockId, ThreadId> = BTreeMap::new();
-        let mut barrier_arrivals: BTreeMap<BarrierId, usize> = BTreeMap::new();
+        // Only a handful of locks are held and barriers in flight at
+        // once, so a linear scan of a short vector beats a tree.
+        let mut lock_owner: Vec<(LockId, ThreadId)> = Vec::new();
+        let mut barrier_arrivals: Vec<(BarrierId, usize)> = Vec::new();
+        let mut runnable: Vec<usize> = Vec::with_capacity(n);
         let mut events = Vec::with_capacity(program.total_ops() + 16);
 
-        let finished = |pc: &[usize], t: usize| pc[t] >= program.threads()[t].len();
+        let finished = |pc: &[usize], t: usize| pc[t] >= threads[t].len();
+        let held = |owners: &[(LockId, ThreadId)], lock: LockId| {
+            owners.iter().find(|&&(l, _)| l == lock).map(|&(_, o)| o)
+        };
 
         loop {
             // Recompute runnability: a thread blocked on a lock becomes
             // runnable when the lock frees up; barrier blocking is
             // cleared en masse when the barrier completes.
-            let runnable: Vec<usize> = (0..n)
-                .filter(|&t| !finished(&pc, t))
-                .filter(|&t| match blocked[t] {
-                    Blocked::No => true,
-                    Blocked::OnLock(l) => !lock_owner.contains_key(&l),
-                    Blocked::OnBarrier(_) => false,
-                    Blocked::OnJoin(c) => finished(&pc, c.index()),
-                    Blocked::NotStarted => false,
-                })
-                .collect();
+            runnable.clear();
+            runnable.extend((0..n).filter(|&t| {
+                !finished(&pc, t)
+                    && match blocked[t] {
+                        Blocked::No => true,
+                        Blocked::OnLock(l) => held(&lock_owner, l).is_none(),
+                        Blocked::OnBarrier(_) | Blocked::NotStarted => false,
+                        Blocked::OnJoin(c) => finished(&pc, c.index()),
+                    }
+            }));
 
             if runnable.is_empty() {
                 if (0..n).all(|t| finished(&pc, t)) {
@@ -114,37 +120,41 @@ impl Scheduler {
             let tid = ThreadId(t as u32);
             let quantum = 1 + rng.gen_range(u64::from(self.cfg.max_quantum)) as usize;
 
-            for _ in 0..quantum {
-                if finished(&pc, t) {
-                    break;
-                }
-                let op = program.threads()[t].ops()[pc[t]];
+            // Walk at most one quantum of the thread's ops. An op that
+            // does not block falls through to be emitted; a barrier
+            // arrival emits itself ahead of any completion marker.
+            let start = pc[t];
+            let end = start.saturating_add(quantum).min(threads[t].len());
+            let mut next = start;
+            for &op in &threads[t][start..end] {
                 match op {
-                    Op::Lock { lock, .. } => match lock_owner.get(&lock) {
-                        Some(&owner) if owner != tid => {
+                    Op::Lock { lock, .. } => match held(&lock_owner, lock) {
+                        Some(owner) if owner != tid => {
                             blocked[t] = Blocked::OnLock(lock);
                             break;
                         }
-                        _ => {
-                            lock_owner.insert(lock, tid);
-                            events.push(TraceEvent::Op { thread: tid, op });
-                            pc[t] += 1;
-                        }
+                        Some(_) => {}
+                        None => lock_owner.push((lock, tid)),
                     },
                     Op::Unlock { lock, .. } => {
                         // A race-injected program never unlocks an
                         // unheld lock (pairs are removed together), but
                         // tolerate it like real hardware would.
-                        if lock_owner.get(&lock) == Some(&tid) {
-                            lock_owner.remove(&lock);
+                        if let Some(i) = lock_owner.iter().position(|&o| o == (lock, tid)) {
+                            lock_owner.swap_remove(i);
                         }
-                        events.push(TraceEvent::Op { thread: tid, op });
-                        pc[t] += 1;
                     }
                     Op::Barrier { barrier, .. } => {
                         events.push(TraceEvent::Op { thread: tid, op });
-                        pc[t] += 1;
-                        let count = barrier_arrivals.entry(barrier).or_insert(0);
+                        next += 1;
+                        let i = match barrier_arrivals.iter().position(|&(b, _)| b == barrier) {
+                            Some(i) => i,
+                            None => {
+                                barrier_arrivals.push((barrier, 0));
+                                barrier_arrivals.len() - 1
+                            }
+                        };
+                        let count = &mut barrier_arrivals[i].1;
                         *count += 1;
                         if *count == n {
                             *count = 0;
@@ -166,24 +176,17 @@ impl Scheduler {
                             "fork of an already-started {child}"
                         );
                         blocked[child.index()] = Blocked::No;
-                        events.push(TraceEvent::Op { thread: tid, op });
-                        pc[t] += 1;
                     }
-                    Op::Join { child, .. } => {
-                        if finished(&pc, child.index()) {
-                            events.push(TraceEvent::Op { thread: tid, op });
-                            pc[t] += 1;
-                        } else {
-                            blocked[t] = Blocked::OnJoin(child);
-                            break;
-                        }
+                    Op::Join { child, .. } if !finished(&pc, child.index()) => {
+                        blocked[t] = Blocked::OnJoin(child);
+                        break;
                     }
-                    _ => {
-                        events.push(TraceEvent::Op { thread: tid, op });
-                        pc[t] += 1;
-                    }
+                    _ => {}
                 }
+                events.push(TraceEvent::Op { thread: tid, op });
+                next += 1;
             }
+            pc[t] = next;
         }
 
         Trace {

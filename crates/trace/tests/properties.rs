@@ -1,6 +1,8 @@
 //! Property-based tests for the program model and scheduler.
 
-use hard_trace::{packed_event, Op, Program, SchedConfig, Scheduler, ThreadProgram, TraceEvent};
+use hard_trace::{
+    codec, packed_event, Op, Program, SchedConfig, Scheduler, ThreadProgram, TraceEvent,
+};
 use hard_types::{Addr, BarrierId, LockId, SiteId, ThreadId};
 use proptest::prelude::*;
 
@@ -279,6 +281,21 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(adopted, packed);
+    }
+
+    /// Both constructors record the FNV-1a of exactly the bytes they
+    /// hold.
+    #[test]
+    fn recorded_payload_fnv_is_the_payload_hash(p in arb_program(4), seed in 0u64..8) {
+        let trace = Scheduler::new(SchedConfig { seed, max_quantum: 6 }).run(&p);
+        let packed = packed_event::PackedTrace::from_trace(&trace).unwrap();
+        prop_assert_eq!(packed.payload_fnv(), codec::fnv1a(packed.bytes()));
+        // A whole-record prefix adopted as raw bytes; some cases cut
+        // it empty.
+        let cut = (seed as usize * 7) % (packed.len() + 1);
+        let prefix = packed.bytes()[..cut * packed_event::RECORD_BYTES].to_vec();
+        let adopted = packed_event::PackedTrace::from_bytes(2, prefix.clone()).unwrap();
+        prop_assert_eq!(adopted.payload_fnv(), codec::fnv1a(&prefix));
     }
 
     /// The double-buffered chunk reader reassembles any packed stream

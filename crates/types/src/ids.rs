@@ -270,7 +270,8 @@ impl Granularity {
     }
 
     /// Iterates over the base addresses of all granules overlapped by
-    /// the byte range `[addr, addr + len)`.
+    /// the byte range `[addr, addr + len)`, clipped at the top of the
+    /// address space.
     ///
     /// # Examples
     ///
@@ -286,7 +287,7 @@ impl Granularity {
         let last = if len == 0 {
             first
         } else {
-            self.granule_of(Addr(addr.0 + len - 1)).0
+            self.granule_of(Addr(addr.0.saturating_add(len - 1))).0
         };
         (first..=last).step_by(bytes as usize).map(Addr)
     }
@@ -371,5 +372,15 @@ mod tests {
         let g = Granularity::new(4);
         let v: Vec<_> = g.granules_in(Addr(0), 16).collect();
         assert_eq!(v, vec![Addr(0), Addr(4), Addr(8), Addr(12)]);
+    }
+
+    #[test]
+    fn granules_in_stops_at_the_top_of_the_address_space() {
+        let g = Granularity::new(4);
+        let top = u64::MAX - 3;
+        let v: Vec<_> = g.granules_in(Addr(u64::MAX - 5), 4).collect();
+        assert_eq!(v, vec![Addr(top - 4), Addr(top)]);
+        let past: Vec<_> = g.granules_in(Addr(u64::MAX - 1), 4).collect();
+        assert_eq!(past, vec![Addr(top)]);
     }
 }

@@ -11,9 +11,11 @@ use hard_trace::{Op, Program, ProgramBuilder};
 use hard_types::{Addr, BarrierId, HardError, LockId, SiteId, Xoshiro256};
 use hard_workloads::apps::server;
 use hard_workloads::{
-    enumerate_critical_sections, inject_race, App, CriticalSection, Scale, WorkloadConfig,
+    enumerate_critical_sections, inject_race, inject_wrong_lock, App, CriticalSection, Scale,
+    WorkloadConfig,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// `(thread, lock, lock_index, unlock_index, exposed_accesses.len())`.
 type Pick = (u32, u64, usize, usize, usize);
@@ -314,4 +316,32 @@ fn random_programs_cover_both_outcomes() {
         (32..224).contains(&eligible),
         "{eligible} of 256 programs have an eligible section"
     );
+}
+
+/// Both injectors copy only the thread they edit: every other thread
+/// of the result is the input's own, and the input keeps its ops.
+#[test]
+fn injected_programs_share_every_thread_they_do_not_edit() {
+    for app in App::all() {
+        let p = app.generate(&WorkloadConfig::reduced(0.05));
+        let before: Vec<Vec<Op>> = p.threads().iter().map(|t| t.ops().to_vec()).collect();
+        for seed in 0..4 {
+            for injector in [inject_race, inject_wrong_lock] {
+                let (q, info) = injector(&p, seed).unwrap();
+                let edited = info.section.thread.index();
+                for (t, (a, b)) in p.threads().iter().zip(q.threads()).enumerate() {
+                    assert_eq!(
+                        Arc::ptr_eq(a, b),
+                        t != edited,
+                        "{} seed {seed} thread {t}",
+                        app.name()
+                    );
+                }
+                assert_ne!(q.threads()[edited], p.threads()[edited]);
+            }
+        }
+        for (t, ops) in before.iter().enumerate() {
+            assert_eq!(p.threads()[t].ops(), ops, "{} input thread {t}", app.name());
+        }
+    }
 }
