@@ -116,13 +116,12 @@ fn access_window(n: usize) -> Vec<(CoreId, Addr, AccessKind)> {
         .collect()
 }
 
-/// The batched-timing-model ladder: the scalar hierarchy hot path
-/// (per-access `ensure` + metadata probe — two cache scans) against the
-/// machines' batched recipe (`access_prepared` per access — fused
-/// single-scan probe + hot-slot memo — and one `flush_deferred_stats`
-/// per window) at growing window sizes. The batched path must win from
-/// 64 events up; both paths are pinned bit-identical by the hard-cache
-/// property tests.
+/// The timing-model ladder: the two-call hierarchy recipe (per-access
+/// `ensure` and metadata probe — two cache scans) against the
+/// machines' access path (`access_prepared` per access — a fused
+/// single-scan probe and a hot-slot memo) at growing window sizes. The
+/// fused path must win from 64 events up; both are pinned
+/// bit-identical by the hard-cache property tests.
 fn bench_hierarchy_access_ladder(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache/hierarchy-access");
     let geom = HierarchyConfig::default().l1;
@@ -144,7 +143,6 @@ fn bench_hierarchy_access_ladder(c: &mut Criterion) {
                     let (line, set) = geom.line_and_set(addr);
                     black_box(batched.access_prepared(core, line, set, kind).unwrap());
                 }
-                batched.flush_deferred_stats();
             })
         });
     }

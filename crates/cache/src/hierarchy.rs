@@ -194,16 +194,11 @@ pub struct Hierarchy<F: MetaFactory> {
     all_cores: u32,
     stats: MemStats,
     lost_meta: FastHashSet<Addr>,
-    /// Same-core/same-line memo for the batched access path: the L1
+    /// Same-core/same-line memo for the fused access path: the L1
     /// slot that served the previous [`Hierarchy::access_prepared`]
     /// hit. Validated (address + state) before every use, so it is a
     /// pure scan-skip — never a source of stale coherence decisions.
     hot: Option<(u32, Addr, u32)>,
-    /// L1 hits accumulated by the batched access path and folded into
-    /// [`MemStats`] once per window by
-    /// [`Hierarchy::flush_deferred_stats`]. `u64` addition commutes, so
-    /// the flushed totals are identical to per-access increments.
-    deferred_l1_hits: u64,
     obs: ObsHandle,
 }
 
@@ -252,7 +247,6 @@ impl<F: MetaFactory> Hierarchy<F> {
             stats: MemStats::default(),
             lost_meta: FastHashSet::default(),
             hot: None,
-            deferred_l1_hits: 0,
             obs: ObsHandle::off(),
         })
     }
@@ -714,19 +708,16 @@ impl<F: MetaFactory> Hierarchy<F> {
         Ok(result)
     }
 
-    /// The batched hot path: [`Hierarchy::ensure`] and
+    /// The detectors' access path: [`Hierarchy::ensure`] and
     /// [`Hierarchy::meta_mut`] fused into one L1 walk, pinned
     /// bit-identical to calling them back to back.
     ///
-    /// The scalar recipe charges two LRU probes per access (the ensure
-    /// probe and the metadata probe); this charges the same two ticks
-    /// in a single scan ([`SetAssocCache::probe_fused`]), and a
+    /// That two-call recipe charges two LRU probes per access (the
+    /// ensure probe and the metadata probe); this charges the same two
+    /// ticks in a single scan ([`SetAssocCache::probe_fused`]), and a
     /// same-core/same-line run skips even that via a validated hot-slot
-    /// memo. L1 hits are accumulated in a deferred counter — call
-    /// [`Hierarchy::flush_deferred_stats`] once per window to fold them
-    /// into [`MemStats`]; every other counter, every coherence action,
-    /// and every replacement decision happens inline, identically to
-    /// the scalar path.
+    /// memo. Every counter, every coherence action and every
+    /// replacement decision is the two-call recipe's.
     ///
     /// # Errors
     ///
@@ -745,7 +736,7 @@ impl<F: MetaFactory> Hierarchy<F> {
         // Hot-slot fast path: same core, same line as the previous hit.
         // Validate address and (for writes) state *before* charging any
         // LRU tick — a failed validation must leave no trace, because
-        // the scalar path never saw a memo at all.
+        // the two-call recipe never sees a memo at all.
         if let Some((hc, haddr, hslot)) = self.hot {
             if hc == core.0 && haddr == line_addr {
                 let slot = hslot as usize;
@@ -753,7 +744,7 @@ impl<F: MetaFactory> Hierarchy<F> {
                     !kind.is_write() || matches!(l.state, CState::Modified | CState::Exclusive)
                 });
                 if ok {
-                    self.deferred_l1_hits += 1;
+                    self.stats.l1_hits += 1;
                     let line = self.l1[c].touch_slot_fused(slot);
                     if kind.is_write() {
                         // Covers the silent E→M upgrade; a no-op on M.
@@ -774,7 +765,7 @@ impl<F: MetaFactory> Hierarchy<F> {
             match (kind, state) {
                 (AccessKind::Write, CState::Shared) => {
                     // Bus upgrade: invalidate the other copies.
-                    self.deferred_l1_hits += 1;
+                    self.stats.l1_hits += 1;
                     self.stats.upgrades += 1;
                     self.stats.bus_control += 1;
                     let l2_slot = self.l2.slot_of(line_addr);
@@ -798,9 +789,9 @@ impl<F: MetaFactory> Hierarchy<F> {
                     })
                 }
                 _ => {
-                    // Read hit (any state, like the scalar path), or a
+                    // Read hit (any state, like `ensure`), or a
                     // write hit in M (plain) / E (silent upgrade).
-                    self.deferred_l1_hits += 1;
+                    self.stats.l1_hits += 1;
                     self.hot = Some((core.0, line_addr, slot as u32));
                     let line = self.l1[c].slot_line_mut(slot).ok_or({
                         HardError::CoherenceViolation {
@@ -832,16 +823,9 @@ impl<F: MetaFactory> Hierarchy<F> {
         Ok((result, meta))
     }
 
-    /// Folds the L1 hits deferred by [`Hierarchy::access_prepared`]
-    /// into [`MemStats`]. Call once per batch window; idempotent when
-    /// nothing is pending.
-    pub fn flush_deferred_stats(&mut self) {
-        self.stats.l1_hits += self.deferred_l1_hits;
-        self.deferred_l1_hits = 0;
-    }
-
     /// `core`'s L1 LRU tick — exposed so parity tests can pin the
-    /// batched path's replacement arithmetic against the scalar path's.
+    /// fused path's replacement arithmetic against `ensure` +
+    /// `meta_mut`.
     #[must_use]
     pub fn l1_lru_tick(&self, core: CoreId) -> u64 {
         self.l1[core.index()].lru_tick()
@@ -1204,10 +1188,10 @@ mod tests {
 
     #[test]
     fn access_prepared_matches_ensure_plus_meta_probe() {
-        // The scalar recipe (what HardMachine/HbMachine do per access):
-        // ensure, then meta_mut. The batched recipe: access_prepared.
-        // Same accesses, both hierarchies — every observable must agree,
-        // including the LRU ticks and stamps that drive replacement.
+        // The two-call recipe: ensure, then meta_mut. The fused one:
+        // access_prepared. Same accesses, both hierarchies — every
+        // observable must agree after every access, including the LRU
+        // ticks and stamps that drive replacement.
         let accesses: &[(u32, u64, AccessKind)] = &[
             (0, 0x100, AccessKind::Read),  // cold miss
             (0, 0x104, AccessKind::Read),  // same-line hit (memo)
@@ -1237,9 +1221,12 @@ mod tests {
                 batched.l1_lru_of(core, addr),
                 "LRU stamp diverged at {addr:?}"
             );
+            assert_eq!(
+                scalar.stats(),
+                batched.stats(),
+                "stats diverged at {addr:?}"
+            );
         }
-        batched.flush_deferred_stats();
-        assert_eq!(scalar.stats(), batched.stats());
         for c in [C0, C1] {
             assert_eq!(scalar.l1_lru_tick(c), batched.l1_lru_tick(c));
         }
@@ -1248,9 +1235,8 @@ mod tests {
 
     #[test]
     fn prepared_window_matches_the_scalar_fold() {
-        // A window through the machines' batched recipe
-        // (`access_prepared` per access, one `flush_deferred_stats` at
-        // the end) against the scalar fold (`ensure` + `meta_mut`).
+        // A window through the machines' recipe (`access_prepared` per
+        // access) against the two-call fold (`ensure` + `meta_mut`).
         let window: &[(u32, u64, AccessKind)] = &[
             (0, 0x100, AccessKind::Write),
             (0, 0x104, AccessKind::Write),
@@ -1271,7 +1257,6 @@ mod tests {
             let (got, _) = batched.access_prepared(core, line, set, kind).unwrap();
             assert_eq!(got, want, "EnsureResult diverged at {addr:?}");
         }
-        batched.flush_deferred_stats();
         assert_eq!(scalar.stats(), batched.stats());
         for c in [C0, C1] {
             assert_eq!(scalar.l1_lru_tick(c), batched.l1_lru_tick(c));

@@ -135,42 +135,61 @@ proptest! {
         }
     }
 
-    /// The batched access path is the scalar path: on arbitrary event
-    /// windows (cross-line, cross-core, byte-offset addresses), the
-    /// machines' batched recipe — `access_prepared` per access, one
-    /// `flush_deferred_stats` per window — must reproduce a fold of
-    /// per-access `ensure` + `meta_mut` calls exactly: `EnsureResult`
-    /// sequence (whose `displaced` field pins the L2 eviction order),
-    /// `MemStats`, per-copy MESI states and LRU stamps, and every
-    /// cache's LRU tick.
+    /// The fused access path is the two-call recipe: on arbitrary
+    /// access sequences (cross-line, cross-core, byte-offset
+    /// addresses), `access_prepared` per access must reproduce a fold
+    /// of per-access `ensure` + `meta_mut` calls exactly:
+    /// `EnsureResult` sequence (whose `displaced` field pins the L2
+    /// eviction order), `MemStats`, per-copy MESI states and LRU
+    /// stamps, and every cache's LRU tick. Interleaved spurious
+    /// displacements and metadata broadcasts — the fault layer's and
+    /// §3.4's writes between accesses, applied identically to both
+    /// hierarchies — remove and touch lines under the hot-slot memo.
     #[test]
     fn prepared_window_is_the_scalar_fold(
         accs in prop::collection::vec(
-            (0u32..3, 0u64..1536, any::<bool>()), 1..200),
+            (0u32..3, 0u64..1536, any::<bool>(), 0u8..8), 1..200),
     ) {
-        let window: Vec<(CoreId, Addr, AccessKind)> = accs
+        // Before its access, step `i` displaces the L2 line picked by
+        // the address (side 0) or broadcasts the accessing core's copy
+        // (side 1); sides 2..8 add nothing.
+        let window: Vec<(CoreId, Addr, AccessKind, u8)> = accs
             .iter()
-            .map(|&(c, a, w)| {
+            .map(|&(c, a, w, side)| {
                 let kind = if w { AccessKind::Write } else { AccessKind::Read };
-                (CoreId(c), Addr(a), kind)
+                (CoreId(c), Addr(a), kind, side)
             })
             .collect();
+        fn side_step(h: &mut Hierarchy<SeqFactory>, core: CoreId, addr: Addr, side: u8) -> Option<Option<Addr>> {
+            match side {
+                0 => {
+                    let n = addr.0 as usize % h.l2_occupancy().max(1);
+                    Some(h.force_displace(n))
+                }
+                1 => Some(h.broadcast_meta(core, addr).ok().map(|()| addr)),
+                _ => None,
+            }
+        }
 
         let mut scalar = Hierarchy::new(tiny(), SeqFactory).unwrap();
         let mut want = Vec::new();
-        for &(core, addr, kind) in &window {
+        let mut want_sides = Vec::new();
+        for &(core, addr, kind, side) in &window {
+            want_sides.push(side_step(&mut scalar, core, addr, side));
             want.push(scalar.ensure(core, addr, kind).unwrap());
             prop_assert!(scalar.meta_mut(core, addr).is_some());
         }
 
         let mut batched = Hierarchy::new(tiny(), SeqFactory).unwrap();
         let mut got = Vec::new();
-        for &(core, addr, kind) in &window {
+        let mut got_sides = Vec::new();
+        for &(core, addr, kind, side) in &window {
+            got_sides.push(side_step(&mut batched, core, addr, side));
             let (line, set) = tiny().l1.line_and_set(addr);
             got.push(batched.access_prepared(core, line, set, kind).unwrap().0);
         }
-        batched.flush_deferred_stats();
 
+        prop_assert_eq!(&got_sides, &want_sides, "side-step outcomes diverged");
         prop_assert_eq!(&got, &want, "EnsureResult sequences diverged");
         prop_assert_eq!(scalar.stats(), batched.stats());
         for c in 0..3 {
@@ -191,6 +210,11 @@ proptest! {
                     scalar.l1_lru_of(core, addr),
                     batched.l1_lru_of(core, addr),
                     "LRU stamp diverged for core {} line {:?}", c, addr
+                );
+                prop_assert_eq!(
+                    scalar.meta(core, addr),
+                    batched.meta(core, addr),
+                    "metadata diverged for core {} line {:?}", c, addr
                 );
             }
         }

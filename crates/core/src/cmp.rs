@@ -9,8 +9,9 @@
 //! * [`Cmp`] — per-core cycle clocks, the thread-to-core mapping with
 //!   its context-switch charge, and the shared-bus charge of every
 //!   coherence access (HARD, directory HARD, baseline);
-//! * [`Windowed`] + [`dispatch_window`] — the batched dispatch of one
-//!   event window (HARD, directory HARD, hardware happens-before);
+//! * [`Windowed`] + [`dispatch_window`] — each machine's one per-line
+//!   access path and the batched dispatch of one event window (HARD,
+//!   directory HARD, hardware happens-before);
 //! * [`ReportLog`] — race reports, deduplicated per (granule, site)
 //!   (the three detecting machines).
 
@@ -181,23 +182,27 @@ pub(crate) trait Windowed: Detector {
     /// The pre-pass scratch, kept on the machine so it is allocated
     /// once, not per window.
     fn window(&mut self) -> &mut Vec<Option<(Addr, usize)>>;
-    /// The scalar access path: the reference behavior, walking every
-    /// line the access overlaps.
-    fn access(&mut self, index: usize, a: Access);
-    /// The access path for an access inside one line whose `(line,
-    /// set)` the pre-pass computed; bit-identical to [`Self::access`].
-    fn access_prepared(&mut self, index: usize, a: Access, line: Addr, set: usize);
-    /// Folds hierarchy statistics deferred during the window.
-    fn flush_deferred_stats(&mut self);
+    /// The machine's one access path: the part of access `a` (event
+    /// `index`) inside `line`, whose L1 set is `set`.
+    fn access_line(&mut self, index: usize, a: Access, line: Addr, set: usize);
+    /// Every access: one [`Self::access_line`] per line it overlaps.
+    fn access(&mut self, index: usize, a: Access) {
+        let geom = self.l1();
+        for line in geom.lines_in(a.addr, u64::from(a.size)) {
+            let (line, set) = geom.line_and_set(line);
+            self.access_line(index, a, line, set);
+        }
+    }
 }
 
 /// Dispatches one window of events whose first global index is
 /// `index`. A pre-pass hoists the L1 line/set arithmetic of every
 /// single-line access (the overwhelmingly common case) out of the
-/// dispatch loop; single-line accesses take the prepared path,
-/// line-straddling ones the scalar walk, every other event
-/// [`Detector::on_event`]. The deferred statistics are folded once at
-/// the end, so the window is bit-identical to per-event dispatch.
+/// dispatch loop; single-line accesses go straight to
+/// [`Windowed::access_line`], line-straddling ones through
+/// [`Windowed::access`], every other event to [`Detector::on_event`].
+/// Each event meets the same per-line function as under per-event
+/// dispatch, so the window is bit-identical to it.
 pub(crate) fn dispatch_window<M: Windowed>(m: &mut M, index: usize, events: &[TraceEvent]) {
     let geom = m.l1();
     let line_bytes = geom.line_bytes();
@@ -210,13 +215,12 @@ pub(crate) fn dispatch_window<M: Windowed>(m: &mut M, index: usize, events: &[Tr
     }));
     for (i, (e, p)) in events.iter().zip(&prep).enumerate() {
         match (Access::of(e), *p) {
-            (Some(a), Some((line, set))) => m.access_prepared(index + i, a, line, set),
+            (Some(a), Some((line, set))) => m.access_line(index + i, a, line, set),
             (Some(a), None) => m.access(index + i, a),
             (None, _) => m.on_event(index + i, e),
         }
     }
     *m.window() = prep;
-    m.flush_deferred_stats();
 }
 
 /// Race reports, one per (granule, site).

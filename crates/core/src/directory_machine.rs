@@ -117,7 +117,7 @@ impl DirectoryHardMachine {
 
     /// Performs the cache access and charges it to the core. The
     /// metadata lives in the directory, not the line, so this is the
-    /// machine's only cache probe per line, scalar and batched alike:
+    /// machine's only cache probe per line:
     /// [`Hierarchy::ensure_prepared`], never the two-probe fused path.
     fn timed_ensure(&mut self, core: CoreId, line: Addr, set: usize, kind: AccessKind) {
         let Ok(r) = self.hierarchy.ensure_prepared(core, line, set, kind) else {
@@ -135,37 +135,6 @@ impl DirectoryHardMachine {
             }
         }
         self.cmp.charge(core, &r, false);
-    }
-
-    /// Every access: one [`Self::access_line`] per line it overlaps.
-    fn on_access(&mut self, index: usize, a: Access) {
-        let core = self.core_of(a.thread);
-        let geom = self.cfg.hierarchy.l1;
-        for line in geom.lines_in(a.addr, u64::from(a.size)) {
-            let (line, set) = geom.line_and_set(line);
-            self.access_line(core, index, &a, line, set);
-        }
-    }
-
-    /// The part of access `a` inside `line`: the cache access, then the
-    /// directory round trip — get the line's metadata, run the lockset
-    /// update, put it back — posted on the bus.
-    fn access_line(&mut self, core: CoreId, index: usize, a: &Access, line: Addr, set: usize) {
-        self.timed_ensure(core, line, set, a.kind);
-        let held = self.registers[a.thread.index()].vector();
-        let gran = self.cfg.granularity;
-        let (lo, len) = a.clip(line, self.cfg.hierarchy.l1.line_bytes());
-        let meta: &mut HardLineMeta = self.directory.access(line, core);
-        let mut racy = 0u64;
-        for g in gran.granules_in(lo, len) {
-            let gi = ((g.0 - line.0) / gran.bytes()) as usize;
-            if meta.access(gi, a.thread, a.kind, &held).1.race {
-                racy |= 1 << gi;
-            }
-        }
-        self.cmp
-            .post(core, self.cfg.latency.meta_broadcast_occupancy);
-        self.log.record(index, a, line, racy);
     }
 
     fn on_lock_op(&mut self, thread: ThreadId, lock: LockId, acquire: bool) {
@@ -193,7 +162,7 @@ impl Detector for DirectoryHardMachine {
             TraceEvent::Op { thread, op } => match op {
                 Op::Read { .. } | Op::Write { .. } => {
                     if let Some(a) = Access::of(event) {
-                        self.on_access(index, a);
+                        self.access(index, a);
                     }
                 }
                 Op::Lock { lock, .. } => self.on_lock_op(thread, lock, true),
@@ -246,19 +215,26 @@ impl Windowed for DirectoryHardMachine {
         &mut self.window
     }
 
-    fn access(&mut self, index: usize, a: Access) {
-        self.on_access(index, a);
-    }
-
-    fn access_prepared(&mut self, index: usize, a: Access, line: Addr, set: usize) {
+    /// The part of access `a` inside `line`: the cache access, then the
+    /// directory round trip — get the line's metadata, run the lockset
+    /// update, put it back — posted on the bus.
+    fn access_line(&mut self, index: usize, a: Access, line: Addr, set: usize) {
         let core = self.core_of(a.thread);
-        self.access_line(core, index, &a, line, set);
-    }
-
-    /// A no-op: `ensure_prepared` counts hits inline, exactly like the
-    /// scalar `ensure`.
-    fn flush_deferred_stats(&mut self) {
-        self.hierarchy.flush_deferred_stats();
+        self.timed_ensure(core, line, set, a.kind);
+        let held = self.registers[a.thread.index()].vector();
+        let gran = self.cfg.granularity;
+        let (lo, len) = a.clip(line, self.cfg.hierarchy.l1.line_bytes());
+        let meta: &mut HardLineMeta = self.directory.access(line, core);
+        let mut racy = 0u64;
+        for g in gran.granules_in(lo, len) {
+            let gi = ((g.0 - line.0) / gran.bytes()) as usize;
+            if meta.access(gi, a.thread, a.kind, &held).1.race {
+                racy |= 1 << gi;
+            }
+        }
+        self.cmp
+            .post(core, self.cfg.latency.meta_broadcast_occupancy);
+        self.log.record(index, &a, line, racy);
     }
 }
 

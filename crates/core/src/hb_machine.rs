@@ -152,53 +152,6 @@ impl HbMachine {
     fn core_of(&self, thread: ThreadId) -> CoreId {
         pin(thread, self.cfg.hierarchy.num_cores)
     }
-
-    /// The scalar access path: `ensure` then `meta_mut` per line, the
-    /// reference the batched path is tested against.
-    fn on_access(&mut self, index: usize, a: Access) {
-        let core = self.core_of(a.thread);
-        let geom = self.cfg.hierarchy.l1;
-        for line in geom.lines_in(a.addr, u64::from(a.size)) {
-            if self.hierarchy.ensure(core, line, a.kind).is_err() {
-                // This machine injects no faults, so a coherence error
-                // is a simulator bug; skip the access rather than
-                // unwind a campaign over it.
-                debug_assert!(false, "coherence invariant broken on a fault-free machine");
-                continue;
-            }
-            let (lo, len) = a.clip(line, geom.line_bytes());
-            // Field-disjoint borrows: the clock is read from `sync`
-            // while the line metadata is updated in `hierarchy` — no
-            // per-access clock clone.
-            let meta = self
-                .hierarchy
-                .meta_mut(core, line)
-                .expect("line was just ensured resident");
-            let clock = self.sync.thread(a.thread);
-            let (changed, racy) =
-                check_granules(meta, clock, self.cfg.granularity, &a, line, lo, len);
-            self.finish_line(index, &a, core, line, changed, racy);
-        }
-    }
-
-    /// Timestamps on shared lines are kept coherent the same way HARD's
-    /// candidate sets are; then the line's races are reported.
-    fn finish_line(
-        &mut self,
-        index: usize,
-        a: &Access,
-        core: CoreId,
-        line: Addr,
-        changed: bool,
-        racy: u64,
-    ) {
-        if changed && self.hierarchy.shared_beyond(core, line) {
-            let ok = self.hierarchy.broadcast_meta(core, line).is_ok();
-            debug_assert!(ok, "broadcast from a core that just accessed the line");
-        }
-        self.log
-            .record_observed(&self.obs, CounterId::HbRaces, index, a, line, racy);
-    }
 }
 
 /// Runs the happens-before check of access `a` on the granules of
@@ -247,7 +200,7 @@ impl Detector for HbMachine {
             TraceEvent::Op { thread, op } => match op {
                 Op::Read { .. } | Op::Write { .. } => {
                     if let Some(a) = Access::of(event) {
-                        self.on_access(index, a);
+                        self.access(index, a);
                     }
                 }
                 Op::Lock { lock, .. } => {
@@ -286,29 +239,32 @@ impl Windowed for HbMachine {
         &mut self.window
     }
 
-    fn access(&mut self, index: usize, a: Access) {
-        self.on_access(index, a);
-    }
-
-    /// [`HbMachine::on_access`] with the hierarchy walked once through
-    /// the fused [`Hierarchy::access_prepared`] probe. Bit-identical to
-    /// the scalar path, recorder calls included (pinned by the tests
-    /// below and the harness invariance tests).
-    fn access_prepared(&mut self, index: usize, a: Access, line: Addr, set: usize) {
+    /// The machine's one access path: the line reached through the
+    /// fused [`Hierarchy::access_prepared`] probe, then the
+    /// happens-before check of the granules the access covers in it.
+    fn access_line(&mut self, index: usize, a: Access, line: Addr, set: usize) {
         let core = self.core_of(a.thread);
         let Ok((_, meta)) = self.hierarchy.access_prepared(core, line, set, a.kind) else {
+            // This machine injects no faults, so a coherence error is a
+            // simulator bug; skip the access rather than unwind a
+            // campaign over it.
             debug_assert!(false, "coherence invariant broken on a fault-free machine");
             return;
         };
+        let (lo, len) = a.clip(line, self.cfg.hierarchy.l1.line_bytes());
+        // Field-disjoint borrows: the clock is read from `sync` while
+        // the line metadata is updated in `hierarchy` — no per-access
+        // clock clone.
         let clock = self.sync.thread(a.thread);
-        let len = u64::from(a.size);
-        let (changed, racy) =
-            check_granules(meta, clock, self.cfg.granularity, &a, line, a.addr, len);
-        self.finish_line(index, &a, core, line, changed, racy);
-    }
-
-    fn flush_deferred_stats(&mut self) {
-        self.hierarchy.flush_deferred_stats();
+        let (changed, racy) = check_granules(meta, clock, self.cfg.granularity, &a, line, lo, len);
+        // Timestamps on shared lines are kept coherent the same way
+        // HARD's candidate sets are.
+        if changed && self.hierarchy.shared_beyond(core, line) {
+            let ok = self.hierarchy.broadcast_meta(core, line).is_ok();
+            debug_assert!(ok, "broadcast from a core that just accessed the line");
+        }
+        self.log
+            .record_observed(&self.obs, CounterId::HbRaces, index, &a, line, racy);
     }
 }
 

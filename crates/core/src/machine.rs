@@ -2,7 +2,7 @@
 
 use crate::cmp::{dispatch_window, Access, Cmp, ReportLog, Windowed};
 use crate::config::HardConfig;
-use crate::metadata::{HardLineMeta, HardMetaFactory};
+use crate::metadata::HardMetaFactory;
 use hard_bloom::{LaneKernel, LockRegister};
 use hard_cache::{BusTimeline, CacheGeometry, Hierarchy, MemStats};
 use hard_lockset::dummy_lock;
@@ -67,9 +67,8 @@ pub struct HardMachine {
     /// Observability sink; [`ObsHandle::off`] (the default) is bit-
     /// and perf-inert.
     obs: ObsHandle,
-    /// Lane kernel driving the batched access path
-    /// ([`Detector::on_batch`]). Every kernel is bit-identical to the
-    /// scalar path; this is a throughput and testing lever only.
+    /// Lane kernel the span access runs through. Every kernel is
+    /// bit-identical; this is a throughput and testing lever only.
     kernel: LaneKernel,
     /// Window pre-pass scratch (see [`dispatch_window`]).
     window: Vec<Option<(Addr, usize)>>,
@@ -118,14 +117,14 @@ impl HardMachine {
         })
     }
 
-    /// Selects the lane kernel used by the batched access path. Every
+    /// Selects the lane kernel the access path runs with. Every
     /// kernel produces bit-identical results; the default is
     /// [`LaneKernel::auto`] (the widest one the host supports).
     pub fn set_lane_kernel(&mut self, kernel: LaneKernel) {
         self.kernel = kernel;
     }
 
-    /// The lane kernel the batched access path runs with.
+    /// The lane kernel the access path runs with.
     #[must_use]
     pub fn lane_kernel(&self) -> LaneKernel {
         self.kernel
@@ -224,160 +223,6 @@ impl HardMachine {
         }
     }
 
-    /// Performs the cache access and charges it to the core; returns
-    /// `false` (after absorbing the error into the fault statistics) if
-    /// a coherence invariant was broken — reachable only under injected
-    /// corruption, never on a fault-free machine.
-    fn timed_ensure(&mut self, core: CoreId, addr: Addr, kind: AccessKind, detect: bool) -> bool {
-        match self.hierarchy.ensure(core, addr, kind) {
-            Ok(r) => {
-                self.cmp.charge(core, &r, detect);
-                true
-            }
-            Err(_) => {
-                self.faults.stats.internal_errors += 1;
-                false
-            }
-        }
-    }
-
-    /// The scalar access path, fault model included: the reference the
-    /// batched path is tested against.
-    fn on_access(&mut self, index: usize, a: Access) {
-        let core = self.core_of(a.thread);
-        let faults_active = self.faults.is_active();
-        if faults_active {
-            self.repair_register_if_corrupt(a.thread);
-        }
-        let line_bytes = self.hierarchy.line_bytes();
-        let gran = self.cfg.granularity;
-        // Hoisted so the off path pays one branch per access, not one
-        // per granule.
-        let obs_on = self.obs.is_on();
-        let mut candidate_checks = 0u64;
-        let mut candidate_empties = 0u64;
-        // The L1 geometry is `Copy`: iterating a local copy's line
-        // walk avoids collecting the (almost always singleton) line
-        // list into a heap vector on every access.
-        let geom = self.cfg.hierarchy.l1;
-        for line_addr in geom.lines_in(a.addr, u64::from(a.size)) {
-            if !self.timed_ensure(core, line_addr, a.kind, true) {
-                continue;
-            }
-            // Clip the access to this line and update each overlapped
-            // granule's candidate set and LState.
-            let (lo, len) = a.clip(line_addr, line_bytes);
-            let held = self.registers[a.thread.index()].vector();
-            let mut changed = false;
-            let mut racy = 0u64;
-            {
-                let Some(meta): Option<&mut HardLineMeta> =
-                    self.hierarchy.meta_mut(core, line_addr)
-                else {
-                    // Only reachable under injected faults (the ensure
-                    // above would otherwise have made the line
-                    // resident): skip the metadata update, keep going.
-                    self.faults.stats.internal_errors += 1;
-                    continue;
-                };
-                for g in gran.granules_in(lo, len) {
-                    let gi = ((g.0 - line_addr.0) / gran.bytes()) as usize;
-                    // Reading the metadata word checks its parity. A
-                    // mismatch means a strike landed since the last
-                    // read: fall back to the safe state the hardware
-                    // fetches lines with (§3.1) — all-ones candidate
-                    // set, no sharing history — rather than trust
-                    // corrupt evidence. The side table is only ever
-                    // populated while faults are active, so the
-                    // fault-free hot path skips the lookup entirely.
-                    if faults_active && self.corrupt_meta.remove(&(line_addr, gi)) {
-                        meta.degrade(gi);
-                        self.faults.stats.parity_detections += 1;
-                        self.faults.stats.conservative_resets += 1;
-                        self.obs.counter(CounterId::ConservativeResets, 1);
-                        self.obs.emit(|| Event::ConservativeReset {
-                            line: line_addr.0,
-                            granule: gi as u32,
-                        });
-                        // The safe state must reach the other copies.
-                        changed = true;
-                    }
-                    // §3.4 keeps candidate sets AND LStates consistent
-                    // across copies, so any metadata change on a shared
-                    // line is broadcast — including pure state
-                    // transitions (e.g. Virgin→Exclusive on a read).
-                    // On the packed words, change detection is a single
-                    // XOR instead of a clone-and-compare.
-                    let (granule_changed, out) = meta.access(gi, a.thread, a.kind, &held);
-                    changed |= granule_changed;
-                    if obs_on {
-                        candidate_checks += 1;
-                        self.obs
-                            .histogram(HistId::BloomPopulation, u64::from(meta.population(gi)));
-                        if out.race {
-                            candidate_empties += 1;
-                            self.obs.emit(|| Event::CandidateEmpty {
-                                line: line_addr.0,
-                                granule: gi as u32,
-                                thread: a.thread.0,
-                            });
-                        }
-                    }
-                    if out.race {
-                        racy |= 1 << gi;
-                    }
-                }
-            }
-            // §3.4: a changed candidate set on a line with other valid
-            // copies is broadcast so all L1s and the L2 stay current.
-            if self.cfg.metadata_broadcast
-                && changed
-                && self.hierarchy.shared_beyond(core, line_addr)
-            {
-                let mut deliver = true;
-                if self.faults.is_active() {
-                    if self.faults.roll_broadcast_drop() {
-                        self.faults.stats.broadcasts_dropped += 1;
-                        self.obs.counter(CounterId::BroadcastsDropped, 1);
-                        self.obs
-                            .emit(|| Event::BroadcastDropped { line: line_addr.0 });
-                        deliver = false;
-                    } else if self.faults.roll_broadcast_delay() {
-                        self.faults.stats.broadcasts_delayed += 1;
-                        let wait = u64::from(self.cfg.faults.broadcast_delay_events).max(1);
-                        self.obs.counter(CounterId::BroadcastsDelayed, 1);
-                        self.obs.emit(|| Event::BroadcastDelayed {
-                            line: line_addr.0,
-                            wait_events: wait,
-                        });
-                        self.pending_broadcasts
-                            .push((self.event_count + wait, core, line_addr));
-                        deliver = false;
-                    }
-                }
-                if deliver {
-                    self.broadcast(core, line_addr);
-                }
-            }
-            self.log.record_observed(
-                &self.obs,
-                CounterId::RacesReported,
-                index,
-                &a,
-                line_addr,
-                racy,
-            );
-        }
-        if obs_on {
-            self.obs
-                .counter(CounterId::CandidateChecks, candidate_checks);
-            if candidate_empties > 0 {
-                self.obs
-                    .counter(CounterId::CandidateEmpties, candidate_empties);
-            }
-        }
-    }
-
     /// §3.4: sends `core`'s metadata for `line` to every other copy.
     /// The broadcast is posted: it occupies the bus (delaying later
     /// transactions) without stalling the core.
@@ -390,6 +235,31 @@ impl HardMachine {
         }
     }
 
+    /// Rolls the fault plan's drop and delay for a metadata broadcast
+    /// of `line` from `core`: returns whether it goes out now. A
+    /// delayed broadcast is queued for [`Self::fault_tick`].
+    fn broadcast_survives_faults(&mut self, core: CoreId, line: Addr) -> bool {
+        if self.faults.roll_broadcast_drop() {
+            self.faults.stats.broadcasts_dropped += 1;
+            self.obs.counter(CounterId::BroadcastsDropped, 1);
+            self.obs.emit(|| Event::BroadcastDropped { line: line.0 });
+            false
+        } else if self.faults.roll_broadcast_delay() {
+            self.faults.stats.broadcasts_delayed += 1;
+            let wait = u64::from(self.cfg.faults.broadcast_delay_events).max(1);
+            self.obs.counter(CounterId::BroadcastsDelayed, 1);
+            self.obs.emit(|| Event::BroadcastDelayed {
+                line: line.0,
+                wait_events: wait,
+            });
+            self.pending_broadcasts
+                .push((self.event_count + wait, core, line));
+            false
+        } else {
+            true
+        }
+    }
+
     fn on_lock_op(&mut self, thread: ThreadId, lock: LockId, acquire: bool) {
         let core = self.core_of(thread);
         if self.faults.is_active() {
@@ -397,8 +267,12 @@ impl HardMachine {
         }
         // The lock variable itself is memory traffic (test-and-set),
         // but lock/unlock instructions are recognized by HARD and do
-        // not run the lockset update on their own line.
-        self.timed_ensure(core, lock.addr(), AccessKind::Write, false);
+        // not run the lockset update on their own line. A coherence
+        // error is reachable only under injected corruption.
+        match self.hierarchy.ensure(core, lock.addr(), AccessKind::Write) {
+            Ok(r) => self.cmp.charge(core, &r, false),
+            Err(_) => self.faults.stats.internal_errors += 1,
+        }
         let lat = &self.cfg.latency;
         self.cmp
             .advance(core, lat.sync_op + lat.lock_register_update);
@@ -533,7 +407,7 @@ impl Detector for HardMachine {
             TraceEvent::Op { thread, op } => match op {
                 Op::Read { .. } | Op::Write { .. } => {
                     if let Some(a) = Access::of(event) {
-                        self.on_access(index, a);
+                        self.access(index, a);
                     }
                 }
                 Op::Lock { lock, .. } => self.on_lock_op(thread, lock, true),
@@ -572,11 +446,9 @@ impl Detector for HardMachine {
     }
 
     fn on_batch(&mut self, index: usize, events: &[TraceEvent]) {
-        // The batch kernel only specializes the fault-free hot path;
-        // under fault injection every per-event fault tick must
-        // interleave exactly as in the scalar path, so delegate to it
-        // wholesale. Recorder calls need no delegation: the prepared
-        // path makes the scalar path's calls in the scalar path's order.
+        // Under fault injection a fault tick precedes every event, so
+        // the window runs per event through `on_event`; the access
+        // path itself is the same `access_line` either way.
         if self.faults.is_active() {
             for (i, e) in events.iter().enumerate() {
                 self.on_event(index + i, e);
@@ -600,82 +472,91 @@ impl Windowed for HardMachine {
         &mut self.window
     }
 
-    fn access(&mut self, index: usize, a: Access) {
-        self.on_access(index, a);
-    }
-
-    /// The batch kernel's access path: the metadata reached through the
-    /// fused prepared probe, and the per-granule Figure 2 transition +
-    /// §3.3 intersect + emptiness test run as one
+    /// The machine's one access path, per-event, batched and
+    /// fault-armed alike: the line reached through the fused
+    /// [`Hierarchy::access_prepared`] probe, then the per-granule
+    /// Figure 2 transition + §3.3 intersect + emptiness test as one
     /// [`PackedLineMeta`](hard_lockset::PackedLineMeta) span access
-    /// through the lane kernel.
-    ///
-    /// Only entered with faults inactive; on that domain it is
-    /// bit-identical to the scalar path, recorder calls included
-    /// (pinned by the machine tests and the harness determinism
-    /// tests).
-    fn access_prepared(&mut self, index: usize, a: Access, line_addr: Addr, set: usize) {
+    /// through the lane kernel, then the §3.4 broadcast.
+    fn access_line(&mut self, index: usize, a: Access, line: Addr, set: usize) {
         let core = self.core_of(a.thread);
+        let faults_active = self.faults.is_active();
+        if faults_active {
+            self.repair_register_if_corrupt(a.thread);
+        }
+        let (lo, len) = a.clip(line, self.hierarchy.line_bytes());
         let gshift = self.cfg.granularity.shift();
-        let g0 = ((a.addr.0 - line_addr.0) >> gshift) as usize;
-        let g1 = if a.size == 0 {
-            // `granules_in` treats an empty range as its base granule.
-            g0 + 1
-        } else {
-            ((a.end() - 1 - line_addr.0) >> gshift) as usize + 1
-        };
-        // Hoisted before the hierarchy call (neither touches registers
-        // or the kernel selection, so the reorder is pure).
+        let g0 = ((lo.0 - line.0) >> gshift) as usize;
+        // An empty access covers its base granule.
+        let g1 = ((lo.0 + len.saturating_sub(1) - line.0) >> gshift) as usize + 1;
         let held = self.registers[a.thread.index()].vector();
         let kernel = self.kernel;
-        // One fused hierarchy walk replaces the scalar ensure-probe +
-        // metadata-probe pair; same coherence actions, same LRU
-        // charges, L1 hits deferred to the per-window flush.
-        let (r, span) = match self.hierarchy.access_prepared(core, line_addr, set, a.kind) {
-            Ok((r, meta)) => {
-                let span = meta.access_span(g0, g1, a.thread, a.kind, &held, kernel);
-                if self.obs.is_on() {
-                    // The scalar path's per-granule recorder calls, in
-                    // its order, read back from the updated line.
-                    for gi in g0..g1 {
-                        self.obs
-                            .histogram(HistId::BloomPopulation, u64::from(meta.population(gi)));
-                        if span.race_mask & (1 << (gi - g0)) != 0 {
-                            self.obs.emit(|| Event::CandidateEmpty {
-                                line: line_addr.0,
-                                granule: gi as u32,
-                                thread: a.thread.0,
-                            });
-                        }
-                    }
-                }
-                (r, span)
-            }
-            Err(_) => {
-                // Only reachable under injected faults in the scalar
-                // path; kept for structural parity.
-                self.faults.stats.internal_errors += 1;
-                return;
-            }
+        let Ok((r, meta)) = self.hierarchy.access_prepared(core, line, set, a.kind) else {
+            // Only reachable under injected faults: skip the line.
+            self.faults.stats.internal_errors += 1;
+            return;
         };
+        // Reading a metadata word checks its parity. A mismatch means a
+        // strike landed since the last read: fall back to the safe
+        // state the hardware fetches lines with (§3.1) — all-ones
+        // candidate set, no sharing history — rather than trust corrupt
+        // evidence. The side table is only ever populated while faults
+        // are active, so the fault-free path skips the lookup.
+        let mut reset = 0u64;
+        if faults_active {
+            for gi in g0..g1 {
+                if self.corrupt_meta.remove(&(line, gi)) {
+                    meta.degrade(gi);
+                    self.faults.stats.parity_detections += 1;
+                    self.faults.stats.conservative_resets += 1;
+                    reset |= 1 << gi;
+                }
+            }
+        }
+        let span = meta.access_span(g0, g1, a.thread, a.kind, &held, kernel);
+        if self.obs.is_on() {
+            // Per granule, in granule order: the reset, the updated
+            // candidate set's population, its emptiness.
+            for gi in g0..g1 {
+                if reset & (1 << gi) != 0 {
+                    self.obs.counter(CounterId::ConservativeResets, 1);
+                    self.obs.emit(|| Event::ConservativeReset {
+                        line: line.0,
+                        granule: gi as u32,
+                    });
+                }
+                self.obs
+                    .histogram(HistId::BloomPopulation, u64::from(meta.population(gi)));
+                if span.race_mask & (1 << (gi - g0)) != 0 {
+                    self.obs.emit(|| Event::CandidateEmpty {
+                        line: line.0,
+                        granule: gi as u32,
+                        thread: a.thread.0,
+                    });
+                }
+            }
+        }
         // Charging after the span is unobservable: the span kernel
         // never reads the clocks and the bus never reads the metadata,
         // and the broadcast below still sees the updated core time.
         self.cmp.charge(core, &r, true);
-        // Faults are inactive on this path: the broadcast always
-        // attempts delivery (no drop/delay rolls).
+        // §3.4 keeps candidate sets AND LStates consistent across
+        // copies, so any metadata change on a shared line is broadcast
+        // — pure state transitions and the safe state of a reset
+        // included.
         if self.cfg.metadata_broadcast
-            && span.changed
-            && self.hierarchy.shared_beyond(core, line_addr)
+            && (span.changed || reset != 0)
+            && self.hierarchy.shared_beyond(core, line)
+            && (!faults_active || self.broadcast_survives_faults(core, line))
         {
-            self.broadcast(core, line_addr);
+            self.broadcast(core, line);
         }
         self.log.record_observed(
             &self.obs,
             CounterId::RacesReported,
             index,
             &a,
-            line_addr,
+            line,
             u64::from(span.race_mask) << g0,
         );
         if self.obs.is_on() {
@@ -686,10 +567,6 @@ impl Windowed for HardMachine {
                 self.obs.counter(CounterId::CandidateEmpties, empties);
             }
         }
-    }
-
-    fn flush_deferred_stats(&mut self) {
-        self.hierarchy.flush_deferred_stats();
     }
 }
 
@@ -1129,7 +1006,7 @@ mod tests {
         use hard_trace::run_detector_batched;
         use std::sync::Arc;
         let trace = crate::cmp::mixed_workload();
-        // Fault-injected runs take the scalar delegation path.
+        // Fault-injected windows run per event.
         let cfg = HardConfig::default().with_faults(FaultPlan::uniform(13, 60_000));
         let mut scalar = HardMachine::new(cfg);
         let r_scalar = run_detector(&mut scalar, &trace);
@@ -1138,8 +1015,8 @@ mod tests {
         assert_eq!(r_scalar, r_batched);
         assert_eq!(scalar.fault_stats(), batched.fault_stats());
         assert_eq!(scalar.total_cycles(), batched.total_cycles());
-        // Observed runs keep the batched path and make the scalar
-        // path's recorder calls: identical counters, histograms and
+        // Observed runs keep the batched path and make the per-event
+        // run's recorder calls: identical counters, histograms and
         // event stream.
         let rec_s = Arc::new(MemoryRecorder::new());
         let mut m_s = HardMachine::new(HardConfig::default());

@@ -257,7 +257,7 @@ pub fn score(run: &DetectorRun, injection: &Injection) -> BugOutcome {
     let detected = run
         .reports
         .iter()
-        .any(|r| injection.overlaps(r.addr, Addr(r.addr.0 + u64::from(r.size))));
+        .any(|r| injection.overlaps(r.addr, Addr(r.addr.0.saturating_add(u64::from(r.size)))));
     if detected {
         BugOutcome::Detected
     } else if run.meta_lost.iter().any(|&l| l) {
@@ -498,6 +498,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reports_at_the_top_of_the_address_space_score_without_wrapping() {
+        use hard_trace::RaceReport;
+        use hard_types::{AccessKind, LockId, ThreadId};
+        let top = Addr(u64::MAX - 1);
+        let inj = |addr| Injection {
+            section: hard_workloads::CriticalSection {
+                thread: ThreadId(0),
+                lock: LockId(0x40),
+                lock_index: 0,
+                unlock_index: 2,
+                exposed_accesses: vec![(addr, 4, AccessKind::Write)],
+            },
+        };
+        let run = DetectorRun {
+            reports: vec![RaceReport {
+                addr: top,
+                size: 4,
+                site: SiteId(1),
+                thread: ThreadId(1),
+                kind: AccessKind::Write,
+                event_index: 0,
+            }],
+            meta_lost: vec![false],
+        };
+        assert_eq!(score(&run, &inj(top)), BugOutcome::Detected);
+        assert_eq!(score(&run, &inj(Addr(0))), BugOutcome::Missed);
     }
 
     #[test]

@@ -258,6 +258,25 @@ pub struct StreamHeader {
     pub payload_fnv: u64,
 }
 
+/// Bytes of a header's fixed prefix: magic, thread count, event count
+/// and `inj_len`.
+pub const HEADER_PREFIX: usize = 24;
+
+/// Length of the whole header — prefix, injection and both checksums —
+/// that a header's first [`HEADER_PREFIX`] bytes announce; `None` if it
+/// overflows `usize`.
+///
+/// # Panics
+///
+/// Panics if `prefix` is shorter than [`HEADER_PREFIX`].
+#[must_use]
+pub fn header_len(prefix: &[u8]) -> Option<usize> {
+    let inj_len = u32::from_le_bytes(prefix[20..24].try_into().expect("4 bytes"));
+    HEADER_PREFIX
+        .checked_add(usize::try_from(inj_len).ok()?)?
+        .checked_add(16)
+}
+
 /// Parses and checksums a `HARDCRP1` header, returning it plus the
 /// payload offset. Public because `hard-serve` ingests the same
 /// format over the wire and must validate the header before detection
@@ -276,34 +295,25 @@ pub fn parse_header(bytes: &[u8]) -> Result<(StreamHeader, usize), String> {
             Ok(())
         }
     };
-    need(24)?;
+    need(HEADER_PREFIX)?;
     if &bytes[..8] != CORPUS_MAGIC {
         return Err("bad magic".into());
     }
     let num_threads = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     let events = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let inj_len = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes")) as usize;
-    let header_end = 24usize
-        .checked_add(inj_len)
-        .and_then(|n| n.checked_add(16))
-        .ok_or("absurd injection length")?;
+    let header_end = header_len(bytes).ok_or("absurd injection length")?;
     need(header_end)?;
-    let injection = if inj_len == 0 {
+    // The injection, then the payload checksum, then the header's own.
+    let inj_end = header_end - 16;
+    let injection = if inj_end == HEADER_PREFIX {
         None
     } else {
-        Some(decode_injection(&bytes[24..24 + inj_len])?)
+        Some(decode_injection(&bytes[HEADER_PREFIX..inj_end])?)
     };
-    let payload_fnv = u64::from_le_bytes(
-        bytes[24 + inj_len..32 + inj_len]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    let header_fnv = u64::from_le_bytes(
-        bytes[32 + inj_len..40 + inj_len]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    if codec::fnv1a(&bytes[..32 + inj_len]) != header_fnv {
+    let payload_fnv = u64::from_le_bytes(bytes[inj_end..inj_end + 8].try_into().expect("8 bytes"));
+    let header_fnv =
+        u64::from_le_bytes(bytes[inj_end + 8..header_end].try_into().expect("8 bytes"));
+    if codec::fnv1a(&bytes[..inj_end + 8]) != header_fnv {
         return Err("header checksum mismatch".into());
     }
     // Checked after the checksum, so a flipped bit reads as damage.
@@ -399,28 +409,22 @@ pub fn read_file(path: &Path) -> Result<(Arc<PackedTrace>, Option<Injection>), S
 pub fn open_streamed(path: &Path) -> Result<(StreamHeader, ChunkedReader), String> {
     let mut f =
         std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    // The header is tiny (tens of bytes); read generously, then reopen
-    // the payload at its exact offset via a second handle-free seek.
-    let mut head = vec![0u8; 4096];
-    let mut filled = 0;
-    loop {
-        match f.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                filled += n;
-                if filled == head.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        }
+    // Read the fixed prefix, then exactly the rest of the header it
+    // announces: the file is left at the first record, and a lying
+    // injection length costs at most the file's own bytes.
+    let mut head = Vec::with_capacity(HEADER_PREFIX);
+    let mut read = |head: &mut Vec<u8>, n: usize| {
+        (&mut f)
+            .take(n as u64)
+            .read_to_end(head)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))
+    };
+    read(&mut head, HEADER_PREFIX)?;
+    if head.len() == HEADER_PREFIX {
+        let rest = header_len(&head).map_or(0, |n| n - HEADER_PREFIX);
+        read(&mut head, rest)?;
     }
-    head.truncate(filled);
-    let (header, payload_at) = parse_header(&head)?;
-    use std::io::Seek;
-    f.seek(std::io::SeekFrom::Start(payload_at as u64))
-        .map_err(|e| format!("cannot seek {}: {e}", path.display()))?;
+    let (header, _) = parse_header(&head)?;
     Ok((header, ChunkedReader::spawn(f, DEFAULT_CHUNK_RECORDS)))
 }
 
@@ -739,6 +743,44 @@ mod tests {
         }
         assert_eq!(fnv, header.payload_fnv);
         assert_eq!(bytes, packed.bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A header longer than any fixed read-ahead — a 500-access
+    /// injection is a ~5 KB blob — streams exactly as it reads whole.
+    #[test]
+    fn long_injection_headers_stream_like_whole_reads() {
+        let dir = temp_dir("longinj");
+        let path = dir.join("l.crp");
+        let mut b = ProgramBuilder::new(1);
+        b.thread(0).write(Addr(0x1000), 4, SiteId(1));
+        let packed =
+            PackedTrace::from_trace(&Scheduler::new(SchedConfig::default()).run(&b.build()))
+                .unwrap();
+        let mut injection = sample_injection();
+        injection.section.exposed_accesses = (0..500u64)
+            .map(|i| (Addr(0x1000 + i * 8), 8, AccessKind::Write))
+            .collect();
+        write_file(&path, &packed, Some(&injection)).unwrap();
+        let (whole, whole_inj) = read_file(&path).unwrap();
+        assert_eq!(whole_inj.as_ref(), Some(&injection));
+        let kind = crate::DetectorKind::parse("hard").unwrap();
+        let want = crate::detectors::execute(&kind, &whole.to_trace(), &[]);
+        let (header, mut reader) = open_streamed(&path).unwrap();
+        assert_eq!(header.injection, Some(injection));
+        let (got, events, fnv) =
+            crate::execute_streamed(&kind, header.num_threads as usize, &mut reader).unwrap();
+        assert_eq!((events, fnv), (header.events, header.payload_fnv));
+        assert_eq!(got.reports, want.reports);
+
+        // Cut inside the blob: header damage, streamed or whole.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..HEADER_PREFIX + 3000]).unwrap();
+        let streamed = open_streamed(&path).map(|_| ()).unwrap_err();
+        let read = read_file(&path).map(|_| ()).unwrap_err();
+        for err in [streamed, read] {
+            assert!(err.starts_with("truncated header"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -276,6 +276,48 @@ mod tests {
         }
     }
 
+    /// Per-event and windowed dispatch agree on the campaign's own
+    /// traces: every Table 2 cell (race-free and injected, all apps)
+    /// under the four Table 2 detectors — reports and metadata loss for
+    /// each, memory statistics for both machines and cycles for HARD.
+    /// Two apps run at a time.
+    #[test]
+    fn per_event_and_batched_dispatch_agree_on_table2_cells() {
+        use crate::campaign::{injected_trace, per_app, probes, race_free_trace, CampaignConfig};
+        use hard_trace::{run_detector, run_detector_batched};
+        fn machine_state(d: &AnyDetector) -> Option<(hard_cache::MemStats, u64)> {
+            match d {
+                AnyDetector::Hard(m) => Some((*m.stats(), m.total_cycles().0)),
+                AnyDetector::HbHw(m) => Some((*m.stats(), 0)),
+                _ => None,
+            }
+        }
+        let cfg = CampaignConfig::reduced(0.2, 4);
+        let cells = per_app(2, |app| {
+            let mut cells = vec![(race_free_trace(app, &cfg), Vec::new())];
+            cells.extend((0..cfg.runs).map(|run| {
+                let (trace, injection) = injected_trace(app, &cfg, run);
+                (trace, probes(&injection))
+            }));
+            for (cell, (trace, probes)) in cells.iter().enumerate() {
+                for kind in crate::experiments::table2::detector_set() {
+                    let obs = ObsHandle::off();
+                    let mut per_event = AnyDetector::build(&kind, trace.num_threads, &obs);
+                    let mut batched = AnyDetector::build(&kind, trace.num_threads, &obs);
+                    run_detector(&mut per_event, trace);
+                    run_detector_batched(&mut batched, trace);
+                    let what = format!("{app} cell {cell} {kind}");
+                    assert_eq!(machine_state(&per_event), machine_state(&batched), "{what}");
+                    let (p, b) = (per_event.finish(probes), batched.finish(probes));
+                    assert_eq!(p.reports, b.reports, "{what}");
+                    assert_eq!(p.meta_lost, b.meta_lost, "{what}");
+                }
+            }
+            cells.len()
+        });
+        assert_eq!(cells.iter().sum::<usize>(), 6 * 5, "every cell was checked");
+    }
+
     #[test]
     fn labels_are_distinct() {
         let labels = [

@@ -99,7 +99,7 @@
 
 #![warn(missing_docs)]
 
-use hard_harness::corpus::{parse_header, StreamHeader, CORPUS_MAGIC};
+use hard_harness::corpus::{header_len, parse_header, StreamHeader, CORPUS_MAGIC, HEADER_PREFIX};
 use hard_harness::service::send_frame;
 use hard_harness::{DetectorKind, ReportBody, StreamFeeder};
 use hard_obs::{CounterId, Event, GaugeId, HistId, ObsHandle};
@@ -1085,12 +1085,7 @@ impl Ingest {
                         IngestState::Failed("upload is not a HARDCRP1 corpus stream".into());
                     return;
                 }
-                if head.len() < 24 {
-                    return;
-                }
-                let inj_len =
-                    u32::from_le_bytes(head[20..24].try_into().expect("4 bytes")) as usize;
-                if head.len() < 24 + inj_len + 16 {
+                if head.len() < HEADER_PREFIX || header_len(head).is_some_and(|n| head.len() < n) {
                     return;
                 }
                 std::mem::take(head)

@@ -33,11 +33,12 @@ pub struct RaceReport {
 impl RaceReport {
     /// True if the triggering access overlaps the byte range
     /// `[lo, hi)` — used to match reports against an injected race's
-    /// target data.
+    /// target data. An access running past the top of the address
+    /// space ends there.
     #[must_use]
     pub fn overlaps(&self, lo: Addr, hi: Addr) -> bool {
         let a0 = self.addr.0;
-        let a1 = a0 + u64::from(self.size);
+        let a1 = a0.saturating_add(u64::from(self.size));
         a0 < hi.0 && lo.0 < a1
     }
 }
@@ -187,6 +188,23 @@ mod tests {
     use crate::packed_event::PackedTrace;
     use crate::program::ProgramBuilder;
     use crate::sched::{SchedConfig, Scheduler};
+
+    #[test]
+    fn reports_at_the_top_of_the_address_space_overlap_without_wrapping() {
+        let r = RaceReport {
+            addr: Addr(u64::MAX - 1),
+            size: 4,
+            site: SiteId(1),
+            thread: ThreadId(0),
+            kind: AccessKind::Write,
+            event_index: 0,
+        };
+        assert!(r.overlaps(Addr(u64::MAX - 1), Addr(u64::MAX)));
+        assert!(
+            !r.overlaps(Addr(0), Addr(16)),
+            "the access does not wrap to 0"
+        );
+    }
 
     /// Records every (index, event) pair it sees.
     #[derive(Default)]

@@ -206,13 +206,14 @@ pub struct Injection {
 
 impl Injection {
     /// True if the byte range `[lo, hi)` overlaps any target access of
-    /// the injected race.
+    /// the injected race. An access running past the top of the address
+    /// space ends there.
     #[must_use]
     pub fn overlaps(&self, lo: Addr, hi: Addr) -> bool {
         self.section
             .exposed_accesses
             .iter()
-            .any(|&(a, s, _)| a.0 < hi.0 && lo.0 < a.0 + u64::from(s))
+            .any(|&(a, s, _)| a.0 < hi.0 && lo.0 < a.0.saturating_add(u64::from(s)))
     }
 }
 
@@ -332,6 +333,24 @@ mod tests {
 
     fn site(n: u32) -> SiteId {
         SiteId(n)
+    }
+
+    #[test]
+    fn targets_at_the_top_of_the_address_space_overlap_without_wrapping() {
+        let inj = Injection {
+            section: CriticalSection {
+                thread: ThreadId(0),
+                lock: LockId(0x40),
+                lock_index: 0,
+                unlock_index: 2,
+                exposed_accesses: vec![(Addr(u64::MAX - 1), 4, AccessKind::Write)],
+            },
+        };
+        assert!(inj.overlaps(Addr(u64::MAX - 1), Addr(u64::MAX)));
+        assert!(
+            !inj.overlaps(Addr(0), Addr(16)),
+            "the access does not wrap to 0"
+        );
     }
 
     fn sample() -> Program {
