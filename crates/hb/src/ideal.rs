@@ -4,7 +4,9 @@
 use crate::meta::{hb_access, LineClocks};
 use crate::sync::SyncClocks;
 use hard_trace::{Detector, Op, RaceReport, TraceEvent};
-use hard_types::{AccessKind, Addr, FastHashMap, FastHashSet, Granularity, SiteId, ThreadId};
+use hard_types::{
+    reserve_early, AccessKind, Addr, FastHashSet, Granularity, PlacementHashMap, SiteId, ThreadId,
+};
 
 /// Configuration of the ideal happens-before detector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,7 +33,7 @@ impl IdealHbConfig {
 pub struct IdealHappensBefore {
     cfg: IdealHbConfig,
     sync: SyncClocks,
-    granules: FastHashMap<Addr, LineClocks>,
+    granules: PlacementHashMap<Addr, LineClocks>,
     reports: Vec<RaceReport>,
     reported: FastHashSet<(Addr, SiteId)>,
 }
@@ -45,12 +47,12 @@ impl IdealHappensBefore {
             sync: SyncClocks::new(cfg.num_threads),
             // Sized for the largest reduced-scale workloads (~100k live
             // granules): growing from empty would re-hash the whole
-            // table ~15 times. The reservation is not free: hashing
-            // scatters even a few thousand granules over most of the
-            // table's pages, so all 2^18 buckets are resident for every
-            // app, and the record size sets the footprint (a 40 B
-            // bucket: 10 MiB).
-            granules: FastHashMap::with_capacity_and_hasher(1 << 17, Default::default()),
+            // table ~15 times. Placement hashing keeps each region's
+            // granules in consecutive buckets, so only the pages under
+            // the touched runs (plus the control bytes) become
+            // resident; a wide footprint still touches most of the
+            // 2^18 buckets of 40 B (10 MiB).
+            granules: PlacementHashMap::with_capacity_and_hasher(1 << 17, Default::default()),
             reports: Vec::new(),
             reported: FastHashSet::default(),
         }
@@ -82,6 +84,7 @@ impl IdealHappensBefore {
         // Field-disjoint borrows: the clock is read from `sync` while
         // the granule table is updated — no per-access clock clone.
         let clock = self.sync.thread(thread);
+        reserve_early(&mut self.granules);
         for g in gran.granules_in(addr, u64::from(size)) {
             let meta = self.granules.entry(g).or_insert_with(|| LineClocks::new(n));
             let out = hb_access(meta, thread, clock, kind);

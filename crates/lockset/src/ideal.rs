@@ -8,8 +8,10 @@
 
 use crate::meta::{dummy_lock, fork_transfer, lockset_access, GranuleMeta};
 use hard_bloom::ExactSet;
-use hard_trace::{Detector, Op, RaceReport, TraceEvent};
-use hard_types::{AccessKind, Addr, FastHashMap, FastHashSet, Granularity, SiteId, ThreadId};
+use hard_trace::{Detector, Op, RaceReport, TraceEvent, MAX_TRACE_EVENTS};
+use hard_types::{
+    reserve_early, AccessKind, Addr, FastHashSet, Granularity, PlacementHashMap, SiteId, ThreadId,
+};
 
 /// Configuration of the ideal lockset detector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,6 +56,19 @@ fn apply_flash(meta: &mut GranuleMeta<ExactSet>, op: FlashOp) {
     }
 }
 
+/// `len` as a [`Tracked::applied`] cursor. A validated trace holds at
+/// most [`MAX_TRACE_EVENTS`] events and so fewer flash ops than
+/// `u32::MAX`; an unvalidated one past that bound panics rather than
+/// wrap and replay old ops onto a granule.
+fn cursor32(len: usize) -> u32 {
+    #[cold]
+    #[inline(never)]
+    fn overflow(len: usize) -> ! {
+        panic!("{len} flash ops exceed 32 bits: a trace may hold at most {MAX_TRACE_EVENTS} events")
+    }
+    u32::try_from(len).unwrap_or_else(|_| overflow(len))
+}
+
 /// One tracked granule: its metadata plus the number of [`FlashOp`]s
 /// already folded in. A granule is logically up to date iff `applied`
 /// equals the log length; granules created after an op was logged start
@@ -69,7 +84,7 @@ struct Tracked {
 #[derive(Debug)]
 pub struct IdealLockset {
     cfg: IdealLocksetConfig,
-    granules: FastHashMap<Addr, Tracked>,
+    granules: PlacementHashMap<Addr, Tracked>,
     flash_ops: Vec<FlashOp>,
     held: Vec<ExactSet>,
     reports: Vec<RaceReport>,
@@ -84,12 +99,12 @@ impl IdealLockset {
             cfg,
             // Sized for the largest reduced-scale workloads (~100k live
             // granules): growing from empty would re-hash the whole
-            // table ~15 times. The reservation is not free: hashing
-            // scatters even a few thousand granules over most of the
-            // table's pages, so all 2^18 buckets are resident for every
-            // app, and the record size sets the footprint (a 48 B
-            // bucket: 12 MiB).
-            granules: FastHashMap::with_capacity_and_hasher(1 << 17, Default::default()),
+            // table ~15 times. Placement hashing keeps each region's
+            // granules in consecutive buckets, so only the pages under
+            // the touched runs (plus the control bytes) become
+            // resident; a wide footprint still touches most of the
+            // 2^18 buckets of 48 B (12 MiB).
+            granules: PlacementHashMap::with_capacity_and_hasher(1 << 17, Default::default()),
             flash_ops: Vec::new(),
             held: Vec::new(),
             reports: Vec::new(),
@@ -141,18 +156,19 @@ impl IdealLockset {
             self.held.resize(thread.index() + 1, ExactSet::empty());
         }
         let gran = self.cfg.granularity;
+        reserve_early(&mut self.granules);
         for g in gran.granules_in(addr, u64::from(size)) {
             let ops = &self.flash_ops;
             let t = self.granules.entry(g).or_insert_with(|| Tracked {
                 meta: GranuleMeta::virgin(()),
-                applied: ops.len() as u32,
+                applied: cursor32(ops.len()),
             });
             // Replay whole-store ops logged since this granule was last
             // touched, in order (usually none).
             for &op in &ops[t.applied as usize..] {
                 apply_flash(&mut t.meta, op);
             }
-            t.applied = ops.len() as u32;
+            t.applied = cursor32(ops.len());
             let meta = &mut t.meta;
             let outcome = lockset_access(meta, thread, kind, &self.held[thread.index()]);
             if outcome.race && self.reported.insert((g, site)) {
@@ -390,8 +406,8 @@ mod tests {
         assert!(reports.len() <= 2, "at most one alarm per involved site");
     }
 
-    /// Pins the per-granule record: with 2^18 buckets resident, each
-    /// byte of it is 256 KiB of every run's footprint.
+    /// Pins the per-granule record: with all 2^18 buckets resident,
+    /// each byte of it is 256 KiB of a wide run's footprint.
     #[test]
     fn tracked_record_stays_small() {
         assert!(std::mem::size_of::<Tracked>() <= 40);
@@ -409,5 +425,17 @@ mod tests {
         assert_eq!(d.tracked_granules(), 8);
         assert!(d.granule_meta(Addr(0)).is_some());
         assert!(d.granule_meta(Addr(0x1000)).is_none());
+    }
+
+    #[test]
+    fn flash_cursor_narrows_exactly_up_to_32_bits() {
+        assert_eq!(cursor32(0), 0);
+        assert_eq!(cursor32(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "a trace may hold at most 4294967294 events")]
+    fn flash_cursor_past_32_bits_panics_naming_the_bound() {
+        let _ = cursor32(u32::MAX as usize + 1);
     }
 }

@@ -32,6 +32,8 @@ pub mod rng;
 
 pub use error::HardError;
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
-pub use hashers::{FastHashMap, FastHashSet, FastHasher};
+pub use hashers::{
+    reserve_early, FastHashMap, FastHashSet, FastHasher, PlacementHashMap, PlacementHasher,
+};
 pub use ids::{AccessKind, Addr, BarrierId, CoreId, Cycles, Granularity, LockId, SiteId, ThreadId};
 pub use rng::Xoshiro256;
