@@ -147,16 +147,17 @@ fn bench_replay_paths(c: &mut Criterion) {
 
 /// The batch kernel's lane-width ladder, at two levels.
 ///
-/// `intersect64-*` prices the raw fused intersect + emptiness kernel
-/// over a full [`MAX_LANE_WORDS`]-word (64-granule) chunk per call —
-/// the pure lane-width spread (scalar / unroll×4 / SIMD) with no
-/// machine model around it. `scalar-dispatch` vs `batch-*` then runs
-/// the same trace through the whole HARD machine, where the MESI +
-/// timing model dilutes the kernel win. All variants at both levels
-/// are bit-identical.
+/// `intersect8-*` prices the raw fused intersect + emptiness kernel
+/// over a [`MAX_GRANULES`]-word span per call — the longest span a
+/// line access hands it — for each lane width (unroll×4 / SIMD) with
+/// no machine model around it. `per-event-dispatch` vs `batch-*` then
+/// runs the same trace through the whole HARD machine, where the
+/// MESI + timing model dilutes the kernel win. All variants at both
+/// levels are bit-identical.
 fn bench_batch_lane_width(c: &mut Criterion) {
-    use hard_bloom::lanes::{self, MAX_LANE_WORDS};
+    use hard_bloom::lanes;
     use hard_bloom::BloomShape;
+    use hard_lockset::MAX_GRANULES;
     let t = trace(App::WaterNsquared);
     let mut g = c.benchmark_group("detectors/batch-lane-width");
     g.sample_size(15);
@@ -168,11 +169,11 @@ fn bench_batch_lane_width(c: &mut Criterion) {
     // performs at construction time.
     {
         let seed = 0x9e37_79b9_7f4a_7c15u64;
-        g.throughput(criterion::Throughput::Elements(MAX_LANE_WORDS as u64));
-        g.bench_function("intersect64-pr4-scalar", |b| {
+        g.throughput(criterion::Throughput::Elements(MAX_GRANULES as u64));
+        g.bench_function("intersect8-pr4-scalar", |b| {
             b.iter_batched(
                 || {
-                    let mut words = [0u64; MAX_LANE_WORDS];
+                    let mut words = [0u64; MAX_GRANULES];
                     let mut x = seed;
                     for w in &mut words {
                         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -201,15 +202,15 @@ fn bench_batch_lane_width(c: &mut Criterion) {
             )
         });
     }
-    for kernel in [LaneKernel::Scalar, LaneKernel::Unroll4, LaneKernel::Simd] {
-        g.throughput(criterion::Throughput::Elements(MAX_LANE_WORDS as u64));
-        g.bench_function(format!("intersect64-{kernel:?}").to_lowercase(), |b| {
+    for kernel in [LaneKernel::Unroll4, LaneKernel::Simd] {
+        g.throughput(criterion::Throughput::Elements(MAX_GRANULES as u64));
+        g.bench_function(format!("intersect8-{kernel:?}").to_lowercase(), |b| {
             // Realistic metadata words: a few candidate bits set per
             // part, lock word with two held locks.
             let seed = 0x9e37_79b9_7f4a_7c15u64;
             b.iter_batched(
                 || {
-                    let mut words = [0u64; MAX_LANE_WORDS];
+                    let mut words = [0u64; MAX_GRANULES];
                     let mut x = seed;
                     for w in &mut words {
                         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -223,18 +224,17 @@ fn bench_batch_lane_width(c: &mut Criterion) {
         });
     }
     g.throughput(criterion::Throughput::Elements(t.len() as u64));
-    g.bench_function("scalar-dispatch", |b| {
+    g.bench_function("per-event-dispatch", |b| {
         b.iter_batched(
             || HardMachine::new(HardConfig::default()),
             |mut m| {
-                m.set_lane_kernel(LaneKernel::Scalar);
                 run_detector(&mut m, &t);
                 m
             },
             BatchSize::SmallInput,
         )
     });
-    for kernel in [LaneKernel::Scalar, LaneKernel::Unroll4, LaneKernel::Simd] {
+    for kernel in [LaneKernel::Unroll4, LaneKernel::Simd] {
         g.bench_function(format!("batch-{kernel:?}").to_lowercase(), |b| {
             b.iter_batched(
                 || HardMachine::new(HardConfig::default()),

@@ -8,9 +8,8 @@
 //! computes — and the kernels here are interchangeable without
 //! affecting detection output.
 //!
-//! Three implementations share one contract ([`intersect_empty`]):
+//! Two implementations share one contract ([`intersect_empty`]):
 //!
-//! * [`LaneKernel::Scalar`] — the reference loop, one word at a time.
 //! * [`LaneKernel::Unroll4`] — four independent scalar lanes per
 //!   iteration; portable to every target, gives the compiler free rein
 //!   to schedule (and often auto-vectorize) the lanes.
@@ -19,8 +18,9 @@
 //!   available, so the variant is always safe to select.
 //!
 //! [`LaneKernel::auto`] picks the widest kernel the running CPU
-//! supports. Equivalence across kernels is pinned by exhaustive tests
-//! here and by the batch-vs-scalar proptests in `crates/lockset`.
+//! supports. Both are pinned to a per-word reference loop by
+//! exhaustive tests here, and to `PackedLineMeta::access` by the
+//! span proptests in `crates/lockset`.
 
 use crate::BloomShape;
 
@@ -35,8 +35,6 @@ pub const MAX_LANE_WORDS: usize = 64;
 /// run. All variants produce bit-identical results.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LaneKernel {
-    /// One word at a time (the reference loop).
-    Scalar,
     /// Four independent scalar lanes per iteration.
     Unroll4,
     /// Explicit 4×64-bit SIMD lanes (AVX2 on `x86_64`), falling back
@@ -60,7 +58,6 @@ impl LaneKernel {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            LaneKernel::Scalar => "scalar",
             LaneKernel::Unroll4 => "unroll4",
             LaneKernel::Simd => "simd",
         }
@@ -85,7 +82,6 @@ pub fn intersect_empty(kernel: LaneKernel, shape: BloomShape, words: &mut [u64],
         words.len()
     );
     match kernel {
-        LaneKernel::Scalar => intersect_empty_scalar(shape, words, held),
         LaneKernel::Unroll4 => intersect_empty_unroll4(shape, words, held),
         LaneKernel::Simd => {
             #[cfg(target_arch = "x86_64")]
@@ -96,15 +92,6 @@ pub fn intersect_empty(kernel: LaneKernel, shape: BloomShape, words: &mut [u64],
             intersect_empty_unroll4(shape, words, held)
         }
     }
-}
-
-fn intersect_empty_scalar(shape: BloomShape, words: &mut [u64], held: u64) -> u64 {
-    let mut mask = 0u64;
-    for (i, w) in words.iter_mut().enumerate() {
-        *w &= held;
-        mask |= u64::from(shape.has_empty_part(*w)) << i;
-    }
-    mask
 }
 
 fn intersect_empty_unroll4(shape: BloomShape, words: &mut [u64], held: u64) -> u64 {
@@ -141,7 +128,7 @@ fn intersect_empty_unroll4(shape: BloomShape, words: &mut [u64], held: u64) -> u
 }
 
 /// The AVX2 lane kernel: four 64-bit words per iteration, computing the
-/// same wrapping-sub/and-not identity the scalar loop does.
+/// same wrapping-sub/and-not identity `Unroll4` computes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn intersect_empty_avx2(shape: BloomShape, words: &mut [u64], held: u64) -> u64 {
@@ -203,7 +190,7 @@ unsafe fn intersect_empty_avx2(shape: BloomShape, words: &mut [u64], held: u64) 
 mod tests {
     use super::*;
 
-    const KERNELS: [LaneKernel; 3] = [LaneKernel::Scalar, LaneKernel::Unroll4, LaneKernel::Simd];
+    const KERNELS: [LaneKernel; 2] = [LaneKernel::Unroll4, LaneKernel::Simd];
 
     fn lcg(state: &mut u64) -> u64 {
         *state = state
@@ -251,7 +238,7 @@ mod tests {
             let _ = intersect_empty(kernel, shape, &mut w, u64::MAX);
             assert_eq!(w, expect, "{}", kernel.name());
         }
-        let _ = intersect_empty(LaneKernel::Scalar, shape, &mut words, 0);
+        let _ = intersect_empty(LaneKernel::Unroll4, shape, &mut words, 0);
         assert!(words.iter().all(|&w| w == 0));
     }
 
@@ -266,6 +253,6 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn oversized_slices_are_rejected() {
         let mut words = vec![0u64; MAX_LANE_WORDS + 1];
-        let _ = intersect_empty(LaneKernel::Scalar, BloomShape::B16, &mut words, 0);
+        let _ = intersect_empty(LaneKernel::Unroll4, BloomShape::B16, &mut words, 0);
     }
 }

@@ -225,10 +225,10 @@ proptest! {
     }
 
     /// Every lane kernel computes bit-identically to the per-word
-    /// scalar path — intersected words and empty-part mask both — for
-    /// arbitrary word slices, held vectors and lane widths.
+    /// reference loop — intersected words and empty-part mask both —
+    /// for arbitrary word slices, held vectors and lane widths.
     #[test]
-    fn lane_kernels_match_scalar_intersect_and_emptiness(
+    fn lane_kernels_match_per_word_intersect_and_emptiness(
         shape in arb_shape(),
         words in prop::collection::vec(any::<u64>(), 0..lanes::MAX_LANE_WORDS),
         held in any::<u64>(),
@@ -239,7 +239,7 @@ proptest! {
             *w &= held;
             expect_mask |= u64::from(shape.has_empty_part(*w)) << i;
         }
-        for kernel in [LaneKernel::Scalar, LaneKernel::Unroll4, LaneKernel::Simd] {
+        for kernel in [LaneKernel::Unroll4, LaneKernel::Simd] {
             let mut got = words.clone();
             let mask = lanes::intersect_empty(kernel, shape, &mut got, held);
             prop_assert_eq!(&got, &expect, "{} kernel words diverged", kernel.name());

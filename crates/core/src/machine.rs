@@ -124,12 +124,6 @@ impl HardMachine {
         self.kernel = kernel;
     }
 
-    /// The lane kernel the access path runs with.
-    #[must_use]
-    pub fn lane_kernel(&self) -> LaneKernel {
-        self.kernel
-    }
-
     /// Attaches an observability recorder to the machine and its
     /// memory hierarchy. Detection-pipeline counters, histograms and
     /// events flow to it from now on; attaching [`ObsHandle::off`]
@@ -984,19 +978,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_run_is_bit_identical_to_scalar_for_every_kernel() {
+    fn batched_run_is_bit_identical_to_per_event_for_every_kernel() {
         use hard_bloom::LaneKernel;
         use hard_trace::run_detector_batched;
         let trace = crate::cmp::mixed_workload();
-        let mut scalar = HardMachine::new(HardConfig::default());
-        let r_scalar = run_detector(&mut scalar, &trace);
-        for kernel in [LaneKernel::Scalar, LaneKernel::Unroll4, LaneKernel::Simd] {
+        let mut per_event = HardMachine::new(HardConfig::default());
+        let r_per_event = run_detector(&mut per_event, &trace);
+        for kernel in [LaneKernel::Unroll4, LaneKernel::Simd] {
             let mut m = HardMachine::new(HardConfig::default());
             m.set_lane_kernel(kernel);
             let r = run_detector_batched(&mut m, &trace);
-            assert_eq!(r_scalar, r, "{} kernel reports diverged", kernel.name());
-            assert_eq!(scalar.total_cycles(), m.total_cycles(), "{}", kernel.name());
-            assert_eq!(scalar.stats(), m.stats(), "{}", kernel.name());
+            assert_eq!(r_per_event, r, "{} kernel reports diverged", kernel.name());
+            assert_eq!(
+                per_event.total_cycles(),
+                m.total_cycles(),
+                "{}",
+                kernel.name()
+            );
+            assert_eq!(per_event.stats(), m.stats(), "{}", kernel.name());
         }
     }
 

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+use hard_trace::codec::fnv1a;
 use hard_types::Xoshiro256;
 use std::io::Write as _;
 use std::panic::{self, AssertUnwindSafe};
@@ -194,16 +195,6 @@ fn mutate(input: &mut Vec<u8>, rng: &mut Xoshiro256, max_len: usize) {
         }
     }
     input.truncate(max_len);
-}
-
-/// 64-bit FNV-1a, for naming crash artifacts content-addressably.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Runs `target` once, capturing any panic.

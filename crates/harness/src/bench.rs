@@ -47,19 +47,22 @@ pub fn account_resumed(cells: u64) {
 /// from a genuine measurement instead of silently reporting zero.
 #[must_use]
 pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb_field = |prefix: &str| -> Option<u64> {
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix(prefix))?
-            .trim()
-            .trim_end_matches("kB")
-            .trim()
-            .parse::<u64>()
-            .ok()
-    };
-    kb_field("VmHWM:")
-        .or_else(|| kb_field("VmRSS:"))
+    proc_status_bytes("self", "VmHWM").or_else(|| proc_status_bytes("self", "VmRSS"))
+}
+
+/// The kB-valued `field` (e.g. `VmHWM`) of `/proc/<pid>/status`, in
+/// bytes; `pid` may be `self`. `None` where procfs or the field is
+/// missing.
+pub(crate) fn proc_status_bytes(pid: impl std::fmt::Display, field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse::<u64>()
+        .ok()
         .map(|kb| kb * 1024)
 }
 

@@ -20,13 +20,6 @@
 //! throughput, simulated cycles, peak RSS) after the command;
 //! `bench-check` validates such a record's schema.
 //!
-//! `--kernel scalar|batch|auto` (default `auto`) selects the detection
-//! dispatch kernel: `scalar` is the per-event reference path, `batch`
-//! drives [`hard_trace::Detector::on_batch`] with the widest SIMD lane
-//! kernel the host supports, and `auto` resolves to `batch`. Every
-//! choice is bit-identical — stdout can be `cmp`ed across kernels — so
-//! the flag only moves throughput.
-//!
 //! `--trace-cache DIR|off` points the content-addressed trace corpus
 //! at `DIR` (default `results/corpus`) or disables it. Campaigns key
 //! every generated trace by (generator version, app, scale, seed,
@@ -42,8 +35,7 @@ use hard_harness::experiments::{
     server, table1, table2, table3, table45, table6, window, workload_stats,
 };
 use hard_harness::{
-    CampaignConfig, Checkpoint, DetectorKind, InjectMode, KernelMode, OutputFormat, Reporter,
-    RunLimits,
+    CampaignConfig, Checkpoint, DetectorKind, InjectMode, OutputFormat, Reporter, RunLimits,
 };
 use hard_obs::{MemoryRecorder, ObsHandle};
 use hard_workloads::{App, Scale};
@@ -65,7 +57,7 @@ usage: hard-exp <table1|table2|table3|table4|table5|table45|table6|fig8|bloom|ab
        hard-exp bench-check --file BENCH_x.json | --trajectory BENCH_a.json,BENCH_b.json,...
 every command: [--scale F] [--runs N] [--jobs N] [--mode omit|wrong-lock] [--markdown]
        [--format text|markdown|json] [--quiet] [--trace-out PATH] [--bench-out PATH]
-       [--trace-cache DIR|off] [--kernel scalar|batch|auto]";
+       [--trace-cache DIR|off]";
 
 struct Args {
     command: String,
@@ -80,7 +72,6 @@ struct Args {
     file: Option<String>,
     inject: Option<u64>,
     detector: String,
-    kernel: KernelMode,
     mode: InjectMode,
     rates: Option<Vec<u32>>,
     checkpoint: Option<String>,
@@ -116,7 +107,6 @@ impl Args {
             file: None,
             inject: None,
             detector: self.detector.clone(),
-            kernel: self.kernel,
             mode: self.mode,
             rates: None,
             checkpoint: None,
@@ -152,7 +142,6 @@ fn parse_args() -> Result<Args, String> {
         file: None,
         inject: None,
         detector: "hard".into(),
-        kernel: KernelMode::Auto,
         mode: InjectMode::OmitPair,
         rates: None,
         checkpoint: None,
@@ -237,10 +226,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--detector" => {
                 args.detector = it.next().ok_or("--detector needs a name")?;
-            }
-            "--kernel" => {
-                args.kernel =
-                    KernelMode::parse(&it.next().ok_or("--kernel needs scalar|batch|auto")?)?;
             }
             "--rates" => {
                 let raw = it
@@ -876,7 +861,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    hard_harness::kernel::install(args.kernel);
     let rep = Reporter::new(args.format, args.quiet);
     let trace_rec = match args.trace_out.as_deref().map(install_trace_out) {
         None => None,

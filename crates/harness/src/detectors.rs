@@ -1,7 +1,6 @@
 //! The detector registry: the four configurations of Table 2 plus the
 //! bloom-table ablation.
 
-use crate::kernel;
 use hard::{HardConfig, HardMachine, HbMachine, HbMachineConfig};
 use hard_hb::{IdealHappensBefore, IdealHbConfig};
 use hard_lockset::bloom_table::{BloomLockset, BloomLocksetConfig};
@@ -113,9 +112,10 @@ pub struct DetectorRun {
 /// miss classification.
 ///
 /// This is the per-event oracle: every detector sees one
-/// [`Detector::on_event`] call per trace event, whatever the
-/// process-global kernel mode. The production runner
-/// ([`crate::runner`]) must reproduce its reports exactly.
+/// [`Detector::on_event`] call per trace event. The production runner
+/// ([`crate::runner`]) dispatches windows through
+/// [`Detector::on_batch`] instead and must reproduce its reports
+/// exactly.
 ///
 /// The process-global observability handle
 /// ([`hard_obs::installed`]) is attached to the hardware machines, so
@@ -143,14 +143,12 @@ pub(crate) enum AnyDetector {
 
 impl AnyDetector {
     /// Builds `kind` for a `num_threads`-thread trace. The hardware
-    /// machines report into `obs`; HARD takes the lane kernel of the
-    /// process-global kernel mode.
+    /// machines report into `obs`.
     pub(crate) fn build(kind: &DetectorKind, num_threads: usize, obs: &ObsHandle) -> AnyDetector {
         match kind {
             DetectorKind::Hard(cfg) => {
                 let mut m = Box::new(HardMachine::new(*cfg));
                 m.attach_recorder(obs.clone());
-                m.set_lane_kernel(kernel::installed().lane_kernel());
                 AnyDetector::Hard(m)
             }
             DetectorKind::LocksetIdeal(cfg) => {

@@ -282,16 +282,7 @@ impl ServeChild {
     /// the self-probe in [`crate::bench::peak_rss_bytes`] cannot see
     /// another process.
     pub(crate) fn vm_hwm(&self) -> Option<u64> {
-        let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id())).ok()?;
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("VmHWM:"))?
-            .trim()
-            .trim_end_matches("kB")
-            .trim()
-            .parse::<u64>()
-            .ok()
-            .map(|kb| kb * 1024)
+        crate::bench::proc_status_bytes(self.child.id(), "VmHWM")
     }
 }
 

@@ -11,7 +11,6 @@
 
 use crate::campaign::CellTrace;
 use crate::detectors::{AnyDetector, DetectorKind, DetectorRun};
-use crate::kernel;
 use hard_obs::ObsHandle;
 use hard_trace::codec;
 use hard_trace::packed_event::{ChunkedReader, PackedEvent, RECORD_BYTES};
@@ -101,14 +100,12 @@ const DEADLINE_STRIDE: u64 = BATCH_EVENTS as u64;
 /// ([`StreamFeeder`]) one validated record at a time through
 /// [`Engine::push`]. Per window the engine folds the per-op-class
 /// observability counters, dispatches the window through
-/// [`Detector::on_batch`] (or, under [`KernelMode::Scalar`](crate::kernel::KernelMode::Scalar), loops
-/// [`Detector::on_event`] over the same window), and probes the
-/// [`RunLimits`] deadlines. Observation never changes which of the two
-/// dispatch calls runs.
+/// [`Detector::on_batch`], and probes the [`RunLimits`] deadlines.
+/// Observation never changes the dispatch call; the per-event
+/// [`execute`](crate::detectors::execute) is the oracle it must match.
 struct Engine {
     d: AnyDetector,
     obs: ObsHandle,
-    scalar: bool,
     limits: RunLimits,
     /// Events dispatched; also the global index of the next window.
     events: u64,
@@ -123,7 +120,6 @@ impl Engine {
         Engine {
             d: AnyDetector::build(kind, num_threads, obs),
             obs: obs.clone(),
-            scalar: !kernel::installed().is_batched(),
             limits,
             events: 0,
             expired: false,
@@ -135,14 +131,7 @@ impl Engine {
     /// Returns false once a deadline has expired.
     fn dispatch(&mut self, window: &[TraceEvent]) -> bool {
         observe_window(&self.obs, window);
-        let index = self.events as usize;
-        if self.scalar {
-            for (i, e) in window.iter().enumerate() {
-                self.d.on_event(index + i, e);
-            }
-        } else {
-            self.d.on_batch(index, window);
-        }
+        self.d.on_batch(self.events as usize, window);
         self.events += window.len() as u64;
         if self.events.is_multiple_of(DEADLINE_STRIDE) {
             let RunLimits {
@@ -325,9 +314,8 @@ pub struct StreamFeeder {
 }
 
 impl StreamFeeder {
-    /// Builds the detector for `kind` and an empty feed state. Kernel
-    /// mode and the process-global observability handle are latched
-    /// here.
+    /// Builds the detector for `kind` and an empty feed state. The
+    /// process-global observability handle is latched here.
     #[must_use]
     pub fn new(kind: &DetectorKind, num_threads: usize) -> StreamFeeder {
         StreamFeeder::observed(kind, num_threads, &hard_obs::installed())
@@ -428,7 +416,6 @@ impl StreamFeeder {
 mod tests {
     use super::*;
     use crate::detectors::execute;
-    use crate::kernel::KernelMode;
     use hard::HardConfig;
     use hard_trace::{Op, PackedTrace, ProgramBuilder, SchedConfig, Scheduler, Trace, TraceStats};
     use hard_types::{BarrierId, FaultPlan, LockId, SiteId, ThreadId};
@@ -607,18 +594,6 @@ mod tests {
         assert_eq!(m.events, trace.len() as u64);
     }
 
-    /// Runs `f` under `mode`, then restores whatever mode was
-    /// installed. Safe under parallel tests precisely because every
-    /// mode is bit-identical — a test racing this one cannot observe a
-    /// different outcome, only a different (equally correct) speed.
-    fn with_kernel_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
-        let before = kernel::installed();
-        kernel::install(mode);
-        let out = f();
-        kernel::install(before);
-        out
-    }
-
     #[test]
     fn observed_run_matches_and_records_a_span() {
         use hard_obs::{CounterId, MemoryRecorder, ObsHandle};
@@ -643,98 +618,90 @@ mod tests {
             CellTrace::Packed(Arc::new(packed.clone())),
         ];
         let probes = [Addr(0x1000)];
-        // Observation must perturb no front end of the engine under
-        // either kernel mode, and the per-window counter folding must
-        // account for every event exactly once.
-        for mode in [KernelMode::Scalar, KernelMode::Batch] {
-            for kind in all_kinds() {
-                let cell_run = |cell: &CellTrace, obs: &ObsHandle| {
-                    let out = with_kernel_mode(mode, || {
-                        execute_hardened_cell_observed(
-                            &kind,
-                            cell,
-                            &probes,
-                            RunLimits::unlimited(),
-                            obs,
-                        )
-                    });
-                    let RunOutcome::Ok(run, m) = out else {
-                        panic!("{kind}/{mode:?}: must complete");
-                    };
-                    ((run.reports, run.meta_lost), m)
+        // Observation must perturb no front end of the engine, and the
+        // per-window counter folding must account for every event
+        // exactly once.
+        for kind in all_kinds() {
+            let cell_run = |cell: &CellTrace, obs: &ObsHandle| {
+                let out = execute_hardened_cell_observed(
+                    &kind,
+                    cell,
+                    &probes,
+                    RunLimits::unlimited(),
+                    obs,
+                );
+                let RunOutcome::Ok(run, m) = out else {
+                    panic!("{kind}: must complete");
                 };
-                let fed_run = |obs: &ObsHandle| {
-                    with_kernel_mode(mode, || {
-                        let mut feeder = StreamFeeder::observed(&kind, trace.num_threads, obs);
-                        for piece in packed.bytes().chunks(97) {
-                            feeder.feed(piece).unwrap();
-                        }
-                        let (run, m) = feeder.finish_run().unwrap();
-                        ((run.reports, run.meta_lost), m)
-                    })
+                ((run.reports, run.meta_lost), m)
+            };
+            let fed_run = |obs: &ObsHandle| {
+                let mut feeder = StreamFeeder::observed(&kind, trace.num_threads, obs);
+                for piece in packed.bytes().chunks(97) {
+                    feeder.feed(piece).unwrap();
+                }
+                let (run, m) = feeder.finish_run().unwrap();
+                ((run.reports, run.meta_lost), m)
+            };
+            for (front, cell) in ["materialized", "packed", "fed"].into_iter().zip([
+                Some(&cells[0]),
+                Some(&cells[1]),
+                None,
+            ]) {
+                let run = |obs: &ObsHandle| match cell {
+                    Some(cell) => cell_run(cell, obs),
+                    None => fed_run(obs),
                 };
-                for (front, cell) in ["materialized", "packed", "fed"].into_iter().zip([
-                    Some(&cells[0]),
-                    Some(&cells[1]),
-                    None,
-                ]) {
-                    let run = |obs: &ObsHandle| match cell {
-                        Some(cell) => cell_run(cell, obs),
-                        None => fed_run(obs),
-                    };
-                    let rec = Arc::new(MemoryRecorder::new());
-                    let observed = run(&ObsHandle::new(rec.clone()));
-                    let m = observed.1;
-                    assert_eq!(run(&ObsHandle::off()), observed, "{kind}/{mode:?}/{front}");
-                    assert_eq!(m.events, trace.len() as u64);
-                    let (got, snap) = counted(&rec);
-                    assert_eq!(got, want, "{kind}/{mode:?}/{front}: op-class counters");
-                    if matches!(kind, DetectorKind::Hard(_) | DetectorKind::HbHw(_)) {
-                        assert_eq!(snap.counter(CounterId::BroadcastsSent), m.meta_broadcasts);
-                    }
-                    if cell.is_some() {
-                        assert_eq!(snap.spans.len(), 1);
-                        assert_eq!(snap.spans[0].name, format!("run:{}", kind.label()));
-                        assert_eq!(
-                            (snap.spans[0].cycles, snap.spans[0].events),
-                            (m.cycles, m.events)
-                        );
-                    }
+                let rec = Arc::new(MemoryRecorder::new());
+                let observed = run(&ObsHandle::new(rec.clone()));
+                let m = observed.1;
+                assert_eq!(run(&ObsHandle::off()), observed, "{kind}/{front}");
+                assert_eq!(m.events, trace.len() as u64);
+                let (got, snap) = counted(&rec);
+                assert_eq!(got, want, "{kind}/{front}: op-class counters");
+                if matches!(kind, DetectorKind::Hard(_) | DetectorKind::HbHw(_)) {
+                    assert_eq!(snap.counter(CounterId::BroadcastsSent), m.meta_broadcasts);
+                }
+                if cell.is_some() {
+                    assert_eq!(snap.spans.len(), 1);
+                    assert_eq!(snap.spans[0].name, format!("run:{}", kind.label()));
+                    assert_eq!(
+                        (snap.spans[0].cycles, snap.spans[0].events),
+                        (m.cycles, m.events)
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn batch_kernel_mode_is_bit_identical_to_scalar() {
+    fn materialized_and_packed_fronts_match_the_per_event_oracle() {
         let trace = racy_trace();
         let packed = CellTrace::Packed(Arc::new(PackedTrace::from_trace(&trace).unwrap()));
-        let trace = CellTrace::Materialized(trace);
+        let materialized = CellTrace::Materialized(trace.clone());
         let probes = [Addr(0x1000)];
         for kind in all_kinds() {
-            let run = |mode| {
-                with_kernel_mode(mode, || {
-                    [&trace, &packed]
-                        .map(|t| execute_hardened_cell(&kind, t, &probes, RunLimits::unlimited()))
-                })
+            let oracle = execute(&kind, &trace, &probes);
+            let [RunOutcome::Ok(mr, mm), RunOutcome::Ok(pr, pm)] = [&materialized, &packed]
+                .map(|t| execute_hardened_cell(&kind, t, &probes, RunLimits::unlimited()))
+            else {
+                panic!("{kind}: both fronts must complete");
             };
-            let scalar = run(KernelMode::Scalar);
-            for mode in [KernelMode::Batch, KernelMode::Auto] {
-                for (s, b) in scalar.iter().zip(&run(mode)) {
-                    let (RunOutcome::Ok(sr, sm), RunOutcome::Ok(br, bm)) = (s, b) else {
-                        panic!("{kind}: both kernels must complete");
-                    };
-                    assert_eq!(sr.reports, br.reports, "{kind}/{mode:?}");
-                    assert_eq!(sr.meta_lost, br.meta_lost, "{kind}/{mode:?}");
-                    assert_eq!(sm, bm, "{kind}/{mode:?}: metrics must match");
-                }
+            for (front, run) in [("materialized", &mr), ("packed", &pr)] {
+                assert_eq!(run.reports, oracle.reports, "{kind}/{front}");
+                assert_eq!(run.meta_lost, oracle.meta_lost, "{kind}/{front}");
             }
+            assert_eq!(mm, pm, "{kind}: metrics must match");
+            assert_eq!(mm.events, trace.len() as u64, "{kind}");
         }
     }
 
     #[test]
-    fn batch_kernel_times_out_at_the_same_event_counts() {
+    fn deadlines_expire_at_the_same_point_from_every_front() {
         let trace = racy_trace();
+        let packed = CellTrace::Packed(Arc::new(PackedTrace::from_trace(&trace).unwrap()));
+        let materialized = CellTrace::Materialized(trace);
+        let kind = DetectorKind::hard_default();
         for limits in [
             RunLimits {
                 max_cycles: None,
@@ -745,45 +712,46 @@ mod tests {
                 max_events: None,
             },
         ] {
-            let kind = DetectorKind::hard_default();
-            let run = |mode| with_kernel_mode(mode, || hardened(&kind, &trace, &[], limits));
-            let (s, b) = (run(KernelMode::Scalar), run(KernelMode::Batch));
-            let (
-                RunOutcome::TimedOut {
-                    events_done: se,
-                    cycles: sc,
-                },
-                RunOutcome::TimedOut {
-                    events_done: be,
-                    cycles: bc,
-                },
-            ) = (&s, &b)
+            let outs =
+                [&materialized, &packed].map(|t| execute_hardened_cell(&kind, t, &[], limits));
+            let [RunOutcome::TimedOut {
+                events_done: me,
+                cycles: mc,
+            }, RunOutcome::TimedOut {
+                events_done: pe,
+                cycles: pc,
+            }] = outs
             else {
-                panic!("both must time out: {s:?} / {b:?}");
+                panic!("both fronts must time out: {outs:?}");
             };
-            assert_eq!((se, sc), (be, bc), "identical overshoot required");
+            assert_eq!(
+                (me, mc),
+                (pe, pc),
+                "{limits:?}: identical overshoot required"
+            );
+            assert_eq!(
+                me % DEADLINE_STRIDE,
+                0,
+                "{limits:?}: deadlines fire at window ends"
+            );
         }
     }
 
     #[test]
-    fn streamed_replay_is_kernel_mode_invariant() {
+    fn streamed_replay_matches_the_per_event_oracle() {
         let trace = racy_trace();
         let packed = PackedTrace::from_trace(&trace).unwrap();
-        let kind = DetectorKind::hard_default();
-        let run = |mode| {
-            with_kernel_mode(mode, || {
-                // Odd chunk size: batch boundaries and chunk boundaries
-                // must not need to line up.
-                let mut reader =
-                    ChunkedReader::spawn(std::io::Cursor::new(packed.bytes().to_vec()), 97);
-                execute_streamed(&kind, trace.num_threads, &mut reader).unwrap()
-            })
-        };
-        let (sr, se, sf) = run(KernelMode::Scalar);
-        let (br, be, bf) = run(KernelMode::Batch);
-        assert_eq!(sr.reports, br.reports);
-        assert_eq!((se, sf), (be, bf), "event count and FNV must match");
-        assert_eq!(sf, codec::fnv1a_update(codec::FNV1A_INIT, packed.bytes()));
+        for kind in all_kinds() {
+            // Odd chunk size: batch boundaries and chunk boundaries
+            // must not need to line up.
+            let mut reader =
+                ChunkedReader::spawn(std::io::Cursor::new(packed.bytes().to_vec()), 97);
+            let (run, events, fnv) =
+                execute_streamed(&kind, trace.num_threads, &mut reader).unwrap();
+            assert_eq!(run.reports, execute(&kind, &trace, &[]).reports, "{kind}");
+            assert_eq!(events, trace.len() as u64, "{kind}");
+            assert_eq!(fnv, codec::fnv1a_update(codec::FNV1A_INIT, packed.bytes()));
+        }
     }
 
     #[test]
@@ -791,30 +759,24 @@ mod tests {
         let trace = racy_trace();
         let packed = PackedTrace::from_trace(&trace).unwrap();
         for kind in [DetectorKind::hard_default(), DetectorKind::lockset_ideal()] {
-            for mode in [KernelMode::Scalar, KernelMode::Batch] {
-                let expected = with_kernel_mode(mode, || {
-                    let mut reader =
-                        ChunkedReader::spawn(std::io::Cursor::new(packed.bytes().to_vec()), 97);
-                    execute_streamed(&kind, trace.num_threads, &mut reader).unwrap()
-                });
-                // Chunk sizes that split records mid-way (7, 13), align
-                // (16), and straddle batch windows (4095) must all be
-                // invisible to the result.
-                for chunk in [7usize, 13, 16, 4095] {
-                    let got = with_kernel_mode(mode, || {
-                        let mut feeder = StreamFeeder::new(&kind, trace.num_threads);
-                        for piece in packed.bytes().chunks(chunk) {
-                            feeder.feed(piece).unwrap();
-                        }
-                        feeder.finish().unwrap()
-                    });
-                    assert_eq!(got.0.reports, expected.0.reports, "{kind} chunk={chunk}");
-                    assert_eq!(
-                        (got.1, got.2),
-                        (expected.1, expected.2),
-                        "{kind} chunk={chunk}"
-                    );
+            let mut reader =
+                ChunkedReader::spawn(std::io::Cursor::new(packed.bytes().to_vec()), 97);
+            let expected = execute_streamed(&kind, trace.num_threads, &mut reader).unwrap();
+            // Chunk sizes that split records mid-way (7, 13), align
+            // (16), and straddle batch windows (4095) must all be
+            // invisible to the result.
+            for chunk in [7usize, 13, 16, 4095] {
+                let mut feeder = StreamFeeder::new(&kind, trace.num_threads);
+                for piece in packed.bytes().chunks(chunk) {
+                    feeder.feed(piece).unwrap();
                 }
+                let got = feeder.finish().unwrap();
+                assert_eq!(got.0.reports, expected.0.reports, "{kind} chunk={chunk}");
+                assert_eq!(
+                    (got.1, got.2),
+                    (expected.1, expected.2),
+                    "{kind} chunk={chunk}"
+                );
             }
         }
     }

@@ -614,7 +614,7 @@ mod tests {
         // access: the batched span must leave every word and every
         // outcome flag exactly as the granule-at-a-time loop does.
         for shape in [BloomShape::B16, BloomShape::B32] {
-            for kernel in [LaneKernel::Scalar, LaneKernel::Unroll4, LaneKernel::Simd] {
+            for kernel in [LaneKernel::Unroll4, LaneKernel::Simd] {
                 let mut rng = 0x000B_A7C4_0001_u64 ^ u64::from(shape.total_bits());
                 for case in 0..300 {
                     let granules = 1 + (lcg(&mut rng) as usize) % MAX_GRANULES;
@@ -716,7 +716,7 @@ mod tests {
             ThreadId(1),
             AccessKind::Write,
             &BloomVector::full(shape),
-            LaneKernel::Scalar,
+            LaneKernel::auto(),
         );
         assert_eq!(
             out,

@@ -67,16 +67,6 @@ impl Json {
         }
     }
 
-    /// The value as an i64, if it is an integral number in range.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            #[allow(clippy::cast_possible_truncation)]
-            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e18 => Some(*n as i64),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {

@@ -13,15 +13,15 @@
 //!    arriving while another session is mid-upload must hand that
 //!    session a shutdown `Error` frame (never a silent close), then
 //!    drain cleanly.
-//! 4. **Serve-vs-replay byte-identity under `--kernel batch`** — the
-//!    served report for a batched-kernel server matches an offline
-//!    replay computed with the scalar reference kernel, byte for byte.
-//!
-//! Scenarios run sequentially inside one `#[test]` because the kernel
-//! mode (scenario 4) is process-global state.
+//! 4. **Serve-vs-oracle byte-identity** — the served report, computed
+//!    through windowed dispatch, matches the per-event
+//!    [`hard_harness::execute`] oracle over the same trace, byte for
+//!    byte.
 
 use hard_harness::service::{probe_health, request_shutdown, submit_bytes};
-use hard_harness::{CampaignConfig, Fixture, KernelMode, Submission};
+use hard_harness::{
+    execute, injected_trace, CampaignConfig, DetectorKind, Fixture, ReportBody, Submission,
+};
 use hard_serve::{ServeConfig, Server};
 use hard_trace::wire::{
     read_frame, read_handshake, write_frame, write_handshake, FrameKind, MAX_FRAME_BYTES,
@@ -32,8 +32,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// A corpus plus the encoded offline-replay report every served
-/// report must match byte for byte. The replay runs under whatever
-/// kernel mode is currently installed.
+/// report must match byte for byte.
 fn fixture(app: App, run_idx: usize) -> (Vec<u8>, String) {
     let cfg = CampaignConfig::reduced(0.05, 2);
     let f = Fixture::build(app, &cfg, run_idx, "hard").expect("fixture");
@@ -220,13 +219,22 @@ fn async_serve_behaviors() {
             .expect("drain with open upload");
     }
 
-    // --- 4. Byte-identity under the batched kernel: offline replay
-    // with the scalar reference kernel, serve with the batched one.
+    // --- 4. Byte-identity with the per-event oracle: `execute` over
+    // the fixture's own trace, against the windowed served session.
     {
-        let prior = hard_harness::kernel::installed();
-        hard_harness::kernel::install(KernelMode::Scalar);
-        let (bytes, scalar_expected) = fixture(App::WaterNsquared, 1);
-        hard_harness::kernel::install(KernelMode::Batch);
+        let (bytes, replayed) = fixture(App::WaterNsquared, 1);
+        let kind = DetectorKind::parse("hard").expect("kind");
+        let (trace, _) = injected_trace(App::WaterNsquared, &CampaignConfig::reduced(0.05, 2), 1);
+        let oracle = ReportBody {
+            label: kind.label().to_string(),
+            events: trace.len() as u64,
+            reports: execute(&kind, &trace, &[]).reports,
+        }
+        .encode();
+        assert_eq!(
+            replayed, oracle,
+            "streamed replay diverged from the per-event oracle"
+        );
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
             ..ServeConfig::default()
@@ -234,16 +242,15 @@ fn async_serve_behaviors() {
         .expect("bind");
         let addr = server.local_addr().expect("addr").to_string();
         let thread = std::thread::spawn(move || server.run());
-        match submit_bytes(&addr, &bytes, "hard", 16 << 10, None).expect("batched submit") {
+        match submit_bytes(&addr, &bytes, "hard", 16 << 10, None).expect("submit") {
             Submission::Report { body, .. } => assert_eq!(
                 body.encode(),
-                scalar_expected,
-                "batched-kernel serve diverged from scalar offline replay"
+                oracle,
+                "served report diverged from the per-event oracle"
             ),
-            other => panic!("batched submit got {other:?}"),
+            other => panic!("submit got {other:?}"),
         }
         request_shutdown(&addr).expect("shutdown");
         thread.join().expect("join").expect("clean drain");
-        hard_harness::kernel::install(prior);
     }
 }

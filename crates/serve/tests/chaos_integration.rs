@@ -38,8 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A corpus plus the encoded offline-replay report every served
-/// report must match byte for byte. The replay runs under whatever
-/// kernel mode is currently installed.
+/// report must match byte for byte.
 fn fixture(app: App, run_idx: usize) -> (Vec<u8>, String) {
     let cfg = CampaignConfig::reduced(0.05, 2);
     let f = Fixture::build(app, &cfg, run_idx, "hard").expect("fixture");

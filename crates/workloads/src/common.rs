@@ -220,19 +220,6 @@ impl AppBuilder {
         }
     }
 
-    /// Allocates a lock-protected variable at an explicit address
-    /// (e.g. inside an array already laid out).
-    pub fn locked_var_at(&mut self, addr: Addr) -> LockedVar {
-        LockedVar {
-            addr,
-            lock: self.layout.lock(),
-            site_lock: self.layout.site(),
-            site_read: self.layout.site(),
-            site_write: self.layout.site(),
-            site_unlock: self.layout.site(),
-        }
-    }
-
     /// Emits `lock; read; write; unlock` on `var` by thread `t` — one
     /// dynamic critical section, the injector's unit.
     pub fn update(&mut self, t: u32, var: &LockedVar) {

@@ -53,12 +53,6 @@ impl Layout {
         id
     }
 
-    /// Number of locks allocated so far.
-    #[must_use]
-    pub fn locks_allocated(&self) -> u64 {
-        self.next_lock
-    }
-
     /// Allocates `bytes` of shared data aligned to `align` bytes.
     ///
     /// # Panics
