@@ -11,6 +11,9 @@
 //!  "peak_rss_bytes":68419584,"rss_unavailable":false,"cells":264,"resumed":0}
 //! ```
 //!
+//! `resumed` is always `0`: campaigns do not resume. The key stays so
+//! that every `hard-bench/v1` row keeps one shape.
+//!
 //! The throughput numbers come from a process-global accumulator fed
 //! by the execution paths in [`crate::detectors`] and [`crate::runner`]
 //! — two relaxed atomic adds per completed detector run, so the
@@ -25,7 +28,6 @@ use std::time::Duration;
 static EVENTS: AtomicU64 = AtomicU64::new(0);
 static CYCLES: AtomicU64 = AtomicU64::new(0);
 static CELLS: AtomicU64 = AtomicU64::new(0);
-static RESUMED: AtomicU64 = AtomicU64::new(0);
 
 /// Credits one completed detector run to the process-global bench
 /// accumulator.
@@ -33,11 +35,6 @@ pub fn account(events: u64, cycles: u64) {
     EVENTS.fetch_add(events, Ordering::Relaxed);
     CYCLES.fetch_add(cycles, Ordering::Relaxed);
     CELLS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Credits checkpoint-resumed cells (work the process did *not* redo).
-pub fn account_resumed(cells: u64) {
-    RESUMED.fetch_add(cells, Ordering::Relaxed);
 }
 
 /// Peak resident set size of this process in bytes, or `None` where no
@@ -98,8 +95,6 @@ pub struct BenchRecord {
     pub rss_unavailable: bool,
     /// Detector runs completed.
     pub cells: u64,
-    /// Cells served from a checkpoint instead of recomputed.
-    pub resumed: u64,
 }
 
 impl BenchRecord {
@@ -130,18 +125,18 @@ impl BenchRecord {
             peak_rss_bytes: rss.unwrap_or(0),
             rss_unavailable: rss.is_none(),
             cells: CELLS.load(Ordering::Relaxed),
-            resumed: RESUMED.load(Ordering::Relaxed),
         }
     }
 
-    /// The record as one `hard-bench/v1` JSON line.
+    /// The record as one `hard-bench/v1` JSON line. `resumed` is
+    /// written as a literal `0`, kept only for v1 compatibility.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
             "{{\"schema\":\"hard-bench/v1\",\"name\":\"{}\",\"jobs\":{},\
              \"jobs_requested\":{},\"jobs_effective\":{},\"wall_ms\":{},\
              \"events\":{},\"events_per_sec\":{},\"cycles\":{},\"peak_rss_bytes\":{},\
-             \"rss_unavailable\":{},\"cells\":{},\"resumed\":{}}}",
+             \"rss_unavailable\":{},\"cells\":{},\"resumed\":0}}",
             hard_obs::jsonl::escape(&self.name),
             self.jobs,
             self.jobs_requested,
@@ -153,7 +148,6 @@ impl BenchRecord {
             self.peak_rss_bytes,
             self.rss_unavailable,
             self.cells,
-            self.resumed,
         )
     }
 
@@ -250,6 +244,9 @@ pub fn validate(json: &str) -> Result<BenchRecord, String> {
              ({events}*1000/{wall_ms} = {expected_eps})"
         ));
     }
+    // Always 0 (campaigns do not resume), but still required so every
+    // v1 row keeps one shape.
+    num("resumed")?;
     let to_usize = |n: u64| usize::try_from(n).map_err(|e| e.to_string());
     Ok(BenchRecord {
         name,
@@ -263,7 +260,6 @@ pub fn validate(json: &str) -> Result<BenchRecord, String> {
         peak_rss_bytes,
         rss_unavailable,
         cells: num("cells")?,
-        resumed: num("resumed")?,
     })
 }
 
@@ -427,9 +423,11 @@ mod tests {
             peak_rss_bytes: 68_419_584,
             rss_unavailable: false,
             cells: 264,
-            resumed: 6,
         };
+        assert!(r.to_json().ends_with(",\"resumed\":0}"), "{}", r.to_json());
         assert_eq!(validate(&r.to_json()).unwrap(), r);
+        let without_resumed = r.to_json().replace(",\"resumed\":0", "");
+        assert!(validate(&without_resumed).unwrap_err().contains("resumed"));
     }
 
     #[test]

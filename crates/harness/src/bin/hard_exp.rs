@@ -34,9 +34,7 @@ use hard_harness::experiments::{
     ablation, bloom_analysis, chaos, claims, cord, faults, fig8, load, obs, obs_serve, robustness,
     server, table1, table2, table3, table45, table6, window, workload_stats,
 };
-use hard_harness::{
-    CampaignConfig, Checkpoint, DetectorKind, InjectMode, OutputFormat, Reporter, RunLimits,
-};
+use hard_harness::{CampaignConfig, DetectorKind, InjectMode, OutputFormat, Reporter, RunLimits};
 use hard_obs::{MemoryRecorder, ObsHandle};
 use hard_workloads::{App, Scale};
 use std::process::ExitCode;
@@ -46,7 +44,7 @@ use std::sync::Arc;
 /// command takes.
 const USAGE: &str = "\
 usage: hard-exp <table1|table2|table3|table4|table5|table45|table6|fig8|bloom|ablation|window|server|robustness|workloads|cord|verify|all>
-       hard-exp faults [--rates PPM,PPM,...] [--checkpoint PATH] [--max-cycles N] [--max-events N]
+       hard-exp faults [--rates PPM,PPM,...] [--max-cycles N] [--max-events N]
        hard-exp obs [--smoke] [--out DIR] [--serve ADDR] [--serve-requests N]
        hard-exp record --app <name> --file <path> [--inject SEED]
        hard-exp replay --file <path> [--detector hard|lockset-ideal|hb|hb-ideal]
@@ -55,7 +53,7 @@ usage: hard-exp <table1|table2|table3|table4|table5|table45|table6|fig8|bloom|ab
        hard-exp chaos [--rates PPM,PPM,...] [--clients N] [--repeat N] [--retries N] [--seed N] [--addr HOST:PORT] [--serve-cmd PATH]
        hard-exp obs-serve [--clients N] [--repeat N] [--retries N] [--seed N] [--out DIR] [--serve-cmd PATH]
        hard-exp bench-check --file BENCH_x.json | --trajectory BENCH_a.json,BENCH_b.json,...
-every command: [--scale F] [--runs N] [--jobs N] [--mode omit|wrong-lock] [--markdown]
+every command: [--scale F] [--runs N] [--jobs N] [--mode omit|wrong-lock]
        [--format text|markdown|json] [--quiet] [--trace-out PATH] [--bench-out PATH]
        [--trace-cache DIR|off]";
 
@@ -74,7 +72,6 @@ struct Args {
     detector: String,
     mode: InjectMode,
     rates: Option<Vec<u32>>,
-    checkpoint: Option<String>,
     max_cycles: Option<u64>,
     max_events: Option<u64>,
     smoke: bool,
@@ -109,7 +106,6 @@ impl Args {
             detector: self.detector.clone(),
             mode: self.mode,
             rates: None,
-            checkpoint: None,
             max_cycles: None,
             max_events: None,
             smoke: false,
@@ -144,7 +140,6 @@ fn parse_args() -> Result<Args, String> {
         detector: "hard".into(),
         mode: InjectMode::OmitPair,
         rates: None,
-        checkpoint: None,
         max_cycles: None,
         max_events: None,
         smoke: false,
@@ -191,7 +186,6 @@ fn parse_args() -> Result<Args, String> {
             "--bench-out" => {
                 args.bench_out = Some(it.next().ok_or("--bench-out needs a path")?);
             }
-            "--markdown" => args.format = OutputFormat::Markdown,
             "--format" => {
                 args.format = OutputFormat::parse(&it.next().ok_or("--format needs a value")?)?;
             }
@@ -240,9 +234,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--rates needs at least one rate".into());
                 }
                 args.rates = Some(rates);
-            }
-            "--checkpoint" => {
-                args.checkpoint = Some(it.next().ok_or("--checkpoint needs a path")?);
             }
             "--max-cycles" => {
                 args.max_cycles = Some(
@@ -515,23 +506,10 @@ fn run_command(args: &Args, rep: &Reporter) -> Result<(), String> {
                     max_events: args.max_events,
                 },
             };
-            let mut cp = match args.checkpoint.as_deref() {
-                Some(path) => Some(
-                    Checkpoint::load(std::path::Path::new(path), &fcfg.key())
-                        .map_err(|e| format!("cannot load checkpoint {path}: {e}"))?,
-                ),
-                None => None,
-            };
-            let study = faults::run(&fcfg, cp.as_mut());
-            hard_harness::bench::account_resumed(study.resumed as u64);
+            let study = faults::run(&fcfg);
             rep.section(&format!(
-                "Fault sweep — graceful degradation, {} runs/app/rate{}",
-                fcfg.campaign.runs,
-                if study.resumed > 0 {
-                    format!(" ({} cells resumed from checkpoint)", study.resumed)
-                } else {
-                    String::new()
-                }
+                "Fault sweep — graceful degradation, {} runs/app/rate",
+                fcfg.campaign.runs
             ));
             rep.table(&study.render_aggregate());
             rep.section("Per-application breakdown:");

@@ -17,7 +17,6 @@
 //!   columns, expected to stay zero), not crashes.
 
 use crate::campaign::{sweep, CampaignConfig, DetectorTally};
-use crate::checkpoint::{Cell, Checkpoint};
 use crate::detectors::DetectorKind;
 use crate::runner::RunLimits;
 use crate::table::TextTable;
@@ -46,21 +45,27 @@ impl Default for FaultsConfig {
     }
 }
 
-impl FaultsConfig {
-    /// The checkpoint key binding a file to this exact sweep.
-    #[must_use]
-    pub fn key(&self) -> String {
-        format!(
-            "scale={:?} runs={} quantum={} mode={:?} rates={:?} max_cycles={:?} max_events={:?}",
-            self.campaign.scale,
-            self.campaign.runs,
-            self.campaign.max_quantum,
-            self.campaign.mode,
-            self.rates_ppm,
-            self.limits.max_cycles,
-            self.limits.max_events,
-        )
-    }
+/// The tallies of one `(fault rate, app)` cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cell {
+    /// Uniform fault rate in parts-per-million.
+    pub rate_ppm: u32,
+    /// Bugs detected across the injected runs.
+    pub detected: usize,
+    /// Runs that panicked inside the detector (hardening failures).
+    pub faulted: usize,
+    /// Runs that exceeded the cycle deadline.
+    pub timed_out: usize,
+    /// Source-level false alarms on the race-free run.
+    pub alarms: usize,
+    /// Conservative metadata resets across all runs.
+    pub resets: u64,
+    /// Total faults injected across all runs.
+    pub injected: u64,
+    /// Simulated cycles accumulated across all runs.
+    pub cycles: u64,
+    /// §3.4 metadata broadcasts accumulated across all runs.
+    pub broadcasts: u64,
 }
 
 /// One `(rate, app)` cell with its application attached.
@@ -79,8 +84,6 @@ pub struct FaultsStudy {
     pub rows: Vec<FaultsRow>,
     /// Injected runs per cell.
     pub runs: usize,
-    /// Cells served from the checkpoint instead of recomputed.
-    pub resumed: usize,
 }
 
 /// The deterministic fault seed of one campaign run. Distinct per
@@ -99,7 +102,7 @@ fn hard_with_faults(rate_ppm: u32, seed: u64) -> DetectorKind {
     DetectorKind::Hard(HardConfig::default().with_faults(plan))
 }
 
-/// The durable checkpoint cell of one `(rate, app)` tally.
+/// The cell of one `(rate, app)` tally.
 fn cell(rate_ppm: u32, t: &DetectorTally) -> Cell {
     Cell {
         rate_ppm,
@@ -114,65 +117,28 @@ fn cell(rate_ppm: u32, t: &DetectorTally) -> Cell {
     }
 }
 
-/// Runs the sweep, optionally resuming from (and recording into) a
-/// checkpoint. Within a rate the uncached applications' cells run as
-/// one scored sweep on the campaign pool (`cfg.campaign.jobs` workers;
-/// `1` is truly serial); cells are made durable on the calling thread
-/// as each rate completes, preserving the checkpoint's rate-ordered
-/// layout.
+/// Runs the sweep: one scored sweep per rate over every application,
+/// on the campaign pool (`cfg.campaign.jobs` workers; `1` is truly
+/// serial).
 #[must_use]
-pub fn run(cfg: &FaultsConfig, mut checkpoint: Option<&mut Checkpoint>) -> FaultsStudy {
+pub fn run(cfg: &FaultsConfig) -> FaultsStudy {
+    let apps = App::all();
     let mut rows = Vec::new();
-    let mut resumed = 0;
     for &rate in &cfg.rates_ppm {
-        let apps = App::all();
-        let cached: Vec<Option<Cell>> = apps
-            .iter()
-            .map(|a| checkpoint.as_deref().and_then(|cp| cp.get(rate, a.name())))
-            .collect();
-        let todo: Vec<App> = apps
-            .iter()
-            .zip(&cached)
-            .filter(|(_, c)| c.is_none())
-            .map(|(&app, _)| app)
-            .collect();
         // The race-free cell (`run` = `None`) takes its own fault seed.
         let kinds = |app, run: Option<usize>| {
             let seed = fault_seed(rate, app, run.unwrap_or(usize::MAX >> 1));
             vec![hard_with_faults(rate, seed)]
         };
-        let fresh: Vec<(App, Cell)> = todo
-            .iter()
-            .zip(sweep(&cfg.campaign, &todo, kinds, cfg.limits))
-            .map(|(&app, t)| (app, cell(rate, &t[0])))
-            .collect();
-        if let Some(cp) = checkpoint.as_deref_mut() {
-            for (app, cell) in &fresh {
-                // A failed append degrades to in-memory-only: the sweep
-                // result is unaffected, only resumability is lost.
-                let _ = cp.record(app.name(), *cell);
-            }
-        }
-        let mut fresh_it = fresh.into_iter();
-        for (&app, cached_cell) in apps.iter().zip(&cached) {
-            let cell = match cached_cell {
-                Some(c) => {
-                    resumed += 1;
-                    *c
-                }
-                None => {
-                    let (fapp, cell) = fresh_it.next().expect("one fresh cell per uncached app");
-                    debug_assert_eq!(fapp, app);
-                    cell
-                }
-            };
-            rows.push(FaultsRow { app, cell });
-        }
+        let tallies = sweep(&cfg.campaign, &apps, kinds, cfg.limits);
+        rows.extend(apps.iter().zip(tallies).map(|(&app, t)| FaultsRow {
+            app,
+            cell: cell(rate, &t[0]),
+        }));
     }
     FaultsStudy {
         rows,
         runs: cfg.campaign.runs,
-        resumed,
     }
 }
 
@@ -310,7 +276,7 @@ mod tests {
     #[test]
     fn zero_rate_reproduces_the_table2_hard_column() {
         let cfg = reduced(vec![0]);
-        let study = run(&cfg, None);
+        let study = run(&cfg);
         let t2 = table2::run(&cfg.campaign);
         assert_eq!(study.rows.len(), t2.rows.len());
         for (fr, tr) in study.rows.iter().zip(&t2.rows) {
@@ -327,7 +293,7 @@ mod tests {
     #[test]
     fn sweep_is_panic_free_and_counts_faults() {
         let cfg = reduced(vec![0, 50_000]);
-        let study = run(&cfg, None);
+        let study = run(&cfg);
         assert_eq!(study.rows.len(), 12);
         for r in &study.rows {
             assert_eq!(r.cell.faulted, 0, "{}@{}ppm", r.app, r.cell.rate_ppm);
@@ -342,28 +308,5 @@ mod tests {
         let rendered = study.render_aggregate().to_string();
         assert!(rendered.contains("50000ppm"));
         assert!(rendered.contains("cycles"));
-    }
-
-    #[test]
-    fn checkpoint_resume_reproduces_the_sweep() {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hard-faults-resume-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let cfg = reduced(vec![0, 20_000]);
-
-        let mut cp = Checkpoint::load(&p, &cfg.key()).unwrap();
-        let full = run(&cfg, Some(&mut cp));
-        assert_eq!(full.resumed, 0);
-        assert_eq!(cp.len(), 12);
-
-        // "Interrupt" by reloading: every cell now comes from disk.
-        let mut cp2 = Checkpoint::load(&p, &cfg.key()).unwrap();
-        let resumed = run(&cfg, Some(&mut cp2));
-        assert_eq!(resumed.resumed, 12);
-        for (a, b) in full.rows.iter().zip(&resumed.rows) {
-            assert_eq!(a.app, b.app);
-            assert_eq!(a.cell, b.cell, "{}@{}ppm", a.app, a.cell.rate_ppm);
-        }
-        let _ = std::fs::remove_file(&p);
     }
 }

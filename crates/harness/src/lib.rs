@@ -24,7 +24,6 @@
 pub mod bench;
 pub mod campaign;
 pub mod chaos;
-pub mod checkpoint;
 pub mod corpus;
 pub mod detectors;
 pub mod experiments;
@@ -41,7 +40,6 @@ pub use campaign::{
     score, BugOutcome, CampaignConfig, CellTrace, InjectMode,
 };
 pub use chaos::{ChaosProxy, ChaosSnapshot, ChaosStats, FaultyStream, NetFaultPlan};
-pub use checkpoint::Checkpoint;
 pub use corpus::{CorpusCache, CorpusEntry, CorpusStats};
 pub use detectors::{execute, DetectorKind, DetectorRun};
 pub use kernel::KernelMode;

@@ -78,7 +78,7 @@ fn faults_match_golden() {
         rates_ppm: vec![0, 100_000],
         limits: RunLimits::unlimited(),
     };
-    let study = faults::run(&fcfg, None);
+    let study = faults::run(&fcfg);
     check(&[
         ("faults-aggregate.txt", study.render_aggregate().to_string()),
         ("faults.txt", study.render().to_string()),

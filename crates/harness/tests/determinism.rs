@@ -6,7 +6,7 @@
 
 use hard_harness::experiments::{faults, obs, table2};
 use hard_harness::runner::{execute_hardened_cell, RunLimits, RunOutcome};
-use hard_harness::{injected_trace, probes, CampaignConfig, CellTrace, Checkpoint, DetectorKind};
+use hard_harness::{injected_trace, probes, CampaignConfig, CellTrace, DetectorKind};
 use hard_workloads::App;
 
 /// A small campaign: every app at reduced scale, two injected runs.
@@ -83,8 +83,8 @@ fn fault_sweep_is_bit_identical_across_job_counts() {
         rates_ppm: vec![0, 20_000],
         limits: RunLimits::unlimited(),
     };
-    let serial = faults::run(&fcfg(1), None);
-    let parallel = faults::run(&fcfg(4), None);
+    let serial = faults::run(&fcfg(1));
+    let parallel = faults::run(&fcfg(4));
     assert_eq!(serial.rows.len(), parallel.rows.len());
     for (a, b) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(a.app, b.app);
@@ -94,34 +94,6 @@ fn fault_sweep_is_bit_identical_across_job_counts() {
         serial.render_aggregate().to_string(),
         parallel.render_aggregate().to_string()
     );
-}
-
-#[test]
-fn parallel_sweep_checkpoint_resumes_into_a_serial_sweep() {
-    // Cells recorded by a jobs=4 sweep must be byte-compatible with a
-    // jobs=1 resume (and vice versa): the checkpoint is written on the
-    // main thread in app order regardless of completion order.
-    let mut p = std::env::temp_dir();
-    p.push(format!("hard-determinism-cp-{}", std::process::id()));
-    let _ = std::fs::remove_file(&p);
-    let fcfg = |jobs| faults::FaultsConfig {
-        campaign: reduced(jobs),
-        rates_ppm: vec![0, 5_000],
-        limits: RunLimits::unlimited(),
-    };
-    let mut cp = Checkpoint::load(&p, &fcfg(4).key()).unwrap();
-    let parallel = faults::run(&fcfg(4), Some(&mut cp));
-    assert_eq!(parallel.resumed, 0);
-
-    // The key must not depend on jobs, or resume across widths breaks.
-    let mut cp2 = Checkpoint::load(&p, &fcfg(1).key()).unwrap();
-    let resumed = faults::run(&fcfg(1), Some(&mut cp2));
-    assert_eq!(resumed.resumed, parallel.rows.len());
-    for (a, b) in parallel.rows.iter().zip(&resumed.rows) {
-        assert_eq!(a.app, b.app);
-        assert_eq!(a.cell, b.cell);
-    }
-    let _ = std::fs::remove_file(&p);
 }
 
 #[test]

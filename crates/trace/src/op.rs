@@ -98,12 +98,6 @@ impl Op {
         }
     }
 
-    /// True for [`Op::Lock`] and [`Op::Unlock`].
-    #[must_use]
-    pub fn is_lock_op(&self) -> bool {
-        matches!(self, Op::Lock { .. } | Op::Unlock { .. })
-    }
-
     /// True for memory accesses.
     #[must_use]
     pub fn is_access(&self) -> bool {
@@ -161,7 +155,6 @@ mod tests {
             site: SiteId(2),
         };
         assert_eq!(l.as_access(), None);
-        assert!(l.is_lock_op());
         assert!(!l.is_access());
     }
 

@@ -16,8 +16,8 @@
 //! detection/degradation responses.
 //!
 //! Rates are integers (ppm) rather than floats so the plan can be
-//! embedded in `Copy + Eq` machine configurations and in checkpoint
-//! keys without rounding hazards.
+//! embedded in `Copy + Eq` machine configurations without rounding
+//! hazards.
 
 use crate::rng::Xoshiro256;
 

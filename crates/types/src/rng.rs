@@ -94,11 +94,6 @@ impl Xoshiro256 {
         u < p
     }
 
-    /// Returns a uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Picks a uniformly random element of `slice`, or `None` if empty.
     pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
         if slice.is_empty() {
@@ -211,14 +206,5 @@ mod tests {
         let mut c1 = parent.fork();
         let mut c2 = parent.fork();
         assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn gen_f64_in_unit_interval() {
-        let mut rng = Xoshiro256::seed_from_u64(17);
-        for _ in 0..1000 {
-            let x = rng.gen_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 }

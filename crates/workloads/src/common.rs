@@ -384,17 +384,6 @@ impl AppBuilder {
         per_step
     }
 
-    /// Emits each owning thread touching (write+read) its own cluster
-    /// variable once.
-    pub fn fs_touch(&mut self, cluster: &FsCluster) {
-        for &(addr, owner) in &cluster.vars {
-            self.pb
-                .thread(owner.0)
-                .write(addr, 4, cluster.site_write)
-                .read(addr, 4, cluster.site_read);
-        }
-    }
-
     /// Emits an idempotent unprotected write by every thread — a benign
     /// race (all writers store the same value), still reported by both
     /// detectors when unordered.
@@ -540,7 +529,9 @@ mod tests {
         for (i, &(a, _)) in c.vars.iter().enumerate() {
             assert_eq!(a.0, c.line.0 + i as u64 * 8);
         }
-        b.fs_touch(&c);
+        for t in 0..4 {
+            b.fs_touch_one(&c, t);
+        }
         let p = b.finish();
         assert_eq!(p.total_ops(), 8);
     }

@@ -77,12 +77,6 @@ impl Layout {
         self.shared(32, 32)
     }
 
-    /// Total shared bytes allocated.
-    #[must_use]
-    pub fn shared_bytes(&self) -> u64 {
-        self.next_shared - SHARED_REGION
-    }
-
     /// Allocates `bytes` of private data for `thread`.
     ///
     /// # Panics
@@ -105,12 +99,6 @@ impl Layout {
         let s = SiteId(self.next_site);
         self.next_site += 1;
         s
-    }
-
-    /// Number of sites allocated so far.
-    #[must_use]
-    pub fn sites_allocated(&self) -> u32 {
-        self.next_site - 1
     }
 }
 
@@ -140,7 +128,6 @@ mod tests {
         assert_eq!(a.0 % 4, 0);
         assert_eq!(b.0 % 32, 0);
         assert!(b.0 >= a.0 + 4);
-        assert!(l.shared_bytes() >= 12);
     }
 
     #[test]
@@ -172,6 +159,5 @@ mod tests {
         let a = l.site();
         let b = l.site();
         assert_ne!(a, b);
-        assert_eq!(l.sites_allocated(), 2);
     }
 }
