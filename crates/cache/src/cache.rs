@@ -2,7 +2,7 @@
 
 use crate::cstate::CState;
 use crate::geometry::CacheGeometry;
-use hard_types::{Addr, HardError};
+use hard_types::Addr;
 use std::mem::MaybeUninit;
 
 /// One cache line: coherence state, holder bits and attached metadata.
@@ -149,17 +149,25 @@ impl<M> SetAssocCache<M> {
         base..base + self.lens[set] as usize
     }
 
+    /// The slot holding `line_addr` in `set` (as
+    /// [`CacheGeometry::line_and_set`] gives them): one scan of the
+    /// set's packed tags, without touching LRU state.
+    #[inline]
+    fn find(&self, line_addr: Addr, set: usize) -> Option<usize> {
+        let range = self.set_range(set);
+        let i = self.tags[range.clone()]
+            .iter()
+            .position(|&t| t == line_addr.0)?;
+        Some(range.start + i)
+    }
+
     /// The slot holding the line containing `addr`, without touching
     /// LRU state.
     #[must_use]
     #[inline]
     pub fn slot_of(&self, addr: Addr) -> Option<usize> {
         let (line_addr, set) = self.geom.line_and_set(addr);
-        let range = self.set_range(set);
-        let i = self.tags[range.clone()]
-            .iter()
-            .position(|&t| t == line_addr.0)?;
-        Some(range.start + i)
+        self.find(line_addr, set)
     }
 
     /// Looks up the line containing `addr` without touching LRU state.
@@ -192,25 +200,21 @@ impl<M> SetAssocCache<M> {
     /// single flat slot-array sweep over the set's dense prefix.
     #[inline]
     pub fn probe_prepared(&mut self, line_addr: Addr, set: usize) -> Option<&mut Line<M>> {
-        let tick = self.bump();
-        let range = self.set_range(set);
-        let i = self.tags[range.clone()]
-            .iter()
-            .position(|&t| t == line_addr.0)?;
-        let slot = range.start + i;
-        self.lrus[slot] = tick;
+        let slot = self.probe_slot(line_addr, set)?;
         Some(self.slot_mut(slot))
     }
 
-    /// [`SetAssocCache::probe`] returning the hit slot index instead
-    /// of the line: one tag scan with the identical LRU charge (bump,
-    /// then stamp on a hit), after which the caller can inspect and
-    /// mutate the line through the tick-neutral slot accessors
-    /// ([`SetAssocCache::peek_slot`],
-    /// [`SetAssocCache::slot_line_mut`]) without paying a second scan.
-    pub fn probe_slot(&mut self, addr: Addr) -> Option<usize> {
+    /// [`SetAssocCache::probe_prepared`] returning the hit slot index
+    /// instead of the line: one tag scan with the identical LRU charge
+    /// (bump, then stamp on a hit), after which the caller can inspect
+    /// and mutate the line through the tick-neutral slot accessors
+    /// ([`SetAssocCache::peek_slot`], [`SetAssocCache::slot_line_mut`])
+    /// without paying a second scan, and on a miss fill the probed set
+    /// with [`SetAssocCache::insert`].
+    #[inline]
+    pub fn probe_slot(&mut self, line_addr: Addr, set: usize) -> Option<usize> {
         let tick = self.bump();
-        let slot = self.slot_of(addr)?;
+        let slot = self.find(line_addr, set)?;
         self.lrus[slot] = tick;
         Some(slot)
     }
@@ -238,15 +242,10 @@ impl<M> SetAssocCache<M> {
     /// the hit for the same-core/same-line fast path.
     #[inline]
     pub fn probe_fused(&mut self, line_addr: Addr, set: usize) -> Option<(usize, &mut Line<M>)> {
-        let range = self.set_range(set);
-        let hit = self.tags[range.clone()]
-            .iter()
-            .position(|&t| t == line_addr.0);
-        match hit {
-            Some(i) => {
+        match self.find(line_addr, set) {
+            Some(slot) => {
                 self.tick += 2;
                 let tick = self.tick;
-                let slot = range.start + i;
                 self.lrus[slot] = tick;
                 Some((slot, self.slot_mut(slot)))
             }
@@ -286,6 +285,22 @@ impl<M> SetAssocCache<M> {
         self.slot_mut(slot)
     }
 
+    /// Touches the slot [`SetAssocCache::insert`] just filled with the
+    /// charge of one hitting probe (bump, then stamp): the metadata
+    /// probe that follows a fill, without scanning the set for the line
+    /// it has just placed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is empty.
+    #[inline]
+    pub fn touch_slot(&mut self, slot: usize) -> &mut Line<M> {
+        assert_ne!(self.tags[slot], TAG_EMPTY, "a just-filled slot");
+        let tick = self.bump();
+        self.lrus[slot] = tick;
+        self.slot_mut(slot)
+    }
+
     /// Mutable access to a slot without any LRU charge (re-borrowing a
     /// line whose probe cost was already paid this access).
     #[inline]
@@ -296,29 +311,30 @@ impl<M> SetAssocCache<M> {
         Some(self.slot_mut(slot))
     }
 
-    /// Inserts a line (which must not already be present) with no
-    /// holder bits, evicting the LRU victim if the set is full. Returns
+    /// Fills the set a probe has just missed: inserts `line_addr` with
+    /// no holder bits into `set` (both as [`CacheGeometry::line_and_set`]
+    /// gives them), evicting the LRU victim if the set is full. Returns
     /// the new line's slot alongside the victim, so the caller can reach
-    /// the line again through the tick-neutral slot accessors.
+    /// the line again through the slot accessors.
     ///
-    /// # Errors
-    ///
-    /// Returns [`HardError::DuplicateLine`] if the line is already
-    /// present — the hierarchy must probe first.
+    /// The line must be absent: the caller's probe of this set is the
+    /// only duplicate check. Debug builds assert it; a release build
+    /// would hold two copies of the line.
     pub fn insert(
         &mut self,
-        addr: Addr,
+        line_addr: Addr,
+        set: usize,
         state: CState,
         meta: M,
-    ) -> Result<(usize, Option<Evicted<M>>), HardError> {
-        let line_addr = self.geom.line_of(addr);
+    ) -> (usize, Option<Evicted<M>>) {
+        debug_assert_eq!(self.geom.line_and_set(line_addr), (line_addr, set));
         let ways = self.geom.ways() as usize;
         let tick = self.bump();
-        let set = self.geom.set_index(line_addr);
         let range = self.set_range(set);
-        if self.tags[range.clone()].contains(&line_addr.0) {
-            return Err(HardError::DuplicateLine { line: line_addr });
-        }
+        debug_assert!(
+            self.find(line_addr, set).is_none(),
+            "cache line {line_addr} inserted while already present"
+        );
         let victim = if range.len() >= ways {
             // Victim choice reads the packed recency mirror; ties are
             // impossible (the tick strictly increases), so "first
@@ -347,7 +363,7 @@ impl<M> SetAssocCache<M> {
             meta,
         });
         self.lens[set] += 1;
-        Ok((slot, victim))
+        (slot, victim)
     }
 
     /// Removes position `i` of `set`'s prefix, backfilling with the
@@ -461,14 +477,24 @@ mod tests {
         SetAssocCache::new(CacheGeometry::new(128, 2, 32))
     }
 
+    /// Inserts the line containing `addr` into the set it maps to.
+    fn fill(c: &mut SetAssocCache<u32>, addr: u64, meta: u32) -> Option<Evicted<u32>> {
+        let (line, set) = c.geometry().line_and_set(Addr(addr));
+        c.insert(line, set, CState::Exclusive, meta).1
+    }
+
+    /// `fill` unless the line is already resident, as the hierarchy
+    /// only fills after a missing probe.
+    fn fill_absent(c: &mut SetAssocCache<u32>, addr: u64, meta: u32) {
+        if c.peek(Addr(addr)).is_none() {
+            fill(c, addr, meta);
+        }
+    }
+
     #[test]
     fn insert_probe_roundtrip() {
         let mut c = small();
-        assert!(c
-            .insert(Addr(0x20), CState::Exclusive, 7)
-            .unwrap()
-            .1
-            .is_none());
+        assert!(fill(&mut c, 0x20, 7).is_none());
         assert_eq!(c.occupancy(), 1);
         let line = c.probe(Addr(0x24)).expect("same line");
         assert_eq!(line.meta, 7);
@@ -481,15 +507,11 @@ mod tests {
         let mut c = small();
         // Set 0 holds lines 0x00, 0x40 (with 2 sets of 32B lines,
         // set = (addr/32) & 1).
-        c.insert(Addr(0x00), CState::Exclusive, 1).unwrap();
-        c.insert(Addr(0x40), CState::Exclusive, 2).unwrap();
+        fill(&mut c, 0x00, 1);
+        fill(&mut c, 0x40, 2);
         // Touch 0x00 so 0x40 becomes LRU.
         c.probe(Addr(0x00));
-        let ev = c
-            .insert(Addr(0x80), CState::Exclusive, 3)
-            .unwrap()
-            .1
-            .expect("eviction");
+        let ev = fill(&mut c, 0x80, 3).expect("eviction");
         assert_eq!(ev.addr, Addr(0x40));
         assert_eq!(ev.line.meta, 2);
         assert!(c.peek(Addr(0x00)).is_some());
@@ -499,16 +521,16 @@ mod tests {
     #[test]
     fn different_sets_do_not_conflict() {
         let mut c = small();
-        c.insert(Addr(0x00), CState::Exclusive, 1).unwrap();
-        c.insert(Addr(0x20), CState::Exclusive, 2).unwrap(); // set 1
-        c.insert(Addr(0x40), CState::Exclusive, 3).unwrap(); // set 0
+        fill(&mut c, 0x00, 1);
+        fill(&mut c, 0x20, 2); // set 1
+        fill(&mut c, 0x40, 3); // set 0
         assert_eq!(c.occupancy(), 3);
     }
 
     #[test]
     fn remove_returns_line() {
         let mut c = small();
-        c.insert(Addr(0x00), CState::Modified, 9).unwrap();
+        c.insert(Addr(0x00), 0, CState::Modified, 9);
         let l = c.remove(Addr(0x1F)).expect("same line");
         assert_eq!(l.meta, 9);
         assert_eq!(l.state, CState::Modified);
@@ -517,15 +539,36 @@ mod tests {
     }
 
     #[test]
-    fn double_insert_is_an_error() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "inserted while already present")]
+    fn double_insert_trips_the_absence_assert() {
         let mut c = small();
-        c.insert(Addr(0x00), CState::Exclusive, 1).unwrap();
-        let err = c.insert(Addr(0x04), CState::Exclusive, 2); // same line
-        assert_eq!(
-            err.err(),
-            Some(hard_types::HardError::DuplicateLine { line: Addr(0x00) })
-        );
-        assert_eq!(c.occupancy(), 1, "the original line is untouched");
+        fill(&mut c, 0x00, 1);
+        fill(&mut c, 0x04, 2); // same line
+    }
+
+    #[test]
+    fn probe_slot_then_insert_matches_the_probe_then_fill() {
+        // The hierarchy's fill: one charged probe of the set, then an
+        // insert into it, then a one-probe touch of the new slot — the
+        // same ticks and stamps as probe, fill, probe.
+        let mut a = small();
+        let mut b = small();
+        for addr in [0x00u64, 0x40, 0x00, 0x80, 0x24, 0x44] {
+            let (line, set) = a.geometry().line_and_set(Addr(addr));
+            if a.probe(Addr(addr)).is_none() {
+                fill(&mut a, addr, addr as u32);
+                a.probe(Addr(addr));
+            }
+            if b.probe_slot(line, set).is_none() {
+                let (slot, _) = b.insert(line, set, CState::Exclusive, addr as u32);
+                assert_eq!(b.touch_slot(slot).meta, addr as u32);
+            }
+            assert_eq!(a.lru_of(line), b.lru_of(line), "stamp at {addr:#x}");
+            assert_eq!(a.tick, b.tick, "LRU tick divergence at {addr:#x}");
+        }
+        let lines = |c: &SetAssocCache<u32>| c.iter().map(|(l, _)| l).collect::<Vec<_>>();
+        assert_eq!(lines(&a), lines(&b));
     }
 
     #[test]
@@ -533,8 +576,8 @@ mod tests {
         let mut a = small();
         let mut b = small();
         for addr in [0x00u64, 0x20, 0x40, 0x24, 0x80, 0x00] {
-            let _ = a.insert(Addr(addr), CState::Exclusive, addr as u32);
-            let _ = b.insert(Addr(addr), CState::Exclusive, addr as u32);
+            fill_absent(&mut a, addr, addr as u32);
+            fill_absent(&mut b, addr, addr as u32);
             let got = a.probe(Addr(addr + 4)).map(|l| l.meta);
             let (line, set) = b.geometry().line_and_set(Addr(addr + 4));
             let want = b.probe_prepared(line, set).map(|l| l.meta);
@@ -549,8 +592,8 @@ mod tests {
         let mut a = small();
         let mut b = small();
         for addr in [0x00u64, 0x20, 0x40, 0x24, 0x80, 0x00, 0x44] {
-            let _ = a.insert(Addr(addr), CState::Exclusive, addr as u32);
-            let _ = b.insert(Addr(addr), CState::Exclusive, addr as u32);
+            fill_absent(&mut a, addr, addr as u32);
+            fill_absent(&mut b, addr, addr as u32);
             let (line, set) = a.geometry().line_and_set(Addr(addr + 4));
             // Scalar recipe: the ensure probe then the metadata probe.
             let first = a.probe_prepared(line, set).is_some();
@@ -573,8 +616,8 @@ mod tests {
     fn touch_slot_fused_matches_probe_fused_on_the_same_slot() {
         let mut a = small();
         let mut b = small();
-        a.insert(Addr(0x00), CState::Exclusive, 1).unwrap();
-        b.insert(Addr(0x00), CState::Exclusive, 1).unwrap();
+        fill(&mut a, 0x00, 1);
+        fill(&mut b, 0x00, 1);
         let (line, set) = a.geometry().line_and_set(Addr(0x04));
         let (slot, _) = b.probe_fused(line, set).expect("hit");
         a.probe_fused(line, set);
@@ -592,8 +635,8 @@ mod tests {
     #[test]
     fn iter_mut_allows_flash_updates() {
         let mut c = small();
-        c.insert(Addr(0x00), CState::Exclusive, 1).unwrap();
-        c.insert(Addr(0x20), CState::Exclusive, 2).unwrap();
+        fill(&mut c, 0x00, 1);
+        fill(&mut c, 0x20, 2);
         for line in c.iter_mut() {
             line.meta = 0;
         }

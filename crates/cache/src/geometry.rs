@@ -35,7 +35,9 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics unless `size_bytes`, `line_bytes` and the resulting set
-    /// count are powers of two, and the cache holds at least one set of
+    /// count are powers of two, lines are at least 2 bytes (a line
+    /// address is then even, and never the all-ones word a cache marks
+    /// its empty slots with), and the cache holds at least one set of
     /// `ways` lines.
     #[must_use]
     pub fn new(size_bytes: u64, ways: u32, line_bytes: u64) -> CacheGeometry {
@@ -43,6 +45,7 @@ impl CacheGeometry {
             line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(line_bytes >= 2, "line size must be at least 2 bytes");
         assert!(
             size_bytes.is_power_of_two(),
             "cache size must be a power of two"
@@ -204,6 +207,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_odd_line() {
         let _ = CacheGeometry::new(1024, 2, 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 bytes")]
+    fn rejects_one_byte_line() {
+        let _ = CacheGeometry::new(1024, 2, 1);
     }
 
     #[test]

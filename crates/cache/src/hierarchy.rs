@@ -15,10 +15,11 @@
 use crate::cache::{Line, SetAssocCache};
 use crate::cstate::CState;
 use crate::geometry::CacheGeometry;
+use crate::lost::LostLines;
 use crate::policy::MetaFactory;
 use crate::stats::MemStats;
 use hard_obs::{CounterId, Event, ObsHandle};
-use hard_types::{AccessKind, Addr, CoreId, FastHashSet, HardError};
+use hard_types::{AccessKind, Addr, CoreId, HardError};
 
 /// Hierarchy shape (Table 1 defaults).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -193,7 +194,7 @@ pub struct Hierarchy<F: MetaFactory> {
     /// One bit per core: the width of a sector's holder group.
     all_cores: u32,
     stats: MemStats,
-    lost_meta: FastHashSet<Addr>,
+    lost_meta: LostLines,
     /// Same-core/same-line memo for the fused access path: the L1
     /// slot that served the previous [`Hierarchy::access_prepared`]
     /// hit. Validated (address + state) before every use, so it is a
@@ -234,18 +235,19 @@ impl<F: MetaFactory> Hierarchy<F> {
                 ),
             });
         }
+        let l1_shift = cfg.l1.line_bytes().trailing_zeros();
         Ok(Hierarchy {
             l1: (0..cfg.num_cores)
                 .map(|_| SetAssocCache::new(cfg.l1))
                 .collect(),
             l2: SetAssocCache::new(cfg.l2),
             sectors,
-            l1_shift: cfg.l1.line_bytes().trailing_zeros(),
+            l1_shift,
             all_cores: u32::MAX >> (u32::BITS as usize - cfg.num_cores),
             cfg,
             factory,
             stats: MemStats::default(),
-            lost_meta: FastHashSet::default(),
+            lost_meta: LostLines::new(l1_shift),
             hot: None,
             obs: ObsHandle::off(),
         })
@@ -339,7 +341,7 @@ impl<F: MetaFactory> Hierarchy<F> {
     /// L2 displacement.
     #[must_use]
     pub fn was_meta_lost(&self, addr: Addr) -> bool {
-        self.lost_meta.contains(&self.cfg.l1.line_of(addr))
+        self.lost_meta.contains(addr)
     }
 
     /// Mutable access to `core`'s copy of the metadata for `addr`'s
@@ -448,19 +450,21 @@ impl<F: MetaFactory> Hierarchy<F> {
         });
     }
 
-    /// Inserts a line into `core`'s L1 and records the core among the
-    /// holders of its L2 line (at `l2_slot`), handling the victim
-    /// writeback.
+    /// Fills set `set` of core `c`'s L1, which has just missed
+    /// `line_addr`, records the core among the holders of its L2 line
+    /// (at `l2_slot`), and handles the victim writeback. Returns the
+    /// new line's L1 slot.
     fn l1_insert(
         &mut self,
-        core: CoreId,
-        addr: Addr,
+        c: usize,
+        line_addr: Addr,
+        set: usize,
         state: CState,
         meta: F::Meta,
         l2_slot: usize,
-    ) -> Result<(), HardError> {
-        let c = core.index();
-        if let (_, Some(victim)) = self.l1[c].insert(addr, state, meta)? {
+    ) -> usize {
+        let (slot, victim) = self.l1[c].insert(line_addr, set, state, meta);
+        if let Some(victim) = victim {
             self.stats.l1_evictions += 1;
             let dirty = victim.line.state == CState::Modified;
             if dirty {
@@ -478,11 +482,11 @@ impl<F: MetaFactory> Hierarchy<F> {
                 }
             }
         }
-        let bit = self.holder_bit(c, self.sector_of(addr));
+        let bit = self.holder_bit(c, self.sector_of(line_addr));
         if let Some(l2line) = self.l2.slot_line_mut(l2_slot) {
             l2line.holders |= bit;
         }
-        Ok(())
+        slot
     }
 
     /// Invalidates every copy of the L1 line `line_addr` held by a core
@@ -510,10 +514,9 @@ impl<F: MetaFactory> Hierarchy<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`HardError::CoherenceViolation`] or
-    /// [`HardError::DuplicateLine`] if an MESI invariant does not hold;
-    /// impossible in a fault-free run, but reachable when a fault layer
-    /// perturbs the caches between accesses.
+    /// Returns [`HardError::CoherenceViolation`] if an MESI invariant
+    /// does not hold; impossible in a fault-free run, but reachable when
+    /// a fault layer perturbs the caches between accesses.
     pub fn ensure(
         &mut self,
         core: CoreId,
@@ -581,19 +584,23 @@ impl<F: MetaFactory> Hierarchy<F> {
             }
         }
 
-        self.miss_path(core, line_addr, kind)
+        self.miss_path(core, line_addr, set, kind)
+            .map(|(result, _)| result)
     }
 
     /// The L1-miss half of [`Hierarchy::ensure`]: snoop, fill, insert.
-    /// Shared verbatim by `ensure`, `ensure_prepared` and
-    /// `access_prepared` so the coherence actions (and their stat/LRU
-    /// charges) cannot diverge between them.
+    /// Shared verbatim by `ensure_prepared` and `access_prepared` so the
+    /// coherence actions (and their stat/LRU charges) cannot diverge
+    /// between them. `set` is the L1 set whose probe missed; each cache
+    /// the miss fills is filled in the set its one probe scanned, and
+    /// the new L1 line's slot is returned with the result.
     fn miss_path(
         &mut self,
         core: CoreId,
         line_addr: Addr,
+        set: usize,
         kind: AccessKind,
-    ) -> Result<EnsureResult, HardError> {
+    ) -> Result<(EnsureResult, usize), HardError> {
         let c = core.index();
         self.stats.l1_misses += 1;
         self.obs.counter(CounterId::CacheFills, 1);
@@ -609,7 +616,8 @@ impl<F: MetaFactory> Hierarchy<F> {
         // every peer copy. This is the miss's one charged L2 probe,
         // whether a peer, the L2 or memory then supplies the line; the
         // line is reached again through tick-neutral slot accessors.
-        let mut l2_slot = self.l2.probe_slot(line_addr);
+        let (l2_line, l2_set) = self.cfg.l2.line_and_set(line_addr);
+        let mut l2_slot = self.l2.probe_slot(l2_line, l2_set);
         let peers = l2_slot
             .and_then(|s| self.l2.peek_slot(s, line_addr))
             .map_or(0, |l| self.holders_of(l.holders, idx))
@@ -665,7 +673,7 @@ impl<F: MetaFactory> Hierarchy<F> {
             // Fetch from memory: fresh metadata (paper §3.1).
             self.stats.l2_misses += 1;
             result.served_by = ServedBy::Memory;
-            result.refetch_after_loss = self.lost_meta.contains(&line_addr);
+            result.refetch_after_loss = self.lost_meta.contains(line_addr);
             if result.refetch_after_loss {
                 self.obs.counter(CounterId::RefetchesAfterLoss, 1);
                 self.obs
@@ -679,7 +687,7 @@ impl<F: MetaFactory> Hierarchy<F> {
             } else {
                 let mut sectors = L2Sectors::vacant(self.sectors);
                 sectors[idx] = Some(fresh.clone());
-                let (slot, victim) = self.l2.insert(line_addr, CState::Exclusive, sectors)?;
+                let (slot, victim) = self.l2.insert(l2_line, l2_set, CState::Exclusive, sectors);
                 l2_slot = Some(slot);
                 if let Some(victim) = victim {
                     result.displaced = Some(victim.addr);
@@ -704,8 +712,8 @@ impl<F: MetaFactory> Hierarchy<F> {
             line: line_addr,
             what: "a filled line has no L2 line to record its holder",
         })?;
-        self.l1_insert(core, line_addr, new_state, meta, l2_slot)?;
-        Ok(result)
+        let slot = self.l1_insert(c, line_addr, set, new_state, meta, l2_slot);
+        Ok((result, slot))
     }
 
     /// The detectors' access path: [`Hierarchy::ensure`] and
@@ -721,8 +729,7 @@ impl<F: MetaFactory> Hierarchy<F> {
     ///
     /// # Errors
     ///
-    /// As [`Hierarchy::ensure`]; additionally if the just-filled line
-    /// vanished before its metadata probe (impossible fault-free).
+    /// As [`Hierarchy::ensure`].
     #[inline]
     pub fn access_prepared(
         &mut self,
@@ -810,17 +817,10 @@ impl<F: MetaFactory> Hierarchy<F> {
 
         // Miss: the fused probe already charged the single failed
         // ensure-probe tick; the fill then the metadata probe follow,
-        // exactly the scalar sequence.
-        let result = self.miss_path(core, line_addr, kind)?;
-        let meta = self.l1[c]
-            .probe_prepared(line_addr, set)
-            .map(|l| &mut l.meta)
-            .ok_or(HardError::CoherenceViolation {
-                core,
-                line: line_addr,
-                what: "a just-filled line vanished before its metadata probe",
-            })?;
-        Ok((result, meta))
+        // exactly the scalar sequence. The metadata probe's hit is the
+        // slot the fill returned, so it charges its tick without a scan.
+        let (result, slot) = self.miss_path(core, line_addr, set, kind)?;
+        Ok((result, &mut self.l1[c].touch_slot(slot).meta))
     }
 
     /// `core`'s L1 LRU tick — exposed so parity tests can pin the

@@ -26,6 +26,7 @@ pub mod cstate;
 pub mod directory;
 pub mod geometry;
 pub mod hierarchy;
+mod lost;
 pub mod policy;
 pub mod stats;
 pub mod timing;

@@ -1,10 +1,10 @@
 //! Property-based tests for the memory hierarchy's invariants.
 
 use hard_cache::policy::MetaFactory;
-use hard_cache::{CacheGeometry, Hierarchy, HierarchyConfig, MetaDirectory};
+use hard_cache::{CacheGeometry, Hierarchy, HierarchyConfig, MetaDirectory, ServedBy};
 use hard_types::{AccessKind, Addr, CoreId};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 #[derive(Clone, Copy, Debug)]
 struct SeqFactory;
@@ -300,6 +300,60 @@ proptest! {
                     !exclusive || resident.count_ones() == 1,
                     "M/E copy of {:?} coexists with others", addr
                 );
+            }
+        }
+    }
+
+    /// The lost-line set is a set of line addresses at every line size
+    /// a geometry accepts. A one-line L1 over a one-line L2 loses each
+    /// line the moment another is touched (or a displacement is
+    /// forced), so the hierarchy's answers — `was_meta_lost`, an
+    /// access's `refetch_after_loss` and `displaced` — must be a
+    /// `HashSet` model's. Lines are drawn near the bottom of the
+    /// address space, around its top address bit and at its top, so
+    /// neighbouring lines share and straddle blocks, and a line that
+    /// differs from another only in its top bit is likely.
+    #[test]
+    fn lost_lines_match_a_set_model(
+        shift in 1u32..64,
+        ops in prop::collection::vec((0u8..4, 0u8..3, 0u64..160, any::<u64>()), 1..200),
+    ) {
+        let line_bytes = 1u64 << shift;
+        let geom = CacheGeometry::new(line_bytes, 1, line_bytes);
+        let cfg = HierarchyConfig { num_cores: 1, l1: geom, l2: geom };
+        let mut h = Hierarchy::new(cfg, SeqFactory).unwrap();
+        let top = u64::MAX >> shift; // the highest line index
+        let mut model: HashSet<Addr> = HashSet::new();
+        let mut resident: Option<Addr> = None;
+        for (op, anchor, offset, byte) in ops {
+            let index = match anchor {
+                0 => offset.min(top),
+                1 => ((top >> 1) + 1).saturating_sub(80).saturating_add(offset).min(top),
+                _ => top - offset.min(top),
+            };
+            let line = Addr(index << shift);
+            let addr = Addr(line.0 | (byte & (line_bytes - 1)));
+            match op {
+                0 | 1 => {
+                    let r = h.ensure(CoreId(0), addr, AccessKind::Read).unwrap();
+                    if resident == Some(line) {
+                        prop_assert_eq!(r.served_by, ServedBy::L1);
+                    } else {
+                        prop_assert_eq!(r.served_by, ServedBy::Memory);
+                        prop_assert_eq!(r.displaced, resident);
+                        prop_assert_eq!(r.refetch_after_loss, model.contains(&line));
+                        model.extend(resident.replace(line));
+                    }
+                }
+                2 => prop_assert_eq!(
+                    h.was_meta_lost(addr),
+                    model.contains(&line),
+                    "line {:?} at {}-byte lines", line, line_bytes
+                ),
+                _ => {
+                    prop_assert_eq!(h.force_displace(0), resident);
+                    model.extend(resident.take());
+                }
             }
         }
     }

@@ -89,9 +89,9 @@ proptest! {
                     let addr = Addr(l * 32);
                     // `insert` requires absence; mirror a real user.
                     if sut.peek(addr).is_none() {
+                        let (line, set) = geom.line_and_set(addr);
                         let got = sut
-                            .insert(addr, CState::Exclusive, m)
-                            .unwrap()
+                            .insert(line, set, CState::Exclusive, m)
                             .1
                             .map(|e| e.addr);
                         let want = reference.insert(addr, m);

@@ -19,11 +19,6 @@ pub enum HardError {
         /// Human-readable description of the offending parameter.
         what: String,
     },
-    /// A cache line was inserted into a set that already holds it.
-    DuplicateLine {
-        /// The line-aligned address.
-        line: Addr,
-    },
     /// A coherence invariant did not hold (e.g. a broadcast sourced
     /// from a core without a copy, or an owner without the line).
     CoherenceViolation {
@@ -60,9 +55,6 @@ impl fmt::Display for HardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HardError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
-            HardError::DuplicateLine { line } => {
-                write!(f, "cache line {line} inserted while already present")
-            }
             HardError::CoherenceViolation { core, line, what } => {
                 write!(f, "coherence violation on {core} at {line}: {what}")
             }
@@ -90,7 +82,11 @@ mod tests {
 
     #[test]
     fn display_is_descriptive() {
-        let e = HardError::DuplicateLine { line: Addr(0x40) };
+        let e = HardError::CoherenceViolation {
+            core: CoreId(1),
+            line: Addr(0x40),
+            what: "an invalid line was stored in an L1",
+        };
         assert!(format!("{e}").contains("0x40"), "{e}");
         let e = HardError::UnlockOfUnheld {
             thread: ThreadId(2),

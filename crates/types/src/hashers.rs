@@ -1,7 +1,7 @@
 //! Fast, deterministic hashers for the detectors' hot-path tables.
 //!
-//! The per-access structures (granule tables, reported-race sets,
-//! lost-line sets) are keyed by addresses and site ids — small integer
+//! The per-access structures (granule tables, reported-race sets, the
+//! directory index) are keyed by addresses and site ids — small integer
 //! keys hashed millions of times per campaign. The standard library's
 //! SipHash is DoS-resistant but costs more than the table lookup it
 //! guards; simulation tables face no adversarial keys, so both hashers
@@ -17,11 +17,15 @@
 //!   access stream that walks memory walks the table too: it touches
 //!   few pages, and the host's prefetchers can follow it.
 //! * [`FastHasher`] (the rustc `FxHash` multiply-rotate mixer) for
-//!   everything else, and in particular for miss-heavy sets such as
-//!   the cache model's lost-line set or the directory index. A missing
-//!   key must probe until it finds an empty slot, and under placement
-//!   hashing a dense run of live neighbours is exactly what it probes
-//!   through; scattered keys leave empty slots everywhere.
+//!   everything else, and in particular for miss-heavy tables such as
+//!   the directory index. A missing key must probe until it finds an
+//!   empty slot, and under placement hashing a dense run of live
+//!   neighbours is exactly what it probes through; scattered keys
+//!   leave empty slots everywhere. Its bucket comes from the low bits
+//!   of `key * SEED`, which for an aligned key (a line address) depend
+//!   only on the key's low bits, so such keys start their probes at a
+//!   fraction of the buckets; a table can key by the aligned value's
+//!   index instead, as the cache model's lost-line set keys by block.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
