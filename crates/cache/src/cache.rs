@@ -285,17 +285,17 @@ impl<M> SetAssocCache<M> {
         self.slot_mut(slot)
     }
 
-    /// Touches the slot [`SetAssocCache::insert`] just filled with the
-    /// charge of one hitting probe (bump, then stamp): the metadata
-    /// probe that follows a fill, without scanning the set for the line
-    /// it has just placed.
+    /// Touches a live slot with the charge of one hitting probe (bump,
+    /// then stamp), without scanning its set again: the slot
+    /// [`SetAssocCache::insert`] just filled (the metadata probe that
+    /// follows a fill), or one [`SetAssocCache::slot_of`] just found.
     ///
     /// # Panics
     ///
     /// Panics if the slot is empty.
     #[inline]
     pub fn touch_slot(&mut self, slot: usize) -> &mut Line<M> {
-        assert_ne!(self.tags[slot], TAG_EMPTY, "a just-filled slot");
+        assert_ne!(self.tags[slot], TAG_EMPTY, "a live slot");
         let tick = self.bump();
         self.lrus[slot] = tick;
         self.slot_mut(slot)

@@ -623,28 +623,26 @@ impl<F: MetaFactory> Hierarchy<F> {
             .map_or(0, |l| self.holders_of(l.holders, idx))
             & !(1 << c);
         // MESI: an M/E copy is the only copy, so only a lone peer can
-        // own the line.
+        // own the line. One tick-neutral scan finds the owner's slot.
         let owner = if peers.is_power_of_two() {
             let o = peers.trailing_zeros() as usize;
-            self.l1[o]
-                .peek(line_addr)
-                .is_some_and(|l| l.state.is_exclusive_kind())
-                .then_some(o)
+            let l1 = &self.l1[o];
+            l1.slot_of(line_addr)
+                .filter(|&s| {
+                    l1.peek_slot(s, line_addr)
+                        .is_some_and(|l| l.state.is_exclusive_kind())
+                })
+                .map(|s| (o, s))
         } else {
             None
         };
 
-        let meta = if let Some(o) = owner {
-            // Cache-to-cache transfer from the owning peer.
+        let meta = if let Some((o, slot)) = owner {
+            // Cache-to-cache transfer from the owning peer, charged as
+            // one hitting probe of its copy.
             self.stats.c2c_transfers += 1;
             result.served_by = ServedBy::Peer;
-            let line = self.l1[o]
-                .probe(line_addr)
-                .ok_or(HardError::CoherenceViolation {
-                    core: CoreId(o as u32),
-                    line: line_addr,
-                    what: "snooped owner no longer holds the line",
-                })?;
+            let line = self.l1[o].touch_slot(slot);
             let peer_meta = line.meta.clone();
             let was_modified = line.state == CState::Modified;
             // A read downgrades the owner; a write's BusRdX invalidates
@@ -928,6 +926,20 @@ mod tests {
         assert_eq!(h.l1[1].peek(Addr(0x100)).unwrap().state, CState::Shared);
         // The L2 received the owner's metadata on the downgrade.
         assert_eq!(h.l2.peek(Addr(0x100)).unwrap().meta[0], Some(42));
+    }
+
+    #[test]
+    fn peer_read_charges_the_owner_one_hitting_probe() {
+        // A hitting probe bumps the cache's tick and stamps the line
+        // with it; the owner of a cache-to-cache transfer pays exactly
+        // that, so replacement state matches a probe of its copy.
+        let mut h = Hierarchy::new(tiny_cfg(), StampFactory).unwrap();
+        h.ensure(C0, Addr(0x100), AccessKind::Read).unwrap();
+        let tick = h.l1_lru_tick(C0);
+        let r = h.ensure(C1, Addr(0x100), AccessKind::Read).unwrap();
+        assert_eq!(r.served_by, ServedBy::Peer);
+        assert_eq!(h.l1_lru_tick(C0), tick + 1);
+        assert_eq!(h.l1_lru_of(C0, Addr(0x100)), Some(tick + 1));
     }
 
     #[test]

@@ -20,15 +20,10 @@
 //! throughput, simulated cycles, peak RSS) after the command;
 //! `bench-check` validates such a record's schema.
 //!
-//! `--trace-cache DIR|off` points the content-addressed trace corpus
-//! at `DIR` (default `results/corpus`) or disables it. Campaigns key
-//! every generated trace by (generator version, app, scale, seed,
-//! schedule config, injection) and replay packed corpus files instead
-//! of regenerating; outputs are bit-identical for any cache state.
-//! Cache statistics print to stderr only (and not at all under
-//! `--quiet`). `record` writes the corpus format (`HARDCRP1`);
-//! `replay` streams it through the detector without materialising the
-//! payload, rejecting any record the stream validator refuses.
+//! Campaigns generate every trace in memory from its seeds. `record`
+//! writes the corpus format (`HARDCRP1`); `replay` streams it through
+//! the detector without materialising the payload, rejecting any
+//! record the stream validator refuses.
 
 use hard_harness::experiments::{
     ablation, bloom_analysis, chaos, claims, cord, faults, fig8, load, obs, obs_serve, robustness,
@@ -54,8 +49,7 @@ usage: hard-exp <table1|table2|table3|table4|table5|table45|table6|fig8|bloom|ab
        hard-exp obs-serve [--clients N] [--repeat N] [--retries N] [--seed N] [--out DIR] [--serve-cmd PATH]
        hard-exp bench-check --file BENCH_x.json | --trajectory BENCH_a.json,BENCH_b.json,...
 every command: [--scale F] [--runs N] [--jobs N] [--mode omit|wrong-lock]
-       [--format text|markdown|json] [--quiet] [--trace-out PATH] [--bench-out PATH]
-       [--trace-cache DIR|off]";
+       [--format text|markdown|json] [--quiet] [--trace-out PATH] [--bench-out PATH]";
 
 struct Args {
     command: String,
@@ -78,7 +72,6 @@ struct Args {
     out: Option<String>,
     serve: Option<String>,
     serve_requests: Option<usize>,
-    trace_cache: Option<String>,
     addr: Option<String>,
     repeat: usize,
     clients: usize,
@@ -112,7 +105,6 @@ impl Args {
             out: None,
             serve: None,
             serve_requests: None,
-            trace_cache: self.trace_cache.clone(),
             addr: None,
             repeat: 1,
             clients: 1,
@@ -146,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         serve: None,
         serve_requests: None,
-        trace_cache: None,
         addr: None,
         repeat: 1,
         clients: 1,
@@ -258,9 +249,6 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown mode: {other}")),
                 };
             }
-            "--trace-cache" => {
-                args.trace_cache = Some(it.next().ok_or("--trace-cache needs <dir> or 'off'")?);
-            }
             "--addr" => args.addr = Some(it.next().ok_or("--addr needs HOST:PORT")?),
             "--repeat" => {
                 args.repeat = it
@@ -344,20 +332,6 @@ fn hw_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Installs the process-global trace-corpus cache behind
-/// `--trace-cache <dir>|off` (default: `results/corpus`). Returns the
-/// cache so `main` can report hit statistics after the command.
-fn install_trace_cache(args: &Args) -> Option<Arc<hard_harness::CorpusCache>> {
-    let dir = match args.trace_cache.as_deref() {
-        Some("off") => return None,
-        Some(dir) => dir,
-        None => "results/corpus",
-    };
-    let cache = Arc::new(hard_harness::CorpusCache::new(dir.into()));
-    hard_harness::corpus::install(Some(cache.clone()));
-    Some(cache)
 }
 
 fn campaign(args: &Args) -> CampaignConfig {
@@ -848,27 +822,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let corpus = install_trace_cache(&args);
     let started = std::time::Instant::now();
     let result = run_command(&args, &rep);
-    if let Some(cache) = &corpus {
-        let s = cache.stats();
-        if s.lookups() > 0 && !args.quiet {
-            // Stats go to stderr: stdout must stay byte-identical for
-            // any cache state so CI can `cmp` cold vs. warm runs.
-            // `--quiet` silences them entirely (errors only).
-            eprintln!(
-                "trace-cache {}: {} hit(s), {} miss(es), {} corrupt, {} store(s), \
-                 {} store error(s)",
-                cache.dir().display(),
-                s.hits,
-                s.misses,
-                s.corrupt,
-                s.stores,
-                s.store_errors
-            );
-        }
-    }
     if let Some(path) = args.bench_out.as_deref() {
         if result.is_ok() {
             let record = hard_harness::BenchRecord::capture(

@@ -116,17 +116,15 @@ pub fn injected_trace(app: App, cfg: &CampaignConfig, run_idx: usize) -> (Trace,
     (trace, info)
 }
 
-/// One campaign cell's trace, in whichever representation produced it:
-/// freshly generated ([`Trace`]) or served packed from the corpus
-/// cache. The hardened runner accepts either and the detector observes
-/// the identical event sequence, so campaign results are bit-identical
-/// for any cache state.
+/// One cell's trace, in either representation the hardened runner
+/// accepts: materialized ([`Trace`]), as every campaign builds it, or
+/// packed. The detector observes the identical event sequence either
+/// way, so results are bit-identical across the two.
 #[derive(Clone, Debug)]
 pub enum CellTrace {
     /// A freshly generated, materialized trace.
     Materialized(Trace),
-    /// A packed trace out of the corpus cache, shared across the cell's
-    /// detectors.
+    /// A packed trace, shared across the cell's detectors.
     Packed(Arc<PackedTrace>),
 }
 
@@ -154,80 +152,6 @@ impl CellTrace {
             CellTrace::Packed(p) => p.num_threads(),
         }
     }
-}
-
-/// The corpus key of `app`'s race-free trace under `cfg`: every input
-/// that determines the event stream, plus the generator version so
-/// stale entries invalidate by missing.
-#[must_use]
-pub fn race_free_key(app: App, cfg: &CampaignConfig) -> String {
-    corpus_key(app, cfg, 0x5EED_0000 + app as u64, "none")
-}
-
-/// The corpus key of injected run `run_idx` of `app` under `cfg`.
-#[must_use]
-pub fn injected_key(app: App, cfg: &CampaignConfig, run_idx: usize) -> String {
-    let inj_seed = 0xBEEF + run_idx as u64;
-    let inj = match cfg.mode {
-        InjectMode::OmitPair => format!("omit:{inj_seed:#x}"),
-        InjectMode::WrongLock => format!("wrong:{inj_seed:#x}"),
-    };
-    let sched = 0x1000_0000 + (app as u64) * 1000 + run_idx as u64;
-    corpus_key(app, cfg, sched, &inj)
-}
-
-fn corpus_key(app: App, cfg: &CampaignConfig, sched_seed: u64, inj: &str) -> String {
-    let w = cfg.workload(app);
-    format!(
-        "gen={} app={} threads={} wseed={:#x} scale={:016x} quantum={} sched={:#x} inj={}",
-        hard_workloads::GENERATOR_VERSION,
-        app.name(),
-        w.num_threads,
-        w.seed,
-        // The exact bit pattern of the factor: 0.1 vs 0.1000001 must
-        // not collide.
-        w.scale.factor().to_bits(),
-        cfg.max_quantum,
-        sched_seed,
-        inj,
-    )
-}
-
-/// [`race_free_trace`] through the corpus cache: with a cache installed
-/// ([`crate::corpus::install`]) the trace is served packed — generated
-/// at most once per key — otherwise it is generated materialized
-/// exactly as before.
-#[must_use]
-pub fn race_free_cell(app: App, cfg: &CampaignConfig) -> CellTrace {
-    if let Some(cache) = crate::corpus::installed() {
-        let entry = cache.get_or_create(&race_free_key(app, cfg), false, || {
-            (race_free_trace(app, cfg), None)
-        });
-        if let Some(entry) = entry {
-            return CellTrace::Packed(entry.trace);
-        }
-    }
-    CellTrace::Materialized(race_free_trace(app, cfg))
-}
-
-/// [`injected_trace`] through the corpus cache: a warm cache skips
-/// program generation *and* injection selection (the ground truth is
-/// persisted alongside the packed trace).
-#[must_use]
-pub fn injected_cell(app: App, cfg: &CampaignConfig, run_idx: usize) -> (CellTrace, Injection) {
-    if let Some(cache) = crate::corpus::installed() {
-        let entry = cache.get_or_create(&injected_key(app, cfg, run_idx), true, || {
-            let (trace, info) = injected_trace(app, cfg, run_idx);
-            (trace, Some(info))
-        });
-        if let Some(entry) = entry {
-            if let Some(info) = entry.injection {
-                return (CellTrace::Packed(entry.trace), info);
-            }
-        }
-    }
-    let (trace, info) = injected_trace(app, cfg, run_idx);
-    (CellTrace::Materialized(trace), info)
 }
 
 /// Outcome of one detector on one injected run.
@@ -386,9 +310,9 @@ pub(crate) fn score_cell(
 /// The scored campaign sweep: for each of `apps`, the race-free cell
 /// and injected runs `0..cfg.runs`, each scored by [`score_cell`] with
 /// the detectors `kinds(app, run)` returns (`run` is `None` for the
-/// race-free cell). Traces come through the corpus cache
-/// ([`race_free_cell`], [`injected_cell`]); a cell whose list is empty
-/// is skipped without fetching its trace.
+/// race-free cell). Each cell generates its trace in memory
+/// ([`race_free_trace`], [`injected_trace`]); a cell whose list is
+/// empty is skipped without generating it.
 ///
 /// The cells fan out over `cfg.jobs` workers and merge in cell order,
 /// so the result — per application, one tally per list position — is
@@ -410,13 +334,15 @@ pub(crate) fn sweep(
         if kinds.is_empty() {
             return Vec::new();
         }
-        match run {
-            None => score_cell(&race_free_cell(app, cfg), None, &kinds, limits, &obs),
+        let (trace, injection) = match run {
+            None => (race_free_trace(app, cfg), None),
             Some(i) => {
-                let (trace, injection) = injected_cell(app, cfg, i);
-                score_cell(&trace, Some(&injection), &kinds, limits, &obs)
+                let (trace, injection) = injected_trace(app, cfg, i);
+                (trace, Some(injection))
             }
-        }
+        };
+        let trace = CellTrace::Materialized(trace);
+        score_cell(&trace, injection.as_ref(), &kinds, limits, &obs)
     });
     scored
         .chunks(cfg.runs + 1)

@@ -1,14 +1,10 @@
-//! Content-addressed on-disk trace corpus.
+//! The `HARDCRP1` on-disk trace corpus format.
 //!
-//! Every campaign trace is a pure function of its seeds, so
-//! regenerating it on every `hard-exp` invocation — and once per cell
-//! within an invocation — is pure waste. The corpus cache keys each
-//! trace by an FNV-1a hash of everything that determines it (generator
-//! version, application, workload seed, scale, scheduler config,
-//! injection mode/seed; see [`crate::campaign`] for the key builders)
-//! and persists it in the packed fixed-width encoding
+//! A corpus file holds one trace in the packed fixed-width encoding
 //! ([`hard_trace::packed_event`]) that the streaming replay path
-//! consumes directly.
+//! consumes directly, plus the injected race's ground truth when
+//! there is one. Campaigns build their traces in memory from seeds
+//! and never read or write corpus files.
 //!
 //! # File format (`HARDCRP1`)
 //!
@@ -28,11 +24,12 @@
 //! [`ChunkedReader`] without ever holding the payload in memory,
 //! folding [`codec::fnv1a_update`] over the chunks and comparing at
 //! the end. Injected runs persist their ground-truth [`Injection`]
-//! inline, so a warm cache skips program generation *and* injection
-//! selection entirely.
+//! inline.
 //!
-//! Damage never panics and never poisons a campaign: a corrupt or
-//! truncated entry is counted, discarded and regenerated.
+//! [`CorpusCache`] is a content-addressed cache of such files, keyed
+//! by an FNV-1a hash of a caller-built key string; perfbench's `table2`
+//! is its only user. Damage never panics: a corrupt or truncated entry
+//! is counted, discarded and regenerated.
 //!
 //! The same format is what `record` writes and what `replay` and
 //! `hard-serve` take from outside. [`parse_header`] bounds the thread
@@ -46,7 +43,7 @@ use hard_workloads::{CriticalSection, Injection};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Magic prefix of a corpus file.
 pub const CORPUS_MAGIC: &[u8; 8] = b"HARDCRP1";
@@ -94,6 +91,11 @@ impl CorpusStats {
 }
 
 /// A content-addressed trace cache over one directory.
+///
+/// Only perfbench's `table2` uses it (with [`CorpusStats`],
+/// [`CorpusEntry`] and the payload copy in `load_file`), so their
+/// behaviour stays exactly as that benchmark measures it. They go with
+/// the next change to perfbench.
 pub struct CorpusCache {
     dir: PathBuf,
     hits: AtomicU64,
@@ -116,12 +118,6 @@ impl CorpusCache {
             stores: AtomicU64::new(0),
             store_errors: AtomicU64::new(0),
         }
-    }
-
-    /// The cache directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The on-disk path for a key string.
@@ -190,7 +186,7 @@ impl CorpusCache {
             }
             Err(_) => {
                 // A read-only or full disk makes every lookup of this
-                // key regenerate: slower, but the campaign result is
+                // key regenerate: slower, but the caller's result is
                 // unaffected.
                 self.store_errors.fetch_add(1, Ordering::Relaxed);
             }
@@ -384,7 +380,7 @@ pub fn write_file(
 }
 
 /// Reads and fully validates one corpus file (helper for tools and
-/// tests; campaigns go through [`CorpusCache::get_or_create`]).
+/// tests; perfbench goes through [`CorpusCache::get_or_create`]).
 ///
 /// # Errors
 ///
@@ -487,20 +483,6 @@ fn decode_injection(bytes: &[u8]) -> Result<Injection, String> {
             exposed_accesses,
         },
     })
-}
-
-static INSTALLED: RwLock<Option<Arc<CorpusCache>>> = RwLock::new(None);
-
-/// Installs (or, with `None`, removes) the process-global corpus
-/// cache consulted by the campaign trace constructors.
-pub fn install(cache: Option<Arc<CorpusCache>>) {
-    *INSTALLED.write().expect("corpus install lock") = cache;
-}
-
-/// The process-global corpus cache, if one is installed.
-#[must_use]
-pub fn installed() -> Option<Arc<CorpusCache>> {
-    INSTALLED.read().expect("corpus install lock").clone()
 }
 
 #[cfg(test)]
@@ -781,20 +763,6 @@ mod tests {
         for err in [streamed, read] {
             assert!(err.starts_with("truncated header"), "{err}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn global_install_round_trips() {
-        // Sequential with any other test using the global slot; keep
-        // the critical section tiny and restore the prior state.
-        let prior = installed();
-        let dir = temp_dir("global");
-        install(Some(Arc::new(CorpusCache::new(dir.clone()))));
-        assert!(installed().is_some());
-        install(None);
-        assert!(installed().is_none());
-        install(prior);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

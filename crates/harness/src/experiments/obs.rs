@@ -17,7 +17,8 @@
 //! tier-2 guard that instrumentation stays wired end to end.
 
 use crate::campaign::{
-    expect_complete, injected_cell, per_app, race_free_cell, score_cell, CampaignConfig, CellTrace,
+    expect_complete, injected_trace, per_app, race_free_trace, score_cell, CampaignConfig,
+    CellTrace,
 };
 use crate::detectors::DetectorKind;
 use crate::runner::RunLimits;
@@ -92,12 +93,12 @@ fn observe_app(app: App, cfg: &ObsConfig) -> std::io::Result<AppObs> {
     let app_span = obs.span(|| format!("app:{}", app.name()));
 
     let gen_span = obs.span(|| format!("generate:{}", app.name()));
-    let rf = race_free_cell(app, &cfg.campaign);
+    let rf = CellTrace::Materialized(race_free_trace(app, &cfg.campaign));
     obs.span_end(gen_span, 0, rf.len() as u64);
     let mut tally = score(&rf, None);
     for run_idx in 0..cfg.campaign.runs {
-        let (trace, injection) = injected_cell(app, &cfg.campaign, run_idx);
-        tally += score(&trace, Some(&injection));
+        let (trace, injection) = injected_trace(app, &cfg.campaign, run_idx);
+        tally += score(&CellTrace::Materialized(trace), Some(&injection));
     }
 
     obs.span_end(app_span, tally.metrics.cycles, 0);

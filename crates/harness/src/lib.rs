@@ -36,8 +36,8 @@ pub mod table;
 
 pub use bench::BenchRecord;
 pub use campaign::{
-    alarm_sites, injected_cell, injected_trace, per_app, probes, race_free_cell, race_free_trace,
-    score, BugOutcome, CampaignConfig, CellTrace, InjectMode,
+    alarm_sites, injected_trace, per_app, probes, race_free_trace, score, BugOutcome,
+    CampaignConfig, CellTrace, InjectMode,
 };
 pub use chaos::{ChaosProxy, ChaosSnapshot, ChaosStats, FaultyStream, NetFaultPlan};
 pub use corpus::{CorpusCache, CorpusEntry, CorpusStats};

@@ -137,15 +137,7 @@ fn record_rejects_unknown_apps() {
 fn faults_sweep_prints_degradation() {
     let out = hard_exp()
         .args([
-            "faults",
-            "--scale",
-            "0.05",
-            "--runs",
-            "2",
-            "--rates",
-            "0,50000",
-            "--trace-cache",
-            "off",
+            "faults", "--scale", "0.05", "--runs", "2", "--rates", "0,50000",
         ])
         .output()
         .expect("spawn faults");
@@ -167,6 +159,16 @@ fn faults_sweep_prints_degradation() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown argument: --checkpoint"), "{err}");
+
+    // Campaigns build their traces in memory: there is no trace cache
+    // to point anywhere or switch off.
+    let out = hard_exp()
+        .args(["table2", "--trace-cache", "off"])
+        .output()
+        .expect("spawn table2 --trace-cache");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown argument: --trace-cache"), "{err}");
 }
 
 #[test]
@@ -184,14 +186,7 @@ fn obs_smoke_writes_valid_jsonl_and_metric_tables() {
     let dir = std::env::temp_dir().join(format!("hard-exp-cli-obs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = hard_exp()
-        .args([
-            "obs",
-            "--smoke",
-            "--out",
-            dir.to_str().unwrap(),
-            "--trace-cache",
-            "off",
-        ])
+        .args(["obs", "--smoke", "--out", dir.to_str().unwrap()])
         .output()
         .expect("spawn obs");
     assert!(
@@ -259,8 +254,6 @@ fn trace_out_streams_global_events() {
             "0",
             "--trace-out",
             path.to_str().unwrap(),
-            "--trace-cache",
-            "off",
         ])
         .output()
         .expect("spawn");
@@ -338,70 +331,34 @@ fn replay_rejects_archival_codec_magic() {
 }
 
 #[test]
-fn trace_cache_cold_and_warm_runs_print_identical_tables() {
-    let dir = std::env::temp_dir().join(format!("hard-exp-cli-cache-{}", std::process::id()));
+fn campaigns_leave_the_working_directory_untouched() {
+    // Every campaign trace is generated in memory: a sweep writes
+    // nothing under its working directory.
+    let dir = std::env::temp_dir().join(format!("hard-exp-cli-cwd-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let run = || {
-        hard_exp()
-            .args([
-                "table2",
-                "--scale",
-                "0.05",
-                "--runs",
-                "2",
-                "--trace-cache",
-                dir.to_str().unwrap(),
-            ])
-            .output()
-            .expect("spawn table2")
-    };
-    let cold = run();
-    assert!(
-        cold.status.success(),
-        "{}",
-        String::from_utf8_lossy(&cold.stderr)
-    );
-    let cold_err = String::from_utf8_lossy(&cold.stderr);
-    assert!(cold_err.contains("store(s)"), "{cold_err}");
-
-    let warm = run();
-    assert!(warm.status.success());
-    let warm_err = String::from_utf8_lossy(&warm.stderr);
-    assert!(
-        warm_err.contains("hit(s)") && warm_err.contains("0 miss(es)"),
-        "{warm_err}"
-    );
-    assert_eq!(cold.stdout, warm.stdout, "cache state leaked into stdout");
-
-    let off = hard_exp()
-        .args([
-            "table2",
-            "--scale",
-            "0.05",
-            "--runs",
-            "2",
-            "--trace-cache",
-            "off",
-        ])
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = hard_exp()
+        .current_dir(&dir)
+        .args(["table2", "--scale", "0.05", "--runs", "2"])
         .output()
         .expect("spawn table2");
-    assert!(off.status.success());
-    assert_eq!(cold.stdout, off.stdout, "cache changed the results");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("temp dir readable")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    assert!(left.is_empty(), "table2 wrote {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn verify_passes_at_tiny_scale() {
     let out = hard_exp()
-        .args([
-            "verify",
-            "--scale",
-            "0.1",
-            "--runs",
-            "3",
-            "--trace-cache",
-            "off",
-        ])
+        .args(["verify", "--scale", "0.1", "--runs", "3"])
         .output()
         .expect("spawn");
     assert!(
@@ -444,7 +401,7 @@ fn every_usage_command_is_dispatched() {
         let out = hard_exp()
             .current_dir(&dir)
             .args([cmd, "--scale", "0.01", "--runs", "1", "--jobs", "1"])
-            .args(["--trace-cache", "off", "--quiet", "--rates", "0"])
+            .args(["--quiet", "--rates", "0"])
             .args(["--serve-cmd", "/nonexistent/hard-serve"])
             .arg("--out")
             .arg(&out_dir)

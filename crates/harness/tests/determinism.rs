@@ -100,7 +100,8 @@ fn fault_sweep_is_bit_identical_across_job_counts() {
 fn packed_replay_matches_materialized_for_every_detector() {
     // The streamed/packed path must be indistinguishable from the
     // materialized path: same reports, same meta_lost, for all four
-    // Table 2 detectors — this is what makes the corpus cache safe.
+    // Table 2 detectors — this is what lets a packed trace stand in
+    // for a generated one.
     use hard_trace::PackedTrace;
     use std::sync::Arc;
     for app in [App::WaterNsquared, App::Barnes] {

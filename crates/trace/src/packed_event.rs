@@ -1,8 +1,8 @@
 //! Fixed-width packed event records and streaming trace buffers.
 //!
 //! This is the one on-disk and on-wire trace format: `record` writes
-//! it, `replay` and `hard-serve` stream it, and the corpus cache
-//! persists it. The encoding is **fixed-width** so a detector can
+//! it, `replay` and `hard-serve` stream it, and corpus files persist
+//! it. The encoding is **fixed-width** so a detector can
 //! consume it straight out of a byte buffer, one cheap shift-and-mask
 //! decode per event, no intermediate vector. Byte streams are checked
 //! record by record with [`Validator`](crate::event::Validator).
