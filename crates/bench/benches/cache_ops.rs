@@ -2,6 +2,8 @@
 //! memory system.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use hard::metadata::HardMetaFactory;
+use hard::HardConfig;
 use hard_cache::policy::NullFactory;
 use hard_cache::{Hierarchy, HierarchyConfig};
 use hard_obs::{MemoryRecorder, NoopRecorder, ObsHandle};
@@ -149,12 +151,51 @@ fn bench_hierarchy_access_ladder(c: &mut Criterion) {
     g.finish();
 }
 
+/// The fill path with metadata to move: a stream of 4x the L2's
+/// capacity through HARD's line metadata, so that after one warm-up
+/// pass every fill evicts at both levels — an L1 victim whose metadata
+/// is written back to the L2, and an L2 victim whose metadata is lost.
+/// The `NullFactory` cases above carry no metadata, so they cannot see
+/// what a fill costs to move it. Every other line is written, so half
+/// the L1 victims are dirty. Reports one pass.
+fn bench_evicting_stream(c: &mut Criterion) {
+    let cfg = HardConfig::default();
+    let factory = HardMetaFactory {
+        shape: cfg.bloom,
+        granules_per_line: cfg.granules_per_line(),
+    };
+    let geom = cfg.hierarchy.l1;
+    let lines = 4 * cfg.hierarchy.l2.size_bytes() / geom.line_bytes();
+    let mut h = Hierarchy::new(cfg.hierarchy, factory).unwrap();
+    let pass = |h: &mut Hierarchy<HardMetaFactory>| {
+        for i in 0..lines {
+            let (line, set) = geom.line_and_set(Addr(i * geom.line_bytes()));
+            let kind = if i % 2 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            black_box(h.access_prepared(CoreId(0), line, set, kind).unwrap());
+        }
+    };
+    pass(&mut h);
+    c.bench_function("cache/evicting-stream", |b| b.iter(|| pass(&mut h)));
+    let s = h.stats();
+    assert_eq!(s.l1_misses, s.l2_misses, "every access went to memory");
+    assert_eq!(
+        s.l2_evictions + lines / 4,
+        s.l2_misses,
+        "and evicted once the L2 was full"
+    );
+}
+
 criterion_group!(
     benches,
     bench_l1_hit,
     bench_l2_miss_stream,
     bench_coherence_pingpong,
     bench_recorder_overhead,
-    bench_hierarchy_access_ladder
+    bench_hierarchy_access_ladder,
+    bench_evicting_stream
 );
 criterion_main!(benches);

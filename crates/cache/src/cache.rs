@@ -26,16 +26,6 @@ pub struct Line<M> {
     pub meta: M,
 }
 
-/// A line evicted to make room for an insertion.
-#[derive(Clone, Debug)]
-pub struct Evicted<M> {
-    /// The victim's line address.
-    pub addr: Addr,
-    /// The victim itself, as it was at eviction (its metadata is to be
-    /// written back or dropped).
-    pub line: Line<M>,
-}
-
 /// The tag value of an empty slot. Never collides with a real line:
 /// line addresses are aligned to `line_bytes ≥ 2`, so their low bit is
 /// zero while `u64::MAX` is odd.
@@ -55,7 +45,7 @@ const TAG_EMPTY: u64 = u64::MAX;
 ///
 /// Line identity and recency live only in two dense `u64` arrays
 /// (`tags`, `lrus`) kept in lockstep with the slots: a probe resolves
-/// the tag match and a full-set insert resolves its LRU victim by
+/// the tag match and a full-set fill resolves its LRU victim by
 /// scanning one CPU cache line of packed words instead of striding
 /// across `Line<M>` structs, and a `Line` carries neither field. The
 /// parity tests read a line's stamp through [`SetAssocCache::lru_of`].
@@ -210,7 +200,7 @@ impl<M> SetAssocCache<M> {
     /// and mutate the line through the tick-neutral slot accessors
     /// ([`SetAssocCache::peek_slot`], [`SetAssocCache::slot_line_mut`])
     /// without paying a second scan, and on a miss fill the probed set
-    /// with [`SetAssocCache::insert`].
+    /// with [`SetAssocCache::fill`].
     #[inline]
     pub fn probe_slot(&mut self, line_addr: Addr, set: usize) -> Option<usize> {
         let tick = self.bump();
@@ -219,7 +209,7 @@ impl<M> SetAssocCache<M> {
         Some(slot)
     }
 
-    /// The cache's LRU tick (total probe/insert bumps so far). The
+    /// The cache's LRU tick (total probe/fill bumps so far). The
     /// batched-path parity tests compare tick values to prove the fused
     /// probe charges exactly what the scalar probe pair does.
     #[must_use]
@@ -287,7 +277,7 @@ impl<M> SetAssocCache<M> {
 
     /// Touches a live slot with the charge of one hitting probe (bump,
     /// then stamp), without scanning its set again: the slot
-    /// [`SetAssocCache::insert`] just filled (the metadata probe that
+    /// [`SetAssocCache::fill`] just wrote (the metadata probe that
     /// follows a fill), or one [`SetAssocCache::slot_of`] just found.
     ///
     /// # Panics
@@ -311,51 +301,55 @@ impl<M> SetAssocCache<M> {
         Some(self.slot_mut(slot))
     }
 
-    /// Fills the set a probe has just missed: inserts `line_addr` with
+    /// Fills the set a probe has just missed: writes `line_addr` with
     /// no holder bits into `set` (both as [`CacheGeometry::line_and_set`]
-    /// gives them), evicting the LRU victim if the set is full. Returns
-    /// the new line's slot alongside the victim, so the caller can reach
-    /// the line again through the slot accessors.
+    /// gives them) and returns its slot, so the caller can reach the
+    /// line again through the slot accessors.
+    ///
+    /// On a full set the LRU victim is evicted where it lies: `evict`
+    /// sees its address and line in their slot, the set's last line
+    /// backfills that slot, and the victim is dropped in the last slot,
+    /// where the new line is then written — the `Vec` swap-remove and
+    /// push the dense-prefix order emulates. `evict` runs on no other
+    /// fill.
     ///
     /// The line must be absent: the caller's probe of this set is the
     /// only duplicate check. Debug builds assert it; a release build
     /// would hold two copies of the line.
-    pub fn insert(
+    pub fn fill(
         &mut self,
         line_addr: Addr,
         set: usize,
         state: CState,
         meta: M,
-    ) -> (usize, Option<Evicted<M>>) {
+        evict: impl FnOnce(Addr, &Line<M>),
+    ) -> usize {
         debug_assert_eq!(self.geom.line_and_set(line_addr), (line_addr, set));
         let ways = self.geom.ways() as usize;
         let tick = self.bump();
         let range = self.set_range(set);
         debug_assert!(
             self.find(line_addr, set).is_none(),
-            "cache line {line_addr} inserted while already present"
+            "cache line {line_addr} filled while already present"
         );
-        let victim = if range.len() >= ways {
+        if range.len() >= ways {
             // Victim choice reads the packed recency mirror; ties are
             // impossible (the tick strictly increases), so "first
             // minimum" agrees with a scan of the line structs.
-            self.lrus[range]
+            let start = range.start;
+            let victim = self.lrus[range]
                 .iter()
                 .enumerate()
                 .min_by_key(|&(_, &lru)| lru)
-                .map(|(vi, _)| vi)
-                .map(|vi| {
-                    let (addr, line) = self.swap_remove(set, vi);
-                    Evicted { addr, line }
-                })
-        } else {
-            None
-        };
+                .map_or(start, |(vi, _)| start + vi);
+            evict(Addr(self.tags[victim]), self.slot_ref(victim));
+            self.vacate(set, victim);
+        }
         let slot = set * ways + self.lens[set] as usize;
         self.tags[slot] = line_addr.0;
         self.lrus[slot] = tick;
         // Overwriting a `MaybeUninit` never drops the old contents;
-        // this slot was vacant (past the prefix), so there is nothing
+        // this slot is vacant (past the prefix), so there is nothing
         // to drop.
         self.slots[slot] = MaybeUninit::new(Line {
             state,
@@ -363,39 +357,36 @@ impl<M> SetAssocCache<M> {
             meta,
         });
         self.lens[set] += 1;
-        (slot, victim)
+        slot
     }
 
-    /// Removes position `i` of `set`'s prefix, backfilling with the
-    /// last valid line — the `Vec::swap_remove` dance on the flat
-    /// window. Returns the removed line with its address.
-    fn swap_remove(&mut self, set: usize, i: usize) -> (Addr, Line<M>) {
-        let base = set * self.geom.ways() as usize;
-        let last = self.lens[set] as usize - 1;
-        self.slots.swap(base + i, base + last);
-        self.tags.swap(base + i, base + last);
-        self.lrus.swap(base + i, base + last);
-        let addr = Addr(self.tags[base + last]);
-        debug_assert_ne!(addr.0, TAG_EMPTY);
-        self.tags[base + last] = TAG_EMPTY;
-        self.lrus[base + last] = 0;
+    /// Drops the live line at `slot` of `set`'s prefix, backfilling the
+    /// hole with the set's last line. The line is swapped to the end of
+    /// the prefix and the prefix shortened before it is dropped there,
+    /// so a panicking drop leaves every tag naming a live line.
+    fn vacate(&mut self, set: usize, slot: usize) {
+        let last = set * self.geom.ways() as usize + self.lens[set] as usize - 1;
+        debug_assert!(slot <= last && self.tags[slot] != TAG_EMPTY);
+        self.slots.swap(slot, last);
+        self.tags[slot] = self.tags[last];
+        self.lrus[slot] = self.lrus[last];
+        self.tags[last] = TAG_EMPTY;
+        self.lrus[last] = 0;
         self.lens[set] -= 1;
-        // SAFETY: both positions were inside the dense prefix (live),
-        // and the vacated slot's tag is now TAG_EMPTY, so ownership of
-        // the line moves out exactly once.
-        let line = unsafe {
-            std::mem::replace(&mut self.slots[base + last], MaybeUninit::uninit()).assume_init()
-        };
-        (addr, line)
+        // SAFETY: the line now in `last` was live, and its tag is
+        // TAG_EMPTY, so nothing else reads or drops it: it is dropped
+        // exactly once, here.
+        unsafe { self.slots[last].assume_init_drop() };
     }
 
-    /// Removes the line containing `addr`, returning it.
-    pub fn remove(&mut self, addr: Addr) -> Option<Line<M>> {
-        let line_addr = self.geom.line_of(addr);
-        let set = self.geom.set_index(line_addr);
-        let range = self.set_range(set);
-        let i = self.tags[range].iter().position(|&t| t == line_addr.0)?;
-        Some(self.swap_remove(set, i).1)
+    /// Removes the line containing `addr`, returning its coherence
+    /// state. The line is dropped inside the cache, never moved out.
+    pub fn remove(&mut self, addr: Addr) -> Option<CState> {
+        let (line_addr, set) = self.geom.line_and_set(addr);
+        let slot = self.find(line_addr, set)?;
+        let state = self.slot_ref(slot).state;
+        self.vacate(set, slot);
+        Some(state)
     }
 
     /// Iterates over all valid lines with their addresses (in flat slot
@@ -477,10 +468,15 @@ mod tests {
         SetAssocCache::new(CacheGeometry::new(128, 2, 32))
     }
 
-    /// Inserts the line containing `addr` into the set it maps to.
-    fn fill(c: &mut SetAssocCache<u32>, addr: u64, meta: u32) -> Option<Evicted<u32>> {
+    /// Fills the line containing `addr` into the set it maps to,
+    /// returning the victim's address and metadata.
+    fn fill(c: &mut SetAssocCache<u32>, addr: u64, meta: u32) -> Option<(Addr, u32)> {
         let (line, set) = c.geometry().line_and_set(Addr(addr));
-        c.insert(line, set, CState::Exclusive, meta).1
+        let mut victim = None;
+        c.fill(line, set, CState::Exclusive, meta, |a, l| {
+            victim = Some((a, l.meta));
+        });
+        victim
     }
 
     /// `fill` unless the line is already resident, as the hierarchy
@@ -511,9 +507,7 @@ mod tests {
         fill(&mut c, 0x40, 2);
         // Touch 0x00 so 0x40 becomes LRU.
         c.probe(Addr(0x00));
-        let ev = fill(&mut c, 0x80, 3).expect("eviction");
-        assert_eq!(ev.addr, Addr(0x40));
-        assert_eq!(ev.line.meta, 2);
+        assert_eq!(fill(&mut c, 0x80, 3), Some((Addr(0x40), 2)));
         assert!(c.peek(Addr(0x00)).is_some());
         assert!(c.peek(Addr(0x80)).is_some());
     }
@@ -528,19 +522,17 @@ mod tests {
     }
 
     #[test]
-    fn remove_returns_line() {
+    fn remove_returns_the_state() {
         let mut c = small();
-        c.insert(Addr(0x00), 0, CState::Modified, 9);
-        let l = c.remove(Addr(0x1F)).expect("same line");
-        assert_eq!(l.meta, 9);
-        assert_eq!(l.state, CState::Modified);
+        c.fill(Addr(0x00), 0, CState::Modified, 9, |_, _| unreachable!());
+        assert_eq!(c.remove(Addr(0x1F)), Some(CState::Modified), "same line");
         assert_eq!(c.occupancy(), 0);
         assert!(c.remove(Addr(0x00)).is_none());
     }
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "inserted while already present")]
+    #[should_panic(expected = "filled while already present")]
     fn double_insert_trips_the_absence_assert() {
         let mut c = small();
         fill(&mut c, 0x00, 1);
@@ -549,8 +541,8 @@ mod tests {
 
     #[test]
     fn probe_slot_then_insert_matches_the_probe_then_fill() {
-        // The hierarchy's fill: one charged probe of the set, then an
-        // insert into it, then a one-probe touch of the new slot — the
+        // The hierarchy's fill: one charged probe of the set, then a
+        // fill of it, then a one-probe touch of the new slot — the
         // same ticks and stamps as probe, fill, probe.
         let mut a = small();
         let mut b = small();
@@ -561,7 +553,7 @@ mod tests {
                 a.probe(Addr(addr));
             }
             if b.probe_slot(line, set).is_none() {
-                let (slot, _) = b.insert(line, set, CState::Exclusive, addr as u32);
+                let slot = b.fill(line, set, CState::Exclusive, addr as u32, |_, _| {});
                 assert_eq!(b.touch_slot(slot).meta, addr as u32);
             }
             assert_eq!(a.lru_of(line), b.lru_of(line), "stamp at {addr:#x}");

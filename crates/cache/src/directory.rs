@@ -27,10 +27,18 @@ use hard_types::{Addr, CoreId, FastHashMap};
 /// monitored access round-trips here, even L1 hits. Semantically
 /// identical to the previous ordered-map store (the flash callbacks are
 /// per-entry independent, so iteration order is unobservable).
+///
+/// The index is keyed by line index (`line >> line_shift`), not by the
+/// aligned line address: [`FastHasher`](hard_types::FastHasher) takes
+/// the bucket from the low bits of `key * SEED`, and an aligned key's
+/// low bits are zero, so line addresses would start their probes at
+/// one bucket in `line_bytes`.
 #[derive(Clone, Debug)]
 pub struct MetaDirectory<F: MetaFactory> {
     factory: F,
-    index: FastHashMap<Addr, u32>,
+    /// `log2` of the line size.
+    line_shift: u32,
+    index: FastHashMap<u64, u32>,
     slab: Vec<Option<(Addr, F::Meta)>>,
     free: Vec<u32>,
     /// The slot that served the previous round trip — validated
@@ -40,17 +48,26 @@ pub struct MetaDirectory<F: MetaFactory> {
 }
 
 impl<F: MetaFactory> MetaDirectory<F> {
-    /// An empty directory.
+    /// An empty directory of lines of `line_bytes` bytes (a power of
+    /// two).
     #[must_use]
-    pub fn new(factory: F) -> MetaDirectory<F> {
+    pub fn new(factory: F, line_bytes: u64) -> MetaDirectory<F> {
+        debug_assert!(line_bytes.is_power_of_two());
         MetaDirectory {
             factory,
+            line_shift: line_bytes.trailing_zeros(),
             index: FastHashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             hot: None,
             requests: 0,
         }
+    }
+
+    /// The index key of `line`: its line index.
+    #[inline]
+    fn key(&self, line: Addr) -> u64 {
+        line.0 >> self.line_shift
     }
 
     /// Gets (creating if absent) the metadata entry for `line`,
@@ -76,7 +93,8 @@ impl<F: MetaFactory> MetaDirectory<F> {
                 return &mut entry.1;
             }
         }
-        let slot = match self.index.get(&line) {
+        let key = self.key(line);
+        let slot = match self.index.get(&key) {
             Some(&s) => s,
             None => {
                 let meta = self.factory.fresh(core);
@@ -87,7 +105,7 @@ impl<F: MetaFactory> MetaDirectory<F> {
                     self.slab.push(Some((line, meta)));
                     u32::try_from(self.slab.len() - 1).expect("slab outgrew u32 slots")
                 };
-                self.index.insert(line, s);
+                self.index.insert(key, s);
                 s
             }
         };
@@ -99,14 +117,14 @@ impl<F: MetaFactory> MetaDirectory<F> {
     /// Reads the entry without counting a request (tests/inspection).
     #[must_use]
     pub fn peek(&self, line: Addr) -> Option<&F::Meta> {
-        let &slot = self.index.get(&line)?;
+        let &slot = self.index.get(&self.key(line))?;
         self.slab[slot as usize].as_ref().map(|(_, m)| m)
     }
 
     /// Retires the entry for a line displaced from the L2; the
     /// detection metadata is lost exactly as in the in-cache design.
     pub fn retire(&mut self, line: Addr) {
-        if let Some(slot) = self.index.remove(&line) {
+        if let Some(slot) = self.index.remove(&self.key(line)) {
             self.slab[slot as usize] = None;
             self.free.push(slot);
             if self.hot.is_some_and(|(a, _)| a == line) {
@@ -158,7 +176,7 @@ mod tests {
 
     #[test]
     fn access_creates_then_reuses() {
-        let mut d = MetaDirectory::new(CountFactory);
+        let mut d = MetaDirectory::new(CountFactory, 32);
         assert!(d.is_empty());
         let m = d.access(Addr(0x40), CoreId(2));
         assert_eq!(*m, 200);
@@ -170,7 +188,7 @@ mod tests {
 
     #[test]
     fn retire_loses_the_entry() {
-        let mut d = MetaDirectory::new(CountFactory);
+        let mut d = MetaDirectory::new(CountFactory, 32);
         *d.access(Addr(0x40), CoreId(0)) = 9;
         d.retire(Addr(0x40));
         assert!(d.peek(Addr(0x40)).is_none());
@@ -180,11 +198,22 @@ mod tests {
 
     #[test]
     fn flash_touches_all_entries() {
-        let mut d = MetaDirectory::new(CountFactory);
+        let mut d = MetaDirectory::new(CountFactory, 32);
         d.access(Addr(0x40), CoreId(0));
         d.access(Addr(0x80), CoreId(1));
         d.flash(|m| *m = 1);
         assert_eq!(*d.peek(Addr(0x40)).unwrap(), 1);
         assert_eq!(*d.peek(Addr(0x80)).unwrap(), 1);
+    }
+
+    #[test]
+    fn consecutive_lines_start_their_probes_all_over_the_index() {
+        // hashbrown starts a key's probe at bucket `hash & mask`.
+        use std::hash::BuildHasher;
+        let d = MetaDirectory::new(CountFactory, 32);
+        let homes: std::collections::HashSet<u64> = (0..4096u64)
+            .map(|i| d.index.hasher().hash_one(d.key(Addr(i * 32))) & 4095)
+            .collect();
+        assert!(homes.len() >= 4000, "{} distinct homes", homes.len());
     }
 }

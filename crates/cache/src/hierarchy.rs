@@ -176,6 +176,60 @@ fn cores(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
+/// One bit per core of a `num_cores`-core hierarchy: the width of a
+/// sector's holder group.
+#[inline]
+fn all_cores(num_cores: usize) -> u32 {
+    u32::MAX >> (u32::BITS as usize - num_cores)
+}
+
+/// The cores a holder word records for `sector`, as a core mask, in a
+/// hierarchy of `num_cores` cores.
+#[inline]
+fn holders_of(holders: u32, sector: usize, num_cores: usize) -> u32 {
+    (holders >> (sector * num_cores)) & all_cores(num_cores)
+}
+
+/// Handles an L2 eviction, on the victim where it still lies:
+/// back-invalidate the L1 copies its holder word records (inclusion)
+/// and record each valid sector's metadata loss. A function of the
+/// fields it touches, so the L2 fill can run it while it holds the L2.
+fn l2_evicted<M>(
+    cfg: &HierarchyConfig,
+    l1: &mut [SetAssocCache<M>],
+    stats: &mut MemStats,
+    lost_meta: &mut LostLines,
+    obs: &ObsHandle,
+    victim_addr: Addr,
+    victim: &Line<L2Sectors<M>>,
+) {
+    stats.l2_evictions += 1;
+    let mut sectors_lost = 0u32;
+    for (i, slot) in victim.meta.as_slice().iter().enumerate() {
+        let l1_line = Addr(victim_addr.0 + i as u64 * cfg.l1.line_bytes());
+        if slot.is_some() {
+            lost_meta.insert(l1_line);
+            sectors_lost += 1;
+        }
+        for p in cores(holders_of(victim.holders, i, cfg.num_cores)) {
+            if l1[p].remove(l1_line) == Some(CState::Modified) {
+                stats.writebacks += 1;
+            }
+        }
+    }
+    if victim.holders != 0 {
+        stats.l2_back_invalidations += 1;
+    }
+    obs.counter(CounterId::L2Displacements, 1);
+    if sectors_lost > 0 {
+        obs.counter(CounterId::MetaLossLines, u64::from(sectors_lost));
+    }
+    obs.emit(|| Event::Displacement {
+        line: victim_addr.0,
+        sectors_lost,
+    });
+}
+
 /// The simulated memory system. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct Hierarchy<F: MetaFactory> {
@@ -191,8 +245,6 @@ pub struct Hierarchy<F: MetaFactory> {
     /// `log2` of the L1 line size: a line's sector is
     /// `(addr >> l1_shift) & (sectors - 1)`.
     l1_shift: u32,
-    /// One bit per core: the width of a sector's holder group.
-    all_cores: u32,
     stats: MemStats,
     lost_meta: LostLines,
     /// Same-core/same-line memo for the fused access path: the L1
@@ -243,7 +295,6 @@ impl<F: MetaFactory> Hierarchy<F> {
             l2: SetAssocCache::new(cfg.l2),
             sectors,
             l1_shift,
-            all_cores: u32::MAX >> (u32::BITS as usize - cfg.num_cores),
             cfg,
             factory,
             stats: MemStats::default(),
@@ -263,12 +314,6 @@ impl<F: MetaFactory> Hierarchy<F> {
     #[inline]
     fn holder_bit(&self, core: usize, sector: usize) -> u32 {
         1 << (sector * self.cfg.num_cores + core)
-    }
-
-    /// The cores a holder word records for `sector`, as a core mask.
-    #[inline]
-    fn holders_of(&self, holders: u32, sector: usize) -> u32 {
-        (holders >> (sector * self.cfg.num_cores)) & self.all_cores
     }
 
     /// Mutable access to the L2 metadata slot for an L1 line, if the
@@ -310,9 +355,9 @@ impl<F: MetaFactory> Hierarchy<F> {
     #[must_use]
     pub fn holders(&self, addr: Addr) -> u32 {
         let line = self.cfg.l1.line_of(addr);
-        self.l2
-            .peek(line)
-            .map_or(0, |l| self.holders_of(l.holders, self.sector_of(line)))
+        self.l2.peek(line).map_or(0, |l| {
+            holders_of(l.holders, self.sector_of(line), self.cfg.num_cores)
+        })
     }
 
     /// Number of L1 caches holding a valid copy of `addr`'s line.
@@ -415,45 +460,10 @@ impl<F: MetaFactory> Hierarchy<F> {
         }
     }
 
-    /// Handles an L2 eviction: back-invalidate the L1 copies the
-    /// victim's holder word records (inclusion) and record each valid
-    /// sector's metadata loss.
-    fn l2_evicted(&mut self, victim_addr: Addr, victim: &Line<L2Sectors<F::Meta>>) {
-        self.stats.l2_evictions += 1;
-        let mut sectors_lost = 0u32;
-        for (i, slot) in victim.meta.as_slice().iter().enumerate() {
-            let l1_line = Addr(victim_addr.0 + i as u64 * self.cfg.l1.line_bytes());
-            if slot.is_some() {
-                self.lost_meta.insert(l1_line);
-                sectors_lost += 1;
-            }
-            for p in cores(self.holders_of(victim.holders, i)) {
-                if self.l1[p]
-                    .remove(l1_line)
-                    .is_some_and(|l| l.state == CState::Modified)
-                {
-                    self.stats.writebacks += 1;
-                }
-            }
-        }
-        if victim.holders != 0 {
-            self.stats.l2_back_invalidations += 1;
-        }
-        self.obs.counter(CounterId::L2Displacements, 1);
-        if sectors_lost > 0 {
-            self.obs
-                .counter(CounterId::MetaLossLines, u64::from(sectors_lost));
-        }
-        self.obs.emit(|| Event::Displacement {
-            line: victim_addr.0,
-            sectors_lost,
-        });
-    }
-
     /// Fills set `set` of core `c`'s L1, which has just missed
-    /// `line_addr`, records the core among the holders of its L2 line
-    /// (at `l2_slot`), and handles the victim writeback. Returns the
-    /// new line's L1 slot.
+    /// `line_addr`, writing the victim (if any) back to the L2, and
+    /// records the core among the holders of the new line's L2 line (at
+    /// `l2_slot`). Returns the new line's L1 slot.
     fn l1_insert(
         &mut self,
         c: usize,
@@ -463,25 +473,24 @@ impl<F: MetaFactory> Hierarchy<F> {
         meta: F::Meta,
         l2_slot: usize,
     ) -> usize {
-        let (slot, victim) = self.l1[c].insert(line_addr, set, state, meta);
-        if let Some(victim) = victim {
+        let slot = self.l1[c].fill(line_addr, set, state, meta, |victim_addr, victim| {
             self.stats.l1_evictions += 1;
-            let dirty = victim.line.state == CState::Modified;
+            let dirty = victim.state == CState::Modified;
             if dirty {
                 self.stats.writebacks += 1;
             }
             // Inclusion: the L2 still holds the victim; push the
             // freshest metadata down and drop the core from its holders.
-            let idx = self.sector_of(victim.addr);
-            let bit = self.holder_bit(c, idx);
-            if let Some(l2line) = self.l2.probe(victim.addr) {
-                store(&mut l2line.meta[idx], &victim.line.meta);
-                l2line.holders &= !bit;
+            // (`sector_of` and `holder_bit` would borrow all of `self`.)
+            let idx = (victim_addr.0 >> self.l1_shift) as usize & (self.sectors - 1);
+            if let Some(l2line) = self.l2.probe(victim_addr) {
+                store(&mut l2line.meta[idx], &victim.meta);
+                l2line.holders &= !(1 << (idx * self.cfg.num_cores + c));
                 if dirty {
                     l2line.state = CState::Modified;
                 }
             }
-        }
+        });
         let bit = self.holder_bit(c, self.sector_of(line_addr));
         if let Some(l2line) = self.l2.slot_line_mut(l2_slot) {
             l2line.holders |= bit;
@@ -495,7 +504,7 @@ impl<F: MetaFactory> Hierarchy<F> {
     /// clears their bits there.
     fn invalidate_peers(&mut self, c: usize, line_addr: Addr, l2_slot: Option<usize>) {
         let shift = self.sector_of(line_addr) * self.cfg.num_cores;
-        let mask = self.all_cores & !(1 << c);
+        let mask = all_cores(self.cfg.num_cores) & !(1 << c);
         let Some(l2line) = l2_slot.and_then(|s| self.l2.slot_line_mut(s)) else {
             return;
         };
@@ -620,7 +629,7 @@ impl<F: MetaFactory> Hierarchy<F> {
         let mut l2_slot = self.l2.probe_slot(l2_line, l2_set);
         let peers = l2_slot
             .and_then(|s| self.l2.peek_slot(s, line_addr))
-            .map_or(0, |l| self.holders_of(l.holders, idx))
+            .map_or(0, |l| holders_of(l.holders, idx, self.cfg.num_cores))
             & !(1 << c);
         // MESI: an M/E copy is the only copy, so only a lone peer can
         // own the line. One tick-neutral scan finds the owner's slot.
@@ -685,12 +694,15 @@ impl<F: MetaFactory> Hierarchy<F> {
             } else {
                 let mut sectors = L2Sectors::vacant(self.sectors);
                 sectors[idx] = Some(fresh.clone());
-                let (slot, victim) = self.l2.insert(l2_line, l2_set, CState::Exclusive, sectors);
+                let evict = |a, victim: &_| {
+                    result.displaced = Some(a);
+                    let (l1, stats, lost) = (&mut self.l1, &mut self.stats, &mut self.lost_meta);
+                    l2_evicted(&self.cfg, l1, stats, lost, &self.obs, a, victim);
+                };
+                let slot = self
+                    .l2
+                    .fill(l2_line, l2_set, CState::Exclusive, sectors, evict);
                 l2_slot = Some(slot);
-                if let Some(victim) = victim {
-                    result.displaced = Some(victim.addr);
-                    self.l2_evicted(victim.addr, &victim.line);
-                }
             }
             fresh
         };
@@ -863,9 +875,10 @@ impl<F: MetaFactory> Hierarchy<F> {
     /// recorded. Models a spurious displacement fault. Returns the
     /// displaced L2 line address, or `None` if `n` is out of range.
     pub fn force_displace(&mut self, n: usize) -> Option<Addr> {
-        let (victim_addr, _) = self.l2.iter().nth(n)?;
-        let victim = self.l2.remove(victim_addr)?;
-        self.l2_evicted(victim_addr, &victim);
+        let (victim_addr, victim) = self.l2.iter().nth(n)?;
+        let (l1, stats, lost) = (&mut self.l1, &mut self.stats, &mut self.lost_meta);
+        l2_evicted(&self.cfg, l1, stats, lost, &self.obs, victim_addr, victim);
+        self.l2.remove(victim_addr);
         Some(victim_addr)
     }
 }

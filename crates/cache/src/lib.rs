@@ -31,7 +31,7 @@ pub mod policy;
 pub mod stats;
 pub mod timing;
 
-pub use cache::{Evicted, Line, SetAssocCache};
+pub use cache::{Line, SetAssocCache};
 pub use cstate::CState;
 pub use directory::MetaDirectory;
 pub use geometry::CacheGeometry;

@@ -366,7 +366,7 @@ proptest! {
     fn directory_slab_matches_the_map_reference(
         ops in prop::collection::vec((0u8..8, 0u64..16, 0u32..3), 1..250),
     ) {
-        let mut dir = MetaDirectory::new(SeqFactory);
+        let mut dir = MetaDirectory::new(SeqFactory, 32);
         let mut reference: BTreeMap<Addr, u64> = BTreeMap::new();
         let mut requests = 0u64;
         for (sel, l, c) in ops {

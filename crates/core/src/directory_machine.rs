@@ -62,7 +62,7 @@ impl DirectoryHardMachine {
         let n = cfg.hierarchy.num_cores;
         Ok(DirectoryHardMachine {
             hierarchy: Hierarchy::new(cfg.hierarchy, NullFactory)?,
-            directory: MetaDirectory::new(factory),
+            directory: MetaDirectory::new(factory, cfg.hierarchy.l1.line_bytes()),
             registers: (0..n).map(|_| LockRegister::new(cfg.bloom)).collect(),
             cmp: Cmp::new(n, cfg.latency),
             log: ReportLog::new(cfg.granularity),

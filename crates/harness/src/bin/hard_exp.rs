@@ -833,10 +833,13 @@ fn main() -> ExitCode {
                 started.elapsed(),
             );
             match record.write(std::path::Path::new(path)) {
-                Ok(()) => rep.note(&format!(
+                // Wall-clock figures go to stderr, so one build's stdout
+                // is the same on every run.
+                Ok(()) if !args.quiet => eprintln!(
                     "bench-out: {path} ({} events in {} ms, {} events/s, jobs={})",
                     record.events, record.wall_ms, record.events_per_sec, record.jobs
-                )),
+                ),
+                Ok(()) => {}
                 Err(e) => eprintln!("warning: writing --bench-out {path} failed: {e}"),
             }
         }

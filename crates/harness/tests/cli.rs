@@ -356,6 +356,44 @@ fn campaigns_leave_the_working_directory_untouched() {
 }
 
 #[test]
+fn bench_out_keeps_stdout_identical_across_runs() {
+    // The record's wall-clock note goes to stderr; the tables on
+    // stdout are a function of the flags alone.
+    let path = std::env::temp_dir().join(format!("hard-exp-cli-bench-{}.json", std::process::id()));
+    let path_s = path.to_str().expect("utf8 temp path");
+    let run = || {
+        let out = hard_exp()
+            .args([
+                "table2",
+                "--scale",
+                "0.05",
+                "--runs",
+                "2",
+                "--bench-out",
+                path_s,
+            ])
+            .output()
+            .expect("spawn table2");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains("bench-out: "), "{err}");
+        assert!(path.exists(), "record written");
+        out.stdout
+    };
+    let (first, second) = (run(), run());
+    assert!(!String::from_utf8_lossy(&first).contains("bench-out:"));
+    assert_eq!(
+        String::from_utf8_lossy(&first),
+        String::from_utf8_lossy(&second)
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn verify_passes_at_tiny_scale() {
     let out = hard_exp()
         .args(["verify", "--scale", "0.1", "--runs", "3"])

@@ -25,7 +25,8 @@
 //!   of `key * SEED`, which for an aligned key (a line address) depend
 //!   only on the key's low bits, so such keys start their probes at a
 //!   fraction of the buckets; a table can key by the aligned value's
-//!   index instead, as the cache model's lost-line set keys by block.
+//!   index instead, as the cache model's lost-line set keys by block
+//!   and the metadata directory by line index.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
